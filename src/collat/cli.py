@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import logging
-import os
 import sys
 import time
 from fractions import Fraction
@@ -288,12 +287,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="collat",
         description="Minimum-collateral schemes for networked investment games",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("COLLAT_JOBS", "1")),
-        help="worker budget for solver-internal parallelism (currently single-process)",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log solver dispatch")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,15 +1,17 @@
 """Network-level collateral solvers.
 
-Acyclic networks decompose exactly into independent single-enterprise
-problems (the network premium NEC is 1).  Cyclic networks do not; the exact
-solver runs a dynamic program over resolved edge-sets, exploiting the fact
-that the minimal collateral making an edge eliminable depends only on the
-*set* of already-resolved edges, never on their order.  That collapses the
-order search from O(|E|!) to O(2^|E| |E|).
-
-For integer inputs with alpha_k > Z_k every positive collateral of an
-optimal solution is a full collateral, so `solve_large_alpha` searches 0/full
-assignments in increasing total order instead.
+`solve` solves the strongly connected components (SCCs) of the enterprises,
+edges oriented enterprise -> investor, downstream first: by then, investors
+outside a component always pay, so the optimum is the sum of the component
+optima.  A single enterprise is a star (`solve_star`; NEC 1 on acyclic
+networks).  A cyclic component runs a dynamic program over resolved
+edge-sets; the minimal collateral making an edge eliminable depends only on
+the *set* of resolved edges, so the order search drops from O(|E|!) to
+O(2^|E| |E|), with `EXACT_GUARD` bounding |E| per component.  For integer
+inputs with alpha_k > Z_k every positive collateral of an optimal solution
+is full, so those components are searched over 0/full assignments instead.
+`Solution.method` names the whole-network route.  `solve_exact` and
+`solve_large_alpha` take the whole network as one component (oracles).
 """
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 
 from .analysis import (
     InfeasibilityWitness,
+    _strongly_connected_components,
     is_large_alpha,
-    is_viable,
     iterated_elimination,
     solvability_check,
 )
@@ -78,26 +79,22 @@ def star_decomposition(net):
     return out
 
 
-def _topological_vertices(net):
-    ts = TopologicalSorter({v: set() for v in range(net.n)})
-    for e in net.edges:
-        ts.add(e.investor, e.enterprise)
-    try:
-        return list(ts.static_order())
-    except CycleError as exc:
-        raise CyclicInputError("network contains a directed cycle") from exc
+def _enterprise_components(net):
+    """Enterprise SCCs, downstream first (Tarjan emits a component only after
+    every component it reaches), each as (sorted enterprises, cyclic flag)."""
+    adjacency = {
+        k: [net.edges[e].investor for e in net.out_edges[k]
+            if net.edges[e].investor in net.enterprise_set]
+        for k in sorted(net.enterprise_set)
+    }
+    return [
+        (sorted(comp), len(comp) > 1 or any(k in adjacency[k] for k in comp))
+        for comp in _strongly_connected_components(adjacency)
+    ]
 
 
 def is_acyclic(net):
-    try:
-        _topological_vertices(net)
-    except CyclicInputError:
-        return False
-    return True
-
-
-def _star_optima(net):
-    return {k: solve_star(star).total for k, star, _ in star_decomposition(net)}
+    return not any(cyclic for _, cyclic in _enterprise_components(net))
 
 
 def _per_star_sums(net, c):
@@ -107,46 +104,55 @@ def _per_star_sums(net, c):
     }
 
 
-def _finish(net, status, c, order, method, star_optima=None):
-    if star_optima is None:
-        star_optima = _star_optima(net)
+def _solve_components(net, components, method):
+    """Solve (enterprises, cyclic flag) components in the given order and
+    concatenate.  A cyclic component's sub-network keeps only its own
+    enterprises' edges, so outside investors are plain investors; it gets the
+    0/full search when `method` is "large-alpha", else the subset DP."""
+    stars = {k: star for k, star, _ in star_decomposition(net)}
+    star_optima, amounts, order = {}, {}, []
+    for comp, cyclic in components:
+        if cyclic:
+            edge_ids = sorted(e for k in comp for e in net.out_edges[k])
+            sub = InvestmentNetwork(net.n, [net.edges[e] for e in edge_ids],
+                                    net.cost, net.rate, net.ids)
+            if method == "large-alpha":
+                local, local_order = _zero_full_search(sub)
+            else:
+                local, local_order = _subset_dp(sub)
+            # star optima only now, so an oversized component trips the guard first
+            star_optima.update((k, solve_star(stars[k]).total) for k in comp)
+        else:  # a single enterprise: its star solution is the component's
+            ssol = solve_star(stars[comp[0]])
+            star_optima[comp[0]] = ssol.total
+            edge_ids, local, local_order = net.out_edges[comp[0]], ssol.collaterals, ssol.order
+        for pos in local_order:
+            amounts[edge_ids[pos]] = local[pos]
+            order.append(edge_ids[pos])
+    c = CollateralMatrix(net, amounts)
     total = c.total()
     denom = sum(star_optima.values(), Fraction(0))
-    nec = Fraction(1) if denom == 0 else total / denom
     return Solution(
-        status=status,
+        status=Status.SOLVED,
         collaterals=c,
         total=total,
         order=tuple(order),
         star_totals=_per_star_sums(net, c),
         star_optima=star_optima,
-        nec=nec,
+        nec=Fraction(1) if denom == 0 else total / denom,
         method=method,
     )
 
 
 def solve_dag(net):
     """Optimal collaterals for an acyclic network: solve each star of the
-    decomposition independently and eliminate enterprises in reverse
-    topological order (an enterprise is fully secured before anyone upstream
-    relies on it, so cascades never bite)."""
-    topo = _topological_vertices(net)
-    stars = {k: (star, edge_ids) for k, star, edge_ids in star_decomposition(net)}
-    amounts = {}
-    order = []
-    star_optima = {}
-    for k in reversed(topo):
-        if k not in net.enterprise_set:
-            continue
-        star, edge_ids = stars[k]
-        sol = solve_star(star)
-        star_optima[k] = sol.total
-        for pos in sol.order:
-            edge = edge_ids[pos]
-            amounts[edge] = sol.collaterals[pos]
-            order.append(edge)
-    c = CollateralMatrix(net, amounts)
-    out = _finish(net, Status.SOLVED, c, order, "dag", star_optima)
+    decomposition independently and eliminate enterprises downstream first
+    (an enterprise is fully secured before anyone upstream relies on it, so
+    cascades never bite)."""
+    components = _enterprise_components(net)
+    if any(cyclic for _, cyclic in components):
+        raise CyclicInputError("network contains a directed cycle")
+    out = _solve_components(net, components, "dag")
     assert out.nec == 1
     return out
 
@@ -188,20 +194,18 @@ def _scaled_ints(net):
     return den, wx, zi
 
 
-def solve_exact(net):
-    """Exact minimum-total collaterals for any solvable network.
-
-    Subset DP over resolved edge-sets: cost(S + e) relaxes over
-    cost(S) + minimal collateral for e given S.  Every viable matrix admits
-    an elimination order, so the DP minimum is the global optimum.
-    """
+def _subset_dp(net):
+    """Subset DP over resolved edge-sets of a solvable network: cost(S + e)
+    relaxes over cost(S) + minimal collateral for e given S.  Every viable
+    matrix admits an elimination order, so the DP minimum is the global
+    optimum.  Returns (amounts by edge, elimination order)."""
     m = len(net.edges)
     if m > EXACT_GUARD:
-        raise TooLargeError("exact solver guard is |E| <= %d (got %d)" % (EXACT_GUARD, m))
-    check = solvability_check(net)
-    if not check.solvable:
-        return Solution(Status.INFEASIBLE, witness=check.witness, method="exact")
-
+        names = ", ".join(str(net.ids[k]) for k in sorted(net.enterprise_set))
+        raise TooLargeError(
+            "exact solver guard is |E| <= %d; enterprises {%s} have %d edges"
+            % (EXACT_GUARD, names, m)
+        )
     den, wx, zi = _scaled_ints(net)
     ents = [e.enterprise for e in net.edges]
     invs = [e.investor for e in net.edges]
@@ -284,8 +288,20 @@ def solve_exact(net):
         order.append(e)
         s_mask = prev
     order.reverse()
-    c = CollateralMatrix(net, amounts)
-    return _finish(net, Status.SOLVED, c, order, "exact")
+    return amounts, order
+
+
+def _solve_whole(net, method):
+    check = solvability_check(net)
+    if not check.solvable:
+        return Solution(Status.INFEASIBLE, witness=check.witness, method=method)
+    return _solve_components(net, [(sorted(net.enterprise_set), True)], method)
+
+
+def solve_exact(net):
+    """Exact minimum-total collaterals for any solvable network, by the
+    subset DP on the whole network as one component; the oracle for `solve`."""
+    return _solve_whole(net, "exact")
 
 
 def _subsets_by_total(weights):
@@ -305,15 +321,10 @@ def _subsets_by_total(weights):
             counter += 1
 
 
-def solve_large_alpha(net):
-    """Optimal collaterals in the integer large-rate regime by best-first
-    search over 0/full assignments, cheapest total first; the first viable
-    assignment is optimal because every optimal solution is 0/full here."""
-    if not is_large_alpha(net):
-        raise ValueError("network is not in the large-alpha regime")
-    check = solvability_check(net)
-    if not check.solvable:
-        return Solution(Status.INFEASIBLE, witness=check.witness, method="large-alpha")
+def _zero_full_search(net):
+    """Best-first search over 0/full assignments of a solvable network,
+    cheapest total first; the first viable one is optimal when every optimal
+    solution is 0/full.  Returns (amounts by edge, elimination order)."""
     weights = [e.amount for e in net.edges]
     for _, full_edges in _subsets_by_total(weights):
         c = CollateralMatrix(
@@ -321,8 +332,16 @@ def solve_large_alpha(net):
         )
         order, stuck = iterated_elimination(net, c)
         if not stuck:
-            return _finish(net, Status.SOLVED, c, order, "large-alpha")
+            return c.amounts, order
     raise AssertionError("solvable network must accept full collaterals")
+
+
+def solve_large_alpha(net):
+    """Optimal collaterals in the integer large-rate regime, by the 0/full
+    search on the whole network as one component; an oracle for `solve`."""
+    if not is_large_alpha(net):
+        raise ValueError("network is not in the large-alpha regime")
+    return _solve_whole(net, "large-alpha")
 
 
 def compute_nec(net, sol):
@@ -330,39 +349,24 @@ def compute_nec(net, sol):
     stand-alone star optima.  1 means cycles cost nothing extra."""
     if sol.status is not Status.SOLVED:
         raise ValueError("NEC is undefined for an infeasible network")
-    denom = sum(_star_optima(net).values(), Fraction(0))
-    if denom == 0:
-        return Fraction(1)
-    return sol.total / denom
-
-
-def _is_single_star(net):
-    return len(net.enterprise_set) == 1
+    return sol.nec
 
 
 def solve(net):
-    """Dispatch to the cheapest applicable solver.
-
-    Single enterprise -> star enumeration; acyclic -> per-star composition;
-    integer large-rate -> 0/full search; otherwise the exact subset DP
-    (subject to its guard).
-    """
+    """Optimal collaterals for any network, by one pass over the enterprise
+    SCCs downstream first; the subset DP's guard bounds each component's
+    edge count.  `method` names the whole-network route: "star" (one
+    enterprise), "dag" (acyclic), "large-alpha" (some component is cyclic,
+    integer large-rate inputs), "exact" (some component is cyclic) or
+    "none" (infeasible)."""
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
-    if _is_single_star(net):
-        k = next(iter(net.enterprise_set))
-        _, star, edge_ids = star_decomposition(net)[0]
-        ssol = solve_star(star)
-        amounts = {edge_ids[pos]: ssol.collaterals[pos] for pos in range(star.size)}
-        c = CollateralMatrix(net, amounts)
-        order = [edge_ids[pos] for pos in ssol.order]
-        out = _finish(net, Status.SOLVED, c, order, "star", {k: ssol.total})
-    elif is_acyclic(net):
-        out = solve_dag(net)
-    elif is_large_alpha(net):
-        out = solve_large_alpha(net)
+    components = _enterprise_components(net)
+    if any(cyclic for _, cyclic in components):
+        method = "large-alpha" if is_large_alpha(net) else "exact"
     else:
-        out = solve_exact(net)
-    log.info("solve dispatched to %s solver", out.method)
+        method = "star" if len(net.enterprise_set) == 1 else "dag"
+    out = _solve_components(net, components, method)
+    log.info("solve ran %s over %d components", method, len(components))
     return out

@@ -22,6 +22,7 @@ from collat import (
     star_decomposition,
     validate_network,
 )
+from collat.network import is_acyclic
 from helpers import assert_minimal, assert_valid_elimination_order
 
 
@@ -262,3 +263,36 @@ class TestDispatcher:
             assert validate_network(net).ok
             assert sum(sol.star_totals.values(), Fraction(0)) == sol.total
             assert sol.nec == compute_nec(net, sol)
+            assert sol.total == solve_exact(net).total
+            assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
+
+    def test_is_acyclic(self, chain_net, spiked_cycle_net):
+        assert is_acyclic(chain_net)
+        assert not is_acyclic(spiked_cycle_net)
+        self_edge = InvestmentNetwork(2, [(0, 1, 2), (0, 0, 1)], cost={0: 1}, rate={0: 1})
+        assert not is_acyclic(self_edge)
+
+    def test_guard_applies_per_component(self, spiked_cycle_net):
+        copies = 6
+        edges = [
+            (e.enterprise + 4 * j, e.investor + 4 * j, e.amount)
+            for j in range(copies)
+            for e in spiked_cycle_net.edges
+        ]
+        params = {k + 4 * j: 2 for j in range(copies) for k in (0, 1)}
+        net = InvestmentNetwork(4 * copies, edges, cost=params, rate=params)
+        assert len(net.edges) == 24
+        sol = solve(net)
+        assert sol.method == "exact"
+        assert sol.total == copies * solve_exact(spiked_cycle_net).total
+        assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
+        with pytest.raises(TooLargeError):
+            solve_exact(net)
+
+    def test_guard_error_names_the_component(self):
+        # P <-> Q with 10 spikes each: one cyclic component of 22 edges
+        edges = [(0, 1, 1), (1, 0, 1)]
+        edges += [(k, 2 + 10 * k + s, 1) for k in (0, 1) for s in range(10)]
+        net = InvestmentNetwork(22, edges, cost={0: 2, 1: 2}, rate={0: 2, 1: 2})
+        with pytest.raises(TooLargeError, match=r"\{0, 1\} have 22 edges"):
+            solve(net)
