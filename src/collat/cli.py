@@ -19,20 +19,19 @@ import json
 import logging
 import sys
 import time
-from fractions import Fraction
 
 from . import instances
-from .analysis import is_viable, iterated_elimination, solvability_check
+from .analysis import iterated_elimination, solvability_check
 from .instances import DocumentError, format_rational, parse_rational
 from .model import CollateralMatrix, validate_network
 from .network import (
     CyclicInputError,
     Status,
     TooLargeError,
+    minimal_matrix_for_resolved_set,
     solve,
     solve_dag,
     solve_exact,
-    solve_large_alpha,
 )
 from .star import solve_star
 
@@ -118,7 +117,6 @@ _METHODS = {
     "auto": solve,
     "dag": solve_dag,
     "exact": solve_exact,
-    "large-alpha": solve_large_alpha,
 }
 
 
@@ -211,22 +209,29 @@ def _load_collaterals(net, path):
     return CollateralMatrix(net, amounts)
 
 
+def _is_minimal(net, c):
+    """True iff no single collateral of the viable matrix `c` can be lowered.
+
+    With edge e at 0, IESDS resolves a set R without e.  Every other edge's
+    payoff ignores c_e, so lowering c_e keeps the matrix viable iff e can
+    still resolve at R; the collateral e needs is antitone in the resolved
+    set, so its least value over the run is the one at R."""
+    for e, amount in enumerate(c.amounts):
+        if amount == 0:
+            continue
+        resolved, stuck = iterated_elimination(net, c.replace(e, 0))
+        if e not in stuck or minimal_matrix_for_resolved_set(net, resolved, e) != amount:
+            return False
+    return True
+
+
 def cmd_verify(args):
     started = time.perf_counter()
     net = _load(args.network)
     c = _load_collaterals(net, args.collaterals)
     order, stuck = iterated_elimination(net, c)
     viable = not stuck
-    minimal = None
-    if viable:
-        minimal = True
-        for e, amount in enumerate(c.amounts):
-            if amount == 0:
-                continue
-            eps = min(a for a in c.amounts if a > 0) / 2
-            if is_viable(net, c.replace(e, max(Fraction(0), amount - eps))):
-                minimal = False
-                break
+    minimal = _is_minimal(net, c) if viable else None
     report = {
         "report_version": REPORT_VERSION,
         "input_digest": _digest(args.network),
@@ -299,7 +304,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="compute optimal collaterals and the NEC")
     p.add_argument("network")
-    p.add_argument("--method", choices=["auto", "star", "dag", "exact", "large-alpha"], default="auto")
+    p.add_argument("--method", choices=["auto", "star", "dag", "exact"], default="auto")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--out-file")
     p.set_defaults(func=cmd_solve)

@@ -6,6 +6,10 @@ edge whether to invest ("cooperate") or decline ("defect").  An enterprise
 that fails to raise its operational cost defaults and withdraws all of its
 own investments, which can cascade.
 
+`cascade` is the one cascade loop: bitmasks over edges and vertices, with
+amounts and costs scaled once per network to integers over a common
+denominator.  `default_determination` is its frozenset adapter.
+
 All monetary quantities are `fractions.Fraction`.  Comparisons are exact and
 ties are load-bearing (capital exactly covering the cost counts as solvent;
 a payoff exactly matching the defect payoff resolves to investing), so
@@ -14,6 +18,7 @@ nothing in this package uses floats.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +78,17 @@ class InvestmentNetwork:
             self.in_edges[e.investor].append(idx)
         self.edge_index = {(e.enterprise, e.investor): idx for idx, e in enumerate(self.edges)}
         self._cascade_cache = {}
+        # the cascade's integers: every amount and enterprise cost times `scale`
+        self.scale = 1
+        for x in [e.amount for e in self.edges] + [self.cost[k] for k in self.enterprise_set]:
+            self.scale = math.lcm(self.scale, x.denominator)
+        self.scaled_amounts = tuple(int(e.amount * self.scale) for e in self.edges)
+        self.scaled_costs = {k: int(self.cost[k] * self.scale) for k in sorted(self.enterprise_set)}
+        self.funding = {
+            k: tuple((1 << e, self.edges[e].investor, self.scaled_amounts[e])
+                     for e in self.out_edges[k])
+            for k in self.scaled_costs
+        }
 
     def _per_vertex(self, values):
         if values is None:
@@ -200,38 +216,52 @@ def validate_network(net):
     return ValidationReport(violations)
 
 
-def default_determination(net, cooperate):
-    """Least fixed point of the default cascade (worst-case, zero recovery).
+def cascade(net, cooperate_mask):
+    """Least fixed point of the default cascade (worst-case, zero recovery),
+    as the bitmask of defaulted vertices for a bitmask of cooperate edges.
 
-    Starting from the cooperate edges, repeatedly mark any enterprise whose
-    raised capital falls strictly below its cost as defaulted and drop all of
-    that firm's own investments.  The result is independent of processing
-    order.  Raising exactly Z_k counts as solvent.
+    Repeatedly mark any enterprise whose raised capital falls strictly below
+    its cost as defaulted, which drops all of that firm's own investments.
+    The result is independent of processing order.  Raising exactly Z_k
+    counts as solvent.
     """
+    defaulted = 0
+    changed = True
+    while changed:
+        changed = False
+        for k, funding in net.funding.items():
+            if defaulted >> k & 1:
+                continue
+            raised = 0
+            for bit, investor, amount in funding:
+                if cooperate_mask & bit and not defaulted >> investor & 1:
+                    raised += amount
+            if raised < net.scaled_costs[k]:
+                defaulted |= 1 << k
+                changed = True
+    return defaulted
+
+
+def default_determination(net, cooperate):
+    """`cascade` on a set of cooperate edges, as an `InvestState`: the
+    defaulted vertices plus the cooperate edges whose investor and
+    enterprise both survive.  Memoized per network by cooperate set."""
     cooperate = frozenset(cooperate)
     cached = net._cascade_cache.get(cooperate)
     if cached is not None:
         return cached
-    defaulted = set()
-    changed = True
-    while changed:
-        changed = False
-        for k in net.enterprise_set:
-            if k in defaulted:
-                continue
-            inflow = Fraction(0)
-            for e in net.out_edges[k]:
-                if e in cooperate and net.edges[e].investor not in defaulted:
-                    inflow += net.edges[e].amount
-            if inflow < net.cost[k]:
-                defaulted.add(k)
-                changed = True
-    invest = frozenset(
-        e
-        for e in cooperate
-        if net.edges[e].investor not in defaulted and net.edges[e].enterprise not in defaulted
+    mask = 0
+    for e in cooperate:
+        mask |= 1 << e
+    defaulted = cascade(net, mask)
+    state = InvestState(
+        frozenset(k for k in net.funding if defaulted >> k & 1),
+        frozenset(
+            e for e in cooperate
+            if not defaulted >> net.edges[e].investor & 1
+            and not defaulted >> net.edges[e].enterprise & 1
+        ),
     )
-    state = InvestState(frozenset(defaulted), invest)
     net._cascade_cache[cooperate] = state
     return state
 

@@ -7,18 +7,17 @@ optima.  A single enterprise is a star (`solve_star`; NEC 1 on acyclic
 networks).  A cyclic component runs a dynamic program over resolved
 edge-sets; the minimal collateral making an edge eliminable depends only on
 the *set* of resolved edges, so the order search drops from O(|E|!) to
-O(2^|E| |E|), with `EXACT_GUARD` bounding |E| per component.  For integer
-inputs with alpha_k > Z_k every positive collateral of an optimal solution
-is full, so those components are searched over 0/full assignments instead.
+O(2^|E| |E|), with `EXACT_GUARD` bounding |E| per component; it runs the
+cascade through `model.cascade` on bitmasks.  For integer inputs with
+alpha_k > Z_k every positive collateral of an optimal solution is full; the
+DP reaches that optimum as it does any other, so no separate search runs.
 `Solution.method` names the whole-network route.  `solve_exact` and
 `solve_large_alpha` take the whole network as one component (oracles).
 """
 from __future__ import annotations
 
 import enum
-import heapq
 import logging
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,10 +25,15 @@ from .analysis import (
     InfeasibilityWitness,
     _strongly_connected_components,
     is_large_alpha,
-    iterated_elimination,
     solvability_check,
 )
-from .model import CollateralMatrix, InvestmentNetwork, default_determination
+from .model import (
+    CollateralMatrix,
+    InvestmentNetwork,
+    cascade,
+    default_determination,
+    enterprise_return,
+)
 from .star import StarInstance, solve_star
 
 log = logging.getLogger(__name__)
@@ -106,9 +110,9 @@ def _per_star_sums(net, c):
 
 def _solve_components(net, components, method):
     """Solve (enterprises, cyclic flag) components in the given order and
-    concatenate.  A cyclic component's sub-network keeps only its own
-    enterprises' edges, so outside investors are plain investors; it gets the
-    0/full search when `method` is "large-alpha", else the subset DP."""
+    concatenate, labelled `method`.  A cyclic component's sub-network keeps
+    only its own enterprises' edges, so outside investors are plain
+    investors, and gets the subset DP."""
     stars = {k: star for k, star, _ in star_decomposition(net)}
     star_optima, amounts, order = {}, {}, []
     for comp, cyclic in components:
@@ -116,10 +120,7 @@ def _solve_components(net, components, method):
             edge_ids = sorted(e for k in comp for e in net.out_edges[k])
             sub = InvestmentNetwork(net.n, [net.edges[e] for e in edge_ids],
                                     net.cost, net.rate, net.ids)
-            if method == "large-alpha":
-                local, local_order = _zero_full_search(sub)
-            else:
-                local, local_order = _subset_dp(sub)
+            local, local_order = _subset_dp(sub)
             # star optima only now, so an oversized component trips the guard first
             star_optima.update((k, solve_star(stars[k]).total) for k in comp)
         else:  # a single enterprise: its star solution is the component's
@@ -172,26 +173,8 @@ def minimal_matrix_for_resolved_set(net, resolved, edge):
     if e.enterprise in state.defaulted:
         r = Fraction(0)
     else:
-        raised = Fraction(0)
-        for other in net.out_edges[e.enterprise]:
-            if other in state.invest:
-                raised += net.edges[other].amount
-        total_net = (1 + net.rate[e.enterprise]) * (raised - net.cost[e.enterprise])
-        r = max(Fraction(0), total_net * e.amount / raised)
+        r = enterprise_return(net, state.invest, edge)
     return max(Fraction(0), e.amount - r)
-
-
-def _scaled_ints(net):
-    """Common-denominator integer scaling so cascade solvency checks run on
-    plain ints inside the DP hot loop."""
-    den = 1
-    for e in net.edges:
-        den = math.lcm(den, e.amount.denominator)
-    for k in net.enterprise_set:
-        den = math.lcm(den, net.cost[k].denominator)
-    wx = [int(e.amount * den) for e in net.edges]
-    zi = {k: int(net.cost[k] * den) for k in net.enterprise_set}
-    return den, wx, zi
 
 
 def _subset_dp(net):
@@ -206,36 +189,10 @@ def _subset_dp(net):
             "exact solver guard is |E| <= %d; enterprises {%s} have %d edges"
             % (EXACT_GUARD, names, m)
         )
-    den, wx, zi = _scaled_ints(net)
+    den, wx, zi = net.scale, net.scaled_amounts, net.scaled_costs
     ents = [e.enterprise for e in net.edges]
     invs = [e.investor for e in net.edges]
-    ent_list = sorted(net.enterprise_set)
-    ent_edges = {
-        k: [(1 << e, invs[e], wx[e]) for e in net.out_edges[k]] for k in ent_list
-    }
-
     cascade_memo = {}
-
-    def cascade(cmask):
-        got = cascade_memo.get(cmask)
-        if got is not None:
-            return got
-        defaulted = 0
-        changed = True
-        while changed:
-            changed = False
-            for k in ent_list:
-                if defaulted >> k & 1:
-                    continue
-                s = 0
-                for ebit, inv, w in ent_edges[k]:
-                    if cmask & ebit and not defaulted >> inv & 1:
-                        s += w
-                if s < zi[k]:
-                    defaulted |= 1 << k
-                    changed = True
-        cascade_memo[cmask] = defaulted
-        return defaulted
 
     size = 1 << m
     cost = [None] * size
@@ -251,7 +208,9 @@ def _subset_dp(net):
             if s_mask & bit:
                 continue
             cmask = s_mask | bit
-            dmask = cascade(cmask)
+            dmask = cascade_memo.get(cmask)
+            if dmask is None:
+                dmask = cascade_memo[cmask] = cascade(net, cmask)
             if dmask >> invs[e] & 1:
                 continue
             k = ents[e]
@@ -259,7 +218,7 @@ def _subset_dp(net):
                 w = net.edges[e].amount
             else:
                 raised = 0
-                for ebit, inv, wgt in ent_edges[k]:
+                for ebit, inv, wgt in net.funding[k]:
                     if cmask & ebit and not dmask >> inv & 1:
                         raised += wgt
                 net_gain = raised - zi[k]
@@ -304,41 +263,10 @@ def solve_exact(net):
     return _solve_whole(net, "exact")
 
 
-def _subsets_by_total(weights):
-    """Yield (total, index frozenset) over all subsets in non-decreasing
-    total order; indices refer to the input sequence."""
-    order = sorted(range(len(weights)), key=lambda i: (weights[i], i))
-    heap = [(Fraction(0), 0, ())]
-    counter = 1
-    while heap:
-        total, _, chosen = heapq.heappop(heap)
-        yield total, frozenset(order[i] for i in chosen)
-        start = chosen[-1] + 1 if chosen else 0
-        for j in range(start, len(order)):
-            heapq.heappush(
-                heap, (total + weights[order[j]], counter, chosen + (j,))
-            )
-            counter += 1
-
-
-def _zero_full_search(net):
-    """Best-first search over 0/full assignments of a solvable network,
-    cheapest total first; the first viable one is optimal when every optimal
-    solution is 0/full.  Returns (amounts by edge, elimination order)."""
-    weights = [e.amount for e in net.edges]
-    for _, full_edges in _subsets_by_total(weights):
-        c = CollateralMatrix(
-            net, [weights[e] if e in full_edges else 0 for e in range(len(weights))]
-        )
-        order, stuck = iterated_elimination(net, c)
-        if not stuck:
-            return c.amounts, order
-    raise AssertionError("solvable network must accept full collaterals")
-
-
 def solve_large_alpha(net):
-    """Optimal collaterals in the integer large-rate regime, by the 0/full
-    search on the whole network as one component; an oracle for `solve`."""
+    """`solve_exact` behind a check that the network is in the integer
+    large-rate regime (`is_large_alpha`), labelled "large-alpha"; there
+    every positive collateral of the optimum is full."""
     if not is_large_alpha(net):
         raise ValueError("network is not in the large-alpha regime")
     return _solve_whole(net, "large-alpha")
@@ -356,15 +284,14 @@ def solve(net):
     """Optimal collaterals for any network, by one pass over the enterprise
     SCCs downstream first; the subset DP's guard bounds each component's
     edge count.  `method` names the whole-network route: "star" (one
-    enterprise), "dag" (acyclic), "large-alpha" (some component is cyclic,
-    integer large-rate inputs), "exact" (some component is cyclic) or
+    enterprise), "dag" (acyclic), "exact" (some component is cyclic) or
     "none" (infeasible)."""
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
     components = _enterprise_components(net)
     if any(cyclic for _, cyclic in components):
-        method = "large-alpha" if is_large_alpha(net) else "exact"
+        method = "exact"
     else:
         method = "star" if len(net.enterprise_set) == 1 else "dag"
     out = _solve_components(net, components, method)

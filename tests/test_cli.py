@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from collat import gen_cycle_family, save_network
+from collat import InvestmentNetwork, gen_cycle_family, save_network
 from collat.cli import main
 
 
@@ -82,7 +82,7 @@ class TestSolve:
         assert code == 0
         report = json.loads(out)
         assert report["status"] == "solved"
-        assert report["method"] == "large-alpha"
+        assert report["method"] == "exact"
         assert report["total"] == "8"
         assert report["nec"] == "4/3"
         assert len(report["collaterals"]) == 9
@@ -167,6 +167,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", cycle_path, str(c_path))
         assert code == 0
         assert json.loads(out)["minimal"] is False
+
+    def test_minimal_needs_the_exact_lower_bound(self, capsys, tmp_path):
+        # (3/2, 0, 1) is viable, so (151/100, 0, 1) is not minimal; lowering
+        # the first coordinate by half the smallest collateral overshoots
+        net = InvestmentNetwork(
+            4, [(0, 1, 3), (0, 2, 2), (0, 3, 1)], cost={0: 3}, rate={0: 1}
+        )
+        net_path = tmp_path / "star.json"
+        save_network(net, net_path)
+        for first, minimal in (("151/100", False), ("3/2", True)):
+            rows = [
+                {"enterprise": 0, "investor": i, "collateral": c}
+                for i, c in ((1, first), (2, "0"), (3, "1"))
+            ]
+            c_path = tmp_path / "c.json"
+            c_path.write_text(json.dumps({"collaterals": rows}))
+            code, out, _ = run(capsys, "verify", str(net_path), str(c_path))
+            assert code == 0
+            assert json.loads(out)["minimal"] is minimal
 
     def test_collateral_on_non_edge_rejected(self, capsys, cycle_path, tmp_path):
         c_path = tmp_path / "bad.json"

@@ -72,15 +72,22 @@ class TestDefaultDetermination:
         assert state.invest == frozenset()  # (Q,t) feeds a defaulted enterprise
 
     def test_confluence_against_orderings(self):
-        # a randomized-order reimplementation must reach the same fixed point
+        # a randomized-order reimplementation must reach the same fixed point,
+        # also on copies whose amounts and costs need a common denominator
         rng = random.Random(7)
+        denominators = random.Random(8)
         for trial in range(40):
-            net = random_network(rng.randint(3, 7), 3, seed=rng.randint(0, 10**6))
-            edges = list(net.all_edges())
-            cooperate = frozenset(e for e in edges if rng.random() < 0.6)
-            reference = default_determination(net, cooperate)
-            for _ in range(3):
-                assert _scrambled_cascade(net, cooperate, rng) == reference.defaulted
+            base = random_network(rng.randint(3, 7), 3, seed=rng.randint(0, 10**6))
+            for net in (base, _rescaled(base, denominators)):
+                edges = list(net.all_edges())
+                cooperate = frozenset(e for e in edges if rng.random() < 0.6)
+                reference = default_determination(net, cooperate)
+                for _ in range(3):
+                    assert _scrambled_cascade(net, cooperate, rng) == (
+                        reference.defaulted,
+                        reference.invest,
+                    )
+            assert net.scale > 1
 
     def test_monotone_in_cooperation(self):
         rng = random.Random(21)
@@ -95,7 +102,19 @@ class TestDefaultDetermination:
             assert s_small.defaulted >= s_big.defaulted
 
 
+def _rescaled(net, rng):
+    """A copy with every amount and cost divided by its own denominator."""
+    return InvestmentNetwork(
+        net.n,
+        [(e.enterprise, e.investor, e.amount / rng.randint(2, 13)) for e in net.edges],
+        cost=[z / rng.randint(2, 13) for z in net.cost],
+        rate=net.rate,
+    )
+
+
 def _scrambled_cascade(net, cooperate, rng):
+    """(defaulted, surviving invest edges) by Fraction sums, defaulting one
+    random underfunded enterprise at a time."""
     defaulted = set()
     invest = set(cooperate)
     while True:
@@ -110,7 +129,9 @@ def _scrambled_cascade(net, cooperate, rng):
             if inflow < net.cost[k]:
                 candidates.append(k)
         if not candidates:
-            return frozenset(defaulted)
+            return frozenset(defaulted), frozenset(
+                e for e in invest if net.edges[e].enterprise not in defaulted
+            )
         k = rng.choice(candidates)
         defaulted.add(k)
         invest -= {e for e in invest if net.edges[e].investor == k}

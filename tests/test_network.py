@@ -234,9 +234,12 @@ class TestDispatcher:
         assert solve(chain_net).method == "dag"
 
     def test_large_alpha_route(self):
-        sol = solve(gen_cycle_family(3))
-        assert sol.method == "large-alpha"
+        net = gen_cycle_family(3)
+        sol = solve(net)
+        assert sol.method == "exact"
         assert sol.total == 8
+        for e, amount in enumerate(sol.collaterals.amounts):
+            assert amount in (0, net.edges[e].amount)
 
     def test_exact_route(self, spiked_cycle_net):
         sol = solve(spiked_cycle_net)
@@ -288,6 +291,11 @@ class TestDispatcher:
         assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
         with pytest.raises(TooLargeError):
             solve_exact(net)
+
+    def test_guard_stops_a_large_alpha_component(self):
+        net = random_network(20, 3, seed=4, large_alpha=True)
+        with pytest.raises(TooLargeError, match="37 edges"):
+            solve(net)
 
     def test_guard_error_names_the_component(self):
         # P <-> Q with 10 spikes each: one cyclic component of 22 edges
