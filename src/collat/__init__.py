@@ -38,6 +38,7 @@ from .model import (
     ValidationReport,
     best_response,
     default_determination,
+    edge_need,
     edge_utility,
     enterprise_return,
     is_nash_equilibrium,
@@ -50,7 +51,6 @@ from .network import (
     Status,
     TooLargeError,
     compute_nec,
-    minimal_matrix_for_resolved_set,
     solve,
     solve_dag,
     solve_exact,

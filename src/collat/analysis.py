@@ -5,23 +5,16 @@ collateral matrix (all-invest as the unique Nash equilibrium), solvability of
 a network by collaterals, and the closed-form zero/full-collateral threshold
 conditions.
 
-The single tie rule of the whole codebase lives here and in
-`model.best_response`: a player who is exactly indifferent between investing
-and defecting invests.
+IESDS runs on the cooperate bitmask through `model.invests`, which holds the
+single tie rule of the whole codebase: a player who is exactly indifferent
+between investing and defecting invests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import (
-    Action,
-    CollateralMatrix,
-    Edge,
-    InvestmentNetwork,
-    best_response,
-    default_determination,
-)
+from .model import CollateralMatrix, invests
 
 
 def iterated_elimination(net, c, scan_order=None):
@@ -38,20 +31,16 @@ def iterated_elimination(net, c, scan_order=None):
         scan_order = range(len(net.edges))
     scan_order = list(scan_order)
     resolved = []
-    resolved_set = set()
-    unresolved = set(scan_order)
+    resolved_mask = 0
     progress = True
     while progress:
         progress = False
         for edge in scan_order:
-            if edge not in unresolved:
-                continue
-            if best_response(net, c, frozenset(resolved_set), edge) is Action.COOPERATE:
+            if not resolved_mask >> edge & 1 and invests(net, c, resolved_mask, edge):
                 resolved.append(edge)
-                resolved_set.add(edge)
-                unresolved.remove(edge)
+                resolved_mask |= 1 << edge
                 progress = True
-    return resolved, frozenset(unresolved)
+    return resolved, frozenset(e for e in scan_order if not resolved_mask >> e & 1)
 
 
 def is_viable(net, c):

@@ -23,16 +23,8 @@ import time
 from . import instances
 from .analysis import iterated_elimination, solvability_check
 from .instances import DocumentError, format_rational, parse_rational
-from .model import CollateralMatrix, validate_network
-from .network import (
-    CyclicInputError,
-    Status,
-    TooLargeError,
-    minimal_matrix_for_resolved_set,
-    solve,
-    solve_dag,
-    solve_exact,
-)
+from .model import CollateralMatrix, cascade, edge_need, validate_network
+from .network import CyclicInputError, Status, TooLargeError, solve, solve_dag, solve_exact
 from .star import solve_star
 
 log = logging.getLogger("collat")
@@ -220,7 +212,10 @@ def _is_minimal(net, c):
         if amount == 0:
             continue
         resolved, stuck = iterated_elimination(net, c.replace(e, 0))
-        if e not in stuck or minimal_matrix_for_resolved_set(net, resolved, e) != amount:
+        if e not in stuck:
+            return False
+        cooperate = sum(1 << r for r in resolved) | 1 << e
+        if edge_need(net, cooperate, cascade(net, cooperate), e) != amount:
             return False
     return True
 

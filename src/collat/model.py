@@ -8,7 +8,13 @@ own investments, which can cascade.
 
 `cascade` is the one cascade loop: bitmasks over edges and vertices, with
 amounts and costs scaled once per network to integers over a common
-denominator.  `default_determination` is its frozenset adapter.
+denominator.  `edge_need` is the one return computation on top of it: the
+least collateral that makes an edge invest, given the cooperating edges and
+their cascade.  `invests` holds the tie rule (invest iff solvent and
+c_e >= need); `best_response` is its frozenset adapter, and IESDS, the
+subset DP and `collat verify` call the kernel directly.
+`default_determination`, `enterprise_return`, `edge_utility` and
+`is_nash_equilibrium` stay as the definitional reference.
 
 All monetary quantities are `fractions.Fraction`.  Comparisons are exact and
 ties are load-bearing (capital exactly covering the cost counts as solvent;
@@ -77,7 +83,6 @@ class InvestmentNetwork:
             self.out_edges[e.enterprise].append(idx)
             self.in_edges[e.investor].append(idx)
         self.edge_index = {(e.enterprise, e.investor): idx for idx, e in enumerate(self.edges)}
-        self._cascade_cache = {}
         # the cascade's integers: every amount and enterprise cost times `scale`
         self.scale = 1
         for x in [e.amount for e in self.edges] + [self.cost[k] for k in self.enterprise_set]:
@@ -245,16 +250,13 @@ def cascade(net, cooperate_mask):
 def default_determination(net, cooperate):
     """`cascade` on a set of cooperate edges, as an `InvestState`: the
     defaulted vertices plus the cooperate edges whose investor and
-    enterprise both survive.  Memoized per network by cooperate set."""
+    enterprise both survive."""
     cooperate = frozenset(cooperate)
-    cached = net._cascade_cache.get(cooperate)
-    if cached is not None:
-        return cached
     mask = 0
     for e in cooperate:
         mask |= 1 << e
     defaulted = cascade(net, mask)
-    state = InvestState(
+    return InvestState(
         frozenset(k for k in net.funding if defaulted >> k & 1),
         frozenset(
             e for e in cooperate
@@ -262,8 +264,46 @@ def default_determination(net, cooperate):
             and not defaulted >> net.edges[e].enterprise & 1
         ),
     )
-    net._cascade_cache[cooperate] = state
-    return state
+
+
+def edge_need(net, cooperate_mask, defaulted_mask, edge):
+    """Least collateral that makes `edge`'s player weakly prefer investing,
+    with the edges of `cooperate_mask` (which holds `edge`) cooperating and
+    `defaulted_mask = cascade(net, cooperate_mask)`.
+
+    None if the investor defaults (the edge then pays 0 < x whatever the
+    collateral), else max(0, x - R) with R the edge's share of its enterprise's net
+    return (0 if the enterprise defaults).  Computed on the scaled integers;
+    only the result is a Fraction.
+    """
+    e = net.edges[edge]
+    if defaulted_mask >> e.investor & 1:
+        return None
+    k = e.enterprise
+    if defaulted_mask >> k & 1:
+        return e.amount
+    raised = 0
+    for bit, investor, amount in net.funding[k]:
+        if cooperate_mask & bit and not defaulted_mask >> investor & 1:
+            raised += amount
+    gain = raised - net.scaled_costs[k]
+    if gain <= 0:
+        return e.amount
+    # x - R = x (raised - (1 + p/q) gain) / raised, with alpha_k = p/q
+    p, q = net.rate[k].numerator, net.rate[k].denominator
+    shortfall = q * raised - (p + q) * gain
+    if shortfall <= 0:
+        return Fraction(0)
+    return Fraction(net.scaled_amounts[edge] * shortfall, q * raised * net.scale)
+
+
+def invests(net, c, cooperate_mask, edge):
+    """The tie rule: with the edges of `cooperate_mask` and `edge`
+    cooperating, `edge`'s player invests iff the investor stays solvent and
+    c_e >= `edge_need` (exact indifference resolves to investing)."""
+    cooperate_mask |= 1 << edge
+    need = edge_need(net, cooperate_mask, cascade(net, cooperate_mask), edge)
+    return need is not None and c[edge] >= need
 
 
 def enterprise_return(net, invest, edge):
@@ -314,16 +354,16 @@ def player_utility(net, c, cooperate, player):
 
 
 def best_response(net, c, cooperate, edge):
-    """Best action on one edge, all other edges held fixed by `cooperate`.
+    """Best action on one edge, all other edges held fixed by `cooperate`:
+    `invests` on a set of cooperate edges.
 
     Ties resolve to investing; a player who would default when cooperating
     earns 0 < x and therefore defects.
     """
-    with_edge = frozenset(cooperate) | {edge}
-    u_coop = edge_utility(net, c, with_edge, edge)
-    if u_coop >= net.edges[edge].amount:
-        return Action.COOPERATE
-    return Action.DEFECT
+    mask = 0
+    for e in cooperate:
+        mask |= 1 << e
+    return Action.COOPERATE if invests(net, c, mask, edge) else Action.DEFECT
 
 
 def is_nash_equilibrium(net, c, cooperate):

@@ -5,10 +5,10 @@ edges oriented enterprise -> investor, downstream first: by then, investors
 outside a component always pay, so the optimum is the sum of the component
 optima.  A single enterprise is a star (`solve_star`; NEC 1 on acyclic
 networks).  A cyclic component runs a dynamic program over resolved
-edge-sets; the minimal collateral making an edge eliminable depends only on
-the *set* of resolved edges, so the order search drops from O(|E|!) to
-O(2^|E| |E|), with `EXACT_GUARD` bounding |E| per component; it runs the
-cascade through `model.cascade` on bitmasks.  For integer inputs with
+edge-sets; the minimal collateral making an edge eliminable (`model.edge_need`
+on the bitmask cascade `model.cascade`) depends only on the *set* of resolved
+edges, so the order search drops from O(|E|!) to O(2^|E| |E|), with
+`EXACT_GUARD` bounding |E| per component.  For integer inputs with
 alpha_k > Z_k every positive collateral of an optimal solution is full; the
 DP reaches that optimum as it does any other, so no separate search runs.
 `Solution.method` names the whole-network route.  `solve_exact` and
@@ -27,13 +27,7 @@ from .analysis import (
     is_large_alpha,
     solvability_check,
 )
-from .model import (
-    CollateralMatrix,
-    InvestmentNetwork,
-    cascade,
-    default_determination,
-    enterprise_return,
-)
+from .model import CollateralMatrix, InvestmentNetwork, cascade, edge_need
 from .star import StarInstance, solve_star
 
 log = logging.getLogger(__name__)
@@ -158,28 +152,9 @@ def solve_dag(net):
     return out
 
 
-def minimal_matrix_for_resolved_set(net, resolved, edge):
-    """Minimal collateral making `edge` eliminable once `resolved` is secured.
-
-    With cooperate set resolved + {edge} and the cascade applied: None if the
-    edge's player defaults (no collateral helps), else max(0, x - R) where R
-    is the player's worst-case return.  Depends on the resolved *set* only.
-    """
-    cooperate = frozenset(resolved) | {edge}
-    state = default_determination(net, cooperate)
-    e = net.edges[edge]
-    if e.investor in state.defaulted:
-        return None
-    if e.enterprise in state.defaulted:
-        r = Fraction(0)
-    else:
-        r = enterprise_return(net, state.invest, edge)
-    return max(Fraction(0), e.amount - r)
-
-
 def _subset_dp(net):
     """Subset DP over resolved edge-sets of a solvable network: cost(S + e)
-    relaxes over cost(S) + minimal collateral for e given S.  Every viable
+    relaxes over cost(S) + `edge_need` of e given S.  Every viable
     matrix admits an elimination order, so the DP minimum is the global
     optimum.  Returns (amounts by edge, elimination order)."""
     m = len(net.edges)
@@ -189,16 +164,11 @@ def _subset_dp(net):
             "exact solver guard is |E| <= %d; enterprises {%s} have %d edges"
             % (EXACT_GUARD, names, m)
         )
-    den, wx, zi = net.scale, net.scaled_amounts, net.scaled_costs
-    ents = [e.enterprise for e in net.edges]
-    invs = [e.investor for e in net.edges]
     cascade_memo = {}
-
     size = 1 << m
     cost = [None] * size
     cost[0] = Fraction(0)
     parent = [-1] * size
-    zero = Fraction(0)
     for s_mask in range(size):
         base = cost[s_mask]
         if base is None:
@@ -211,25 +181,10 @@ def _subset_dp(net):
             dmask = cascade_memo.get(cmask)
             if dmask is None:
                 dmask = cascade_memo[cmask] = cascade(net, cmask)
-            if dmask >> invs[e] & 1:
+            need = edge_need(net, cmask, dmask, e)
+            if need is None:
                 continue
-            k = ents[e]
-            if dmask >> k & 1:
-                w = net.edges[e].amount
-            else:
-                raised = 0
-                for ebit, inv, wgt in net.funding[k]:
-                    if cmask & ebit and not dmask >> inv & 1:
-                        raised += wgt
-                net_gain = raised - zi[k]
-                if net_gain <= 0:
-                    r = zero
-                else:
-                    r = (1 + net.rate[k]) * Fraction(net_gain * wx[e], raised * den)
-                w = net.edges[e].amount - r
-                if w < 0:
-                    w = zero
-            new_cost = base + w
+            new_cost = base + need
             cur = cost[cmask]
             if cur is None or new_cost < cur:
                 cost[cmask] = new_cost

@@ -3,11 +3,12 @@
 These deliberately avoid the solver code paths they are used to check:
 equilibria are found by exhaustive enumeration of all pure profiles, and
 elimination orders are re-validated position by position from the raw
-best-response predicate.
+best-response predicate; 0/full optima come from IESDS on every 0/full
+matrix.
 """
 from fractions import Fraction
 
-from collat import Action, best_response, is_nash_equilibrium
+from collat import Action, CollateralMatrix, best_response, is_nash_equilibrium, is_viable
 
 
 def enumerate_nash(net, c):
@@ -26,6 +27,23 @@ def enumerate_nash(net, c):
 def unique_all_cooperate(net, c):
     """True iff all-invest is the one and only pure Nash equilibrium."""
     return enumerate_nash(net, c) == [net.all_edges()]
+
+
+def least_zero_full_total(net):
+    """Least total over the viable matrices whose every collateral is 0 or
+    the full investment, trying the 2^|E| of them cheapest first; None if
+    none is viable."""
+    m = len(net.edges)
+    assert m <= 10, "exhaustive oracle guard"
+
+    def total(mask):
+        return sum((net.edges[e].amount for e in range(m) if mask >> e & 1), Fraction(0))
+
+    for mask in sorted(range(1 << m), key=total):
+        c = CollateralMatrix(net, [net.edges[e].amount if mask >> e & 1 else 0 for e in range(m)])
+        if is_viable(net, c):
+            return c.total()
+    return None
 
 
 def assert_valid_elimination_order(net, c, order):

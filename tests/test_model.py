@@ -242,6 +242,43 @@ class TestBestResponse:
         c = CollateralMatrix.zeros(net)
         assert best_response(net, c, frozenset({1}), 0) is Action.COOPERATE
 
+    def test_matches_utility_definition(self):
+        # best_response runs on the edge-need kernel; the definition is
+        # u_e(c, cooperate + e) >= x_e.  Collaterals sit exactly on, just
+        # below and just above each threshold x - R, so ties are hit, also
+        # on copies whose amounts and costs need a common denominator.
+        rng = random.Random(17)
+        denominators = random.Random(18)
+        eps = Fraction(1, 97)
+        partial_ties = 0
+        for trial in range(30):
+            base = random_network(rng.randint(3, 7), 3, seed=rng.randint(0, 10**6))
+            for net in (base, _rescaled(base, denominators)):
+                edges = list(net.all_edges())
+                cooperate = frozenset(e for e in edges if rng.random() < 0.6)
+                for e in edges:
+                    x = net.edges[e].amount
+                    state = default_determination(net, cooperate | {e})
+                    if net.edges[e].investor in state.defaulted:
+                        amounts = [Fraction(0), x]
+                    else:
+                        r = Fraction(0)
+                        if net.edges[e].enterprise not in state.defaulted:
+                            r = enterprise_return(net, state.invest, e)
+                        threshold = max(Fraction(0), x - r)
+                        amounts = [threshold, max(threshold - eps, Fraction(0)),
+                                   min(threshold + eps, x)]
+                        partial_ties += 0 < threshold < x
+                        c = CollateralMatrix.zeros(net).replace(e, threshold)
+                        assert best_response(net, c, cooperate, e) is Action.COOPERATE
+                    for amount in amounts:
+                        c = CollateralMatrix.zeros(net).replace(e, amount)
+                        expected = edge_utility(net, c, cooperate | {e}, e) >= x
+                        chosen = best_response(net, c, cooperate, e) is Action.COOPERATE
+                        assert chosen == expected, (trial, e, amount)
+            assert net.scale > 1
+        assert partial_ties > 0
+
     def test_monotone_in_cooperate_set(self):
         rng = random.Random(13)
         for trial in range(25):

@@ -11,8 +11,10 @@ from collat import (
     TooLargeError,
     compute_nec,
     gen_cycle_family,
+    default_determination,
+    edge_need,
+    enterprise_return,
     is_viable,
-    minimal_matrix_for_resolved_set,
     random_network,
     solvability_check,
     solve,
@@ -22,8 +24,9 @@ from collat import (
     star_decomposition,
     validate_network,
 )
+from collat.model import cascade
 from collat.network import is_acyclic
-from helpers import assert_minimal, assert_valid_elimination_order
+from helpers import assert_minimal, assert_valid_elimination_order, least_zero_full_total
 
 
 @pytest.fixture
@@ -97,14 +100,26 @@ class TestSolveDag:
             assert is_viable(net, sol.collaterals)
 
 
+def _need_at(net, resolved, edge):
+    """`edge_need` with the edges in `resolved` (any iterable) and `edge`
+    cooperating."""
+    cooperate = 1 << edge
+    for e in resolved:
+        cooperate |= 1 << e
+    return edge_need(net, cooperate, cascade(net, cooperate), edge)
+
+
 class TestMinimalMatrixForResolvedSet:
+    """The least collateral an edge needs once a set is resolved: the
+    `edge_need` kernel."""
+
     def test_first_mover_pays_full_shortfall(self):
         net = InvestmentNetwork(3, [(0, 1, 1), (0, 2, 1)], cost={0: 1}, rate={0: 1})
-        assert minimal_matrix_for_resolved_set(net, frozenset(), 0) == 1
+        assert _need_at(net, frozenset(), 0) == 1
 
     def test_second_mover_free(self):
         net = InvestmentNetwork(3, [(0, 1, 1), (0, 2, 1)], cost={0: 1}, rate={0: 1})
-        assert minimal_matrix_for_resolved_set(net, frozenset({1}), 0) == 0
+        assert _need_at(net, frozenset({1}), 0) == 0
 
     def test_defaulting_investor_is_hopeless(self):
         net = InvestmentNetwork(
@@ -114,7 +129,7 @@ class TestMinimalMatrixForResolvedSet:
             rate={0: 2, 1: 2},
         )
         # P's investment in Q: P is underfunded and defaults regardless
-        assert minimal_matrix_for_resolved_set(net, frozenset(), 3) is None
+        assert _need_at(net, frozenset(), 3) is None
 
     def test_depends_on_set_not_order(self):
         rng = random.Random(103)
@@ -125,10 +140,20 @@ class TestMinimalMatrixForResolvedSet:
                 continue
             e = rng.choice(edges)
             rest = [x for x in edges if x != e]
-            resolved = frozenset(x for x in rest if rng.random() < 0.5)
-            a = minimal_matrix_for_resolved_set(net, resolved, e)
-            b = minimal_matrix_for_resolved_set(net, frozenset(sorted(resolved)), e)
+            resolved = [x for x in rest if rng.random() < 0.5]
+            rng.shuffle(resolved)
+            a = _need_at(net, resolved, e)
+            b = _need_at(net, sorted(resolved), e)
             assert a == b
+            # against the definitional cascade and return
+            state = default_determination(net, frozenset(resolved) | {e})
+            if net.edges[e].investor in state.defaulted:
+                assert a is None
+            else:
+                r = Fraction(0)
+                if net.edges[e].enterprise not in state.defaulted:
+                    r = enterprise_return(net, state.invest, e)
+                assert a == max(Fraction(0), net.edges[e].amount - r)
 
 
 class TestSolveExact:
@@ -185,7 +210,7 @@ class TestSolveLargeAlpha:
             net = gen_cycle_family(k)
             sol = solve_large_alpha(net)
             assert sol.total == k + 5
-            assert sol.total == solve_exact(net).total
+            assert sol.total == least_zero_full_total(net)
             for e, amount in enumerate(sol.collaterals.amounts):
                 assert amount in (0, net.edges[e].amount)
 
@@ -203,7 +228,7 @@ class TestSolveLargeAlpha:
             if not 0 < len(net.edges) <= 10 or not solvability_check(net).solvable:
                 continue
             done += 1
-            assert solve_large_alpha(net).total == solve_exact(net).total
+            assert solve_large_alpha(net).total == least_zero_full_total(net)
 
 
 class TestComputeNec:
