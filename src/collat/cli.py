@@ -25,7 +25,6 @@ from .analysis import iterated_elimination, solvability_check
 from .instances import DocumentError, format_rational, parse_rational
 from .model import CollateralMatrix, cascade, edge_need, validate_network
 from .network import CyclicInputError, Status, TooLargeError, solve, solve_dag, solve_exact
-from .star import solve_star
 
 log = logging.getLogger("collat")
 

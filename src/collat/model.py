@@ -40,6 +40,11 @@ def as_money(value):
     return Fraction(value)
 
 
+class TooLargeError(ValueError):
+    """The instance exceeds a solver's state-space guard; the solvers refuse
+    rather than approximate (the problem is NP-hard in general)."""
+
+
 @dataclass(frozen=True)
 class Edge:
     """Investment opportunity: `investor` may put `amount` into `enterprise`."""

@@ -27,7 +27,7 @@ from .analysis import (
     is_large_alpha,
     solvability_check,
 )
-from .model import CollateralMatrix, InvestmentNetwork, cascade, edge_need
+from .model import CollateralMatrix, InvestmentNetwork, TooLargeError, cascade, edge_need
 from .star import StarInstance, solve_star
 
 log = logging.getLogger(__name__)
@@ -37,11 +37,6 @@ EXACT_GUARD = 20
 
 class CyclicInputError(ValueError):
     """The network contains a directed cycle where an acyclic one is required."""
-
-
-class TooLargeError(ValueError):
-    """The instance exceeds a solver's state-space guard; the solvers refuse
-    rather than approximate (the problem is NP-hard in general)."""
 
 
 class Status(enum.Enum):

@@ -3,19 +3,27 @@
 The search space is finite: every elimination order over the investors has a
 unique minimal collateral vector, and an optimal solution always has the
 shape "full collaterals to a set A first, then the remaining players in
-non-increasing order of investment with closed-form partial collaterals".
-`solve_star` therefore enumerates subsets (O(2^d d)); `brute_force_star`
-enumerates all d! orders and serves as the independent oracle.
+sigma order (non-increasing investment, ties by index) with closed-form
+partial collaterals".  In that form a non-full player i sees the prefix
+P_i = X - (sum of the non-full players after i in sigma), so its collateral
+depends on one number, not on which players make up A.  `solve_star` walks
+the players from the last in sigma to the first with that suffix sum as the
+dynamic-programming state and keeps the least cost per state: O(d * L)
+steps, where a layer holds L <= min(2^d, distinct suffix sums) states, at
+most X + 1 on integer inputs (pseudo-polynomial, as the inverse-knapsack
+reduction allows).  `STATE_GUARD` bounds L.  `brute_force_star` enumerates
+all d! orders and serves as the independent oracle.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import InvestmentNetwork, as_money
+from .model import InvestmentNetwork, TooLargeError, as_money
 
-SOLVE_GUARD = 25
+STATE_GUARD = 1 << 15  # suffix-sum states in one layer of the solve_star DP
 BRUTE_FORCE_GUARD = 9
 
 
@@ -118,28 +126,74 @@ def optimal_partial_for_set(star, full_set):
 
 
 def solve_star(star):
-    """Minimum-total viable collateral vector via subset enumeration.
+    """Minimum-total viable collateral vector, by a dynamic program over the
+    non-full suffix sum t (see the module docstring).  A full player adds
+    its amount and leaves t alone; a partial player adds
+    x * clamp(1 - (1+alpha)(1 - Z / (X - t)), 0, 1) and moves t up by x.
 
-    Among equal totals the lexicographically smallest full-collateral set is
-    returned; tests should compare totals only.
+    Ties go to the lexicographically smallest full-set tuple.  Per state the
+    DP breaks cost ties toward the larger full-set bitmask, player 0 the
+    most significant bit; adding the same later choices keeps that order,
+    so the DP returns the largest optimal set A* in it.  If the smallest
+    optimal tuple L differs from A*, the least index where they differ lies
+    in A*, and L can only be smaller if it stops there: L is a truncation
+    A* & [0, m) for some m in A*.  So the first such truncation, shortest
+    first, that is optimal is the answer, else A* itself.
+
+    Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
-    d = star.size
-    if d > SOLVE_GUARD:
-        raise ValueError("star has %d players; enumeration guard is %d" % (d, SOLVE_GUARD))
     if not star.is_profitable():
         raise ValueError("star instance is not profitable")
-    best = None
-    for mask in range(1 << d):
-        full_set = tuple(i for i in range(d) if mask >> i & 1)
-        c = optimal_partial_for_set(star, full_set)
-        total = sum(c, Fraction(0))
-        key = (total, full_set)
-        if best is None or key < best[0]:
-            best = (key, c, full_set)
-    _, c, full_set = best
+    d = star.size
+    scale = math.lcm(star.cost.denominator, *(x.denominator for x in star.amounts))
+    scaled = [int(x * scale) for x in star.amounts]
+    z = int(star.cost * scale)
+    u, v = star.rate.numerator, star.rate.denominator
+    total = sum(scaled)
+    # with p = P * scale: 1 - (1+alpha)(1 - Z/P) = ((u+v)z - u p) / (v p).
+    # Costs are held times `scale`, so 0/full steps stay ints.
+    free_above = (u + v) * z
+    layer = {0: (0, 0)}  # t -> (least cost, full-set bitmask)
+
+    def offer(key, cost, mask):
+        cur = nxt.get(key)
+        if cur is None:
+            if len(nxt) == STATE_GUARD:
+                raise TooLargeError(
+                    "star with %d players: DP layer %d reached %d states; the guard is %d"
+                    % (d, step + 1, STATE_GUARD + 1, STATE_GUARD)
+                )
+        elif cost > cur[0] or cost == cur[0] and mask < cur[1]:
+            return
+        nxt[key] = (cost, mask)
+
+    for step, i in enumerate(reversed(sigma_for_set(star, ()))):
+        a, bit = scaled[i], 1 << (d - 1 - i)
+        nxt = {}
+        for t, (cost, mask) in layer.items():
+            offer(t, cost + a, mask | bit)
+            p = total - t
+            num = free_above - u * p
+            if num <= 0:
+                offer(t + a, cost, mask)
+            elif p <= z:
+                offer(t + a, cost + a, mask)
+            else:
+                offer(t + a, cost + Fraction(a * num, v * p), mask)
+        layer = nxt
+    best, best_mask = min(layer.values(), key=lambda entry: (entry[0], -entry[1]))
+    best = Fraction(best, scale)
+    full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
+    for m in range(len(full_set) + 1):  # the truncations, then A* itself
+        c = optimal_partial_for_set(star, full_set[:m])
+        if sum(c, Fraction(0)) == best:
+            full_set = full_set[:m]
+            break
+    else:
+        raise AssertionError("the DP optimum is not the total of its full set")
     return StarSolution(
         collaterals=c,
-        total=sum(c, Fraction(0)),
+        total=best,
         order=sigma_for_set(star, full_set),
         full_set=frozenset(full_set),
     )

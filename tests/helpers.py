@@ -4,11 +4,24 @@ These deliberately avoid the solver code paths they are used to check:
 equilibria are found by exhaustive enumeration of all pure profiles, and
 elimination orders are re-validated position by position from the raw
 best-response predicate; 0/full optima come from IESDS on every 0/full
-matrix.
+matrix; star optima come from pricing every one of the 2^d full sets
+with the closed form `optimal_partial_for_set`, which `solve_star`'s
+dynamic program does not run in its search.
 """
 from fractions import Fraction
 
-from collat import Action, CollateralMatrix, best_response, is_nash_equilibrium, is_viable
+from collat import (
+    Action,
+    CollateralMatrix,
+    StarSolution,
+    best_response,
+    is_nash_equilibrium,
+    is_viable,
+    optimal_partial_for_set,
+    sigma_for_set,
+)
+
+ENUMERATE_GUARD = 25
 
 
 def enumerate_nash(net, c):
@@ -68,3 +81,32 @@ def assert_minimal(net, c, is_viable):
             continue
         reduced = c.replace(e, amount - eps)
         assert not is_viable(net, reduced), "coordinate %d is reducible" % e
+
+
+def enumerate_star(star):
+    """Minimum-total viable collateral vector via subset enumeration: every
+    full set priced by `optimal_partial_for_set`.
+
+    Among equal totals the lexicographically smallest full-collateral set is
+    returned.
+    """
+    d = star.size
+    if d > ENUMERATE_GUARD:
+        raise ValueError("star has %d players; enumeration guard is %d" % (d, ENUMERATE_GUARD))
+    if not star.is_profitable():
+        raise ValueError("star instance is not profitable")
+    best = None
+    for mask in range(1 << d):
+        full_set = tuple(i for i in range(d) if mask >> i & 1)
+        c = optimal_partial_for_set(star, full_set)
+        total = sum(c, Fraction(0))
+        key = (total, full_set)
+        if best is None or key < best[0]:
+            best = (key, c, full_set)
+    _, c, full_set = best
+    return StarSolution(
+        collaterals=c,
+        total=sum(c, Fraction(0)),
+        order=sigma_for_set(star, full_set),
+        full_set=frozenset(full_set),
+    )

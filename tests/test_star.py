@@ -1,17 +1,22 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import collat
 from collat import (
     StarInstance,
+    TooLargeError,
     brute_force_star,
+    gen_knapsack_star,
     is_viable,
     minimal_vector_for_order,
     optimal_partial_for_set,
     solve_star,
 )
-from helpers import assert_minimal, assert_valid_elimination_order
+from collat.star import STATE_GUARD
+from helpers import assert_minimal, assert_valid_elimination_order, enumerate_star
 
 
 def random_star(rng, max_players=7):
@@ -194,6 +199,78 @@ class TestSolveStar:
                     assert sol.collaterals[i] == 0
                 if sol.collaterals[i] == 0:
                     seen_free = True
+
+
+def family_star(rng, family, d):
+    """A profitable star with d players (d + 1 for a knapsack star of d
+    items) from one of the differential test's families."""
+    if family == "knapsack":
+        xs = [rng.randint(1, 9) for _ in range(d)]
+        return gen_knapsack_star(xs, rng.randint(0, sum(xs) - max(xs)))
+    if family == "large-alpha":
+        amounts = [rng.randint(1, 9) for _ in range(d)]
+        z = rng.randint(0, sum(amounts) - 1)
+        return StarInstance(amounts, z, z + rng.randint(1, 5))
+    if family == "rational":
+        amounts = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(d)]
+    else:  # "ties": few distinct integer amounts, so many equal totals
+        amounts = [rng.randint(1, 4) for _ in range(d)]
+    total = sum(amounts, Fraction(0))
+    z = Fraction(rng.randint(0, int(total) - 1)) if total > 1 else Fraction(0)
+    alpha = (Fraction(z, total - z) if z else Fraction(0)) + Fraction(
+        rng.randint(1, 8), rng.randint(1, 4)
+    )
+    return StarInstance(amounts, z, alpha)
+
+
+def least_subset_sum_above(xs, t):
+    """Least subset sum of xs strictly above t, from an int used as the
+    bitset of reachable sums."""
+    reach = 1
+    for x in xs:
+        reach |= reach << x
+    above = reach >> (t + 1)
+    return t + (above & -above).bit_length()
+
+
+class TestAgainstEnumeration:
+    @pytest.mark.parametrize("family", ["rational", "ties", "large-alpha", "knapsack"])
+    def test_same_solution_as_enumeration(self, family):
+        # 80 stars per family: one each of 11 and 12 players (a knapsack
+        # star has one player more than its items), the rest up to 8
+        rng = random.Random("enumeration-" + family)
+        sizes = [11, 10 if family == "knapsack" else 12]
+        sizes += [rng.randint(1, 8) for _ in range(78)]
+        for d in sizes:
+            star = family_star(rng, family, d)
+            assert star.is_profitable() and star.size <= 12
+            assert solve_star(star) == enumerate_star(star), star
+
+
+class TestStateGuard:
+    def test_forty_player_knapsack_star(self):
+        rng = random.Random(83)
+        for trial in range(3):
+            xs = [rng.randint(1, 100) for _ in range(39)]
+            t = rng.randint(0, sum(xs) - max(xs))
+            sol = solve_star(gen_knapsack_star(xs, t))
+            assert len(sol.collaterals) == 40
+            full_sum = sum((sol.collaterals[i] for i in sol.full_set), Fraction(0))
+            assert full_sum == least_subset_sum_above(xs, t)
+
+    def test_distinct_sums_past_the_guard_refused_fast(self):
+        # powers of two: every subset sum is distinct, so layer k holds 2^k
+        # states and the one past STATE_GUARD trips it
+        star = StarInstance([2**i for i in range(STATE_GUARD.bit_length())], 1, 1)
+        started = time.perf_counter()
+        with pytest.raises(TooLargeError, match="%d states; the guard is %d"
+                           % (STATE_GUARD + 1, STATE_GUARD)):
+            solve_star(star)
+        assert time.perf_counter() - started < 1
+
+    def test_error_type_is_shared(self):
+        assert collat.TooLargeError is collat.model.TooLargeError is collat.network.TooLargeError
+        assert issubclass(TooLargeError, ValueError)
 
 
 class TestLargeAlphaStars:
