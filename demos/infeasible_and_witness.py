@@ -25,9 +25,9 @@ for k, short in sorted(w.shortfalls.items()):
     print("  %s is short %s of outside funding" % (hopeless.ids[k], short))
 print()
 
-# Give each firm a single outside spike covering its cost and the reduction
-# peels the cycle apart: secure P from its spike, then P's investment in Q
-# is as good as outside money.
+# Give each firm a single outside spike covering its cost and the check
+# secures the cycle firm by firm: P from its spike, then Q, since P's
+# investment in Q is as good as outside money once P is secured.
 rescued = InvestmentNetwork(
     4,
     [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 3, 1)],
@@ -37,10 +37,7 @@ rescued = InvestmentNetwork(
 )
 result = solvability_check(rescued)
 print("same cycle with one spike each: solvable =", result.solvable)
-for step in result.reduction_steps:
-    print("  reduction removed %s, respawned %s"
-          % (rescued.ids[step["removed"]],
-             [(a, rescued.ids[b], str(x)) for a, b, x in step["spawned"]]))
+print("  secured in order:", " -> ".join(rescued.ids[k] for k in result.secured))
 
 sol = solve(rescued)
 print("optimal total:", sol.total, " NEC:", sol.nec)

@@ -50,7 +50,6 @@ from .network import (
     Solution,
     Status,
     TooLargeError,
-    compute_nec,
     solve,
     solve_dag,
     solve_exact,

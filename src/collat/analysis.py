@@ -7,14 +7,15 @@ conditions.
 
 IESDS runs on the cooperate bitmask through `model.invests`, which holds the
 single tie rule of the whole codebase: a player who is exactly indifferent
-between investing and defecting invests.
+between investing and defecting invests.  Solvability is a secured-vertex
+closure on the same scaled funding table (`InvestmentNetwork.funding`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import CollateralMatrix, invests
+from .model import invests
 
 
 def iterated_elimination(net, c, scan_order=None):
@@ -69,74 +70,53 @@ class InfeasibilityWitness:
 class SolvabilityResult:
     solvable: bool
     witness: InfeasibilityWitness | None = None
-    reduction_steps: list = field(default_factory=list)
+    secured: tuple = ()
 
 
 def solvability_check(net):
     """Decide whether any viable collateral matrix exists.
 
-    Runs the iterative graph reduction: while some enterprise's inflow from
-    pure investors (spikes) covers its cost, delete it together with its
-    spikes and re-source its own outgoing investments from fresh synthetic
-    spike vertices.  The network is solvable iff the graph empties.  On
-    failure the terminal cyclic core is returned as a witness.
+    A monotone closure on the scaled funding table: start with every
+    non-enterprise vertex secured, and secure enterprise k once its
+    investors in the secured set bring at least its cost (their money is
+    guaranteed, by full collaterals downstream).  The network is solvable
+    iff every enterprise ends up secured; `secured` lists the enterprises in
+    the order the closure secured them.  On failure the witness comes from
+    the unsecured vertices (`_witness`).
     """
-    # Working copy; synthetic spike ids start at net.n and are recorded in
-    # the reduction steps for traceability.
-    edges = [(e.enterprise, e.investor, e.amount) for e in net.edges]
-    cost = {k: net.cost[k] for k in range(net.n)}
-    next_id = net.n
-    steps = []
-    while edges:
-        out_deg = {}
-        for k, _, _ in edges:
-            out_deg[k] = out_deg.get(k, 0) + 1
-        removable = None
-        for k in sorted(out_deg):
-            spike_inflow = sum(
-                (x for kk, i, x in edges if kk == k and out_deg.get(i, 0) == 0),
-                Fraction(0),
-            )
-            if spike_inflow >= cost.get(k, Fraction(0)):
-                removable = k
-                break
-        if removable is None:
-            return SolvabilityResult(False, _witness_from_stuck_core(net), steps)
-        replacements = []
-        new_edges = []
-        for k, i, x in edges:
-            if k == removable:
-                continue  # opportunities offered by the removed enterprise
-            if i == removable:
-                # the removed firm's own investment, now guaranteed: re-source
-                # it from a fresh spike vertex
-                replacements.append((next_id, k, x))
-                new_edges.append((k, next_id, x))
-                next_id += 1
-            else:
-                new_edges.append((k, i, x))
-        steps.append({"removed": removable, "spawned": replacements})
-        edges = new_edges
-    return SolvabilityResult(True, None, steps)
+    secured_mask = ~sum(1 << k for k in net.funding)
+    secured = []
+    changed = True
+    while changed:
+        changed = False
+        for k, funding in net.funding.items():
+            if secured_mask >> k & 1:
+                continue
+            raised = sum(amount for _, investor, amount in funding if secured_mask >> investor & 1)
+            if raised >= net.scaled_costs[k]:
+                secured_mask |= 1 << k
+                secured.append(k)
+                changed = True
+    if len(secured) == len(net.funding):
+        return SolvabilityResult(True, None, tuple(secured))
+    return SolvabilityResult(False, _witness(net, secured_mask), tuple(secured))
 
 
-def _witness_from_stuck_core(net):
-    """Witness for infeasibility, from the stuck core of a full-collateral
-    IESDS run.
+def _witness(net, secured_mask):
+    """Witness for infeasibility from the closure's unsecured vertices.
 
-    Restricting the stuck subgraph (edges oriented enterprise -> investor)
-    to its sink strongly connected components yields a set W where every
-    vertex lies on a cycle (a sink component cannot be a single vertex, as
-    every stuck vertex keeps a stuck funding edge) and, by closure under
-    stuck out-edges, each enterprise's investors outside W are exactly its
-    resolved ones -- whose total inflow is below its cost, or the enterprise
-    would not be stuck."""
-    _, stuck = iterated_elimination(net, CollateralMatrix.full(net))
+    Restricting the edges with an unsecured investor (oriented enterprise ->
+    investor) to their sink strongly connected components yields a set W
+    where every vertex lies on a cycle (a one-vertex sink component is
+    dropped; on a profitable network an unsecured enterprise keeps an
+    unsecured investor) and, by closure under those edges, each
+    enterprise's investors outside W are exactly its secured ones -- whose
+    total inflow is below its cost, or the closure would have secured it."""
     adjacency = {}
-    for e in stuck:
-        edge = net.edges[e]
-        adjacency.setdefault(edge.enterprise, []).append(edge.investor)
-        adjacency.setdefault(edge.investor, [])
+    for e in net.edges:
+        if not secured_mask >> e.investor & 1:
+            adjacency.setdefault(e.enterprise, []).append(e.investor)
+            adjacency.setdefault(e.investor, [])
     components = _strongly_connected_components(adjacency)
     component_of = {}
     for idx, comp in enumerate(components):
@@ -153,12 +133,9 @@ def _witness_from_stuck_core(net):
             vertices.update(components[idx])
     shortfalls = {}
     for k in sorted(vertices & net.enterprise_set):
-        external = sum(
-            (net.edges[e].amount for e in net.out_edges[k] if net.edges[e].investor not in vertices),
-            Fraction(0),
-        )
-        if external < net.cost[k]:
-            shortfalls[k] = net.cost[k] - external
+        external = sum(amount for _, investor, amount in net.funding[k] if investor not in vertices)
+        if external < net.scaled_costs[k]:
+            shortfalls[k] = Fraction(net.scaled_costs[k] - external, net.scale)
     return InfeasibilityWitness(frozenset(vertices), shortfalls)
 
 

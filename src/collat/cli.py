@@ -24,7 +24,7 @@ from . import instances
 from .analysis import iterated_elimination, solvability_check
 from .instances import DocumentError, format_rational, parse_rational
 from .model import CollateralMatrix, cascade, edge_need, validate_network
-from .network import CyclicInputError, Status, TooLargeError, solve, solve_dag, solve_exact
+from .network import Status, TooLargeError, solve
 
 log = logging.getLogger("collat")
 
@@ -104,33 +104,12 @@ def cmd_check(args):
     return 0 if result.solvable else 2
 
 
-_METHODS = {
-    "auto": solve,
-    "dag": solve_dag,
-    "exact": solve_exact,
-}
-
-
-def _solve_with_method(net, method):
-    if method == "star":
-        sol = solve(net)
-        if sol.method != "star":
-            raise ValueError(
-                "--method star requires a single-enterprise network; try --method auto"
-            )
-        return sol
-    return _METHODS[method](net)
-
-
 def cmd_solve(args):
     started = time.perf_counter()
     net = _load(args.network)
     try:
-        sol = _solve_with_method(net, args.method)
-    except CyclicInputError as exc:
-        print("error: %s (the auto dispatcher picks a cyclic-capable solver)" % exc, file=sys.stderr)
-        return 1
-    except (TooLargeError, ValueError) as exc:
+        sol = solve(net)
+    except TooLargeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     report = {
@@ -184,10 +163,16 @@ def _load_collaterals(net, path):
     rows = doc.get("collaterals") if isinstance(doc, dict) else None
     if rows is None:
         raise DocumentError("missing 'collaterals' list", "$")
+    if not isinstance(rows, list):
+        raise DocumentError("expected a list", "$.collaterals")
     index = {vid: v for v, vid in enumerate(net.ids)}
     amounts = {}
     for pos, rec in enumerate(rows):
         path_ = "$.collaterals[%d]" % pos
+        if not isinstance(rec, dict):
+            raise DocumentError("expected an object", path_)
+        if "collateral" not in rec:
+            raise DocumentError("missing field 'collateral'", path_)
         try:
             k = index[rec["enterprise"]]
             i = index[rec["investor"]]
@@ -196,7 +181,12 @@ def _load_collaterals(net, path):
         edge = net.edge_index.get((k, i))
         if edge is None:
             raise DocumentError("collateral on a non-edge", path_)
-        amounts[edge] = parse_rational(rec["collateral"], path_ + ".collateral")
+        if edge in amounts:
+            raise DocumentError("second collateral for the same edge", path_)
+        amount = parse_rational(rec["collateral"], path_ + ".collateral")
+        if amount < 0:
+            raise DocumentError("collateral must be nonnegative", path_ + ".collateral")
+        amounts[edge] = amount
     return CollateralMatrix(net, amounts)
 
 
@@ -248,30 +238,34 @@ def cmd_verify(args):
 
 def cmd_gen(args):
     meta = {"generator": args.family, "seed": getattr(args, "seed", None)}
-    if args.family == "cycle":
-        net = instances.gen_cycle_family(args.k)
-        meta["k"] = args.k
-    elif args.family == "random":
-        net = instances.random_network(
-            args.n,
-            args.d,
-            acyclic=args.acyclic,
-            weight_range=tuple(int(w) for w in args.weights.split(",")),
-            seed=args.seed,
-            large_alpha=args.large_alpha,
-        )
-        meta.update(n=args.n, d=args.d, acyclic=args.acyclic)
-    elif args.family == "knapsack":
-        xs = [int(x) for x in args.xs.split(",")]
-        star = instances.gen_knapsack_star(xs, args.t)
-        net = star.to_network()
-        meta.update(xs=xs, t=args.t)
-    elif args.family == "fvs":
-        pairs = [tuple(p.split("-")) for p in args.edges.split(",") if p]
-        net = instances.gen_fvs_gadget(pairs)
-        meta["graph_edges"] = ["-".join(p) for p in pairs]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.family)
+    try:
+        if args.family == "cycle":
+            net = instances.gen_cycle_family(args.k)
+            meta["k"] = args.k
+        elif args.family == "random":
+            net = instances.random_network(
+                args.n,
+                args.d,
+                acyclic=args.acyclic,
+                weight_range=tuple(int(w) for w in args.weights.split(",")),
+                seed=args.seed,
+                large_alpha=args.large_alpha,
+            )
+            meta.update(n=args.n, d=args.d, acyclic=args.acyclic)
+        elif args.family == "knapsack":
+            xs = [int(x) for x in args.xs.split(",")]
+            star = instances.gen_knapsack_star(xs, args.t)
+            net = star.to_network()
+            meta.update(xs=xs, t=args.t)
+        else:  # fvs
+            pairs = [tuple(p.split("-")) for p in args.edges.split(",") if p]
+            if any(len(p) != 2 for p in pairs):
+                raise ValueError("--edges takes u-v pairs, got %r" % args.edges)
+            net = instances.gen_fvs_gadget(pairs)
+            meta["graph_edges"] = ["-".join(p) for p in pairs]
+    except ValueError as exc:  # invalid generator parameters
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     text = instances.dumps_document(instances.serialize_network(net, meta))
     if args.out_file:
         with open(args.out_file, "w") as handle:
@@ -298,7 +292,6 @@ def build_parser():
 
     p = sub.add_parser("solve", help="compute optimal collaterals and the NEC")
     p.add_argument("network")
-    p.add_argument("--method", choices=["auto", "star", "dag", "exact"], default="auto")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--out-file")
     p.set_defaults(func=cmd_solve)

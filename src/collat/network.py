@@ -52,7 +52,7 @@ class Solution:
     order: tuple = ()
     star_totals: dict = field(default_factory=dict)  # actual per-enterprise sums
     star_optima: dict = field(default_factory=dict)  # stand-alone star optima
-    nec: Fraction | None = None
+    nec: Fraction | None = None  # total / sum of star optima; None if infeasible
     witness: InfeasibilityWitness | None = None
     method: str = ""
 
@@ -103,6 +103,13 @@ def _solve_components(net, components, method):
     only its own enterprises' edges, so outside investors are plain
     investors, and gets the subset DP."""
     stars = {k: star for k, star, _ in star_decomposition(net)}
+
+    def star_solution(k):
+        try:
+            return solve_star(stars[k])
+        except TooLargeError as exc:
+            raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
+
     star_optima, amounts, order = {}, {}, []
     for comp, cyclic in components:
         if cyclic:
@@ -111,9 +118,9 @@ def _solve_components(net, components, method):
                                     net.cost, net.rate, net.ids)
             local, local_order = _subset_dp(sub)
             # star optima only now, so an oversized component trips the guard first
-            star_optima.update((k, solve_star(stars[k]).total) for k in comp)
+            star_optima.update((k, star_solution(k).total) for k in comp)
         else:  # a single enterprise: its star solution is the component's
-            ssol = solve_star(stars[comp[0]])
+            ssol = star_solution(comp[0])
             star_optima[comp[0]] = ssol.total
             edge_ids, local, local_order = net.out_edges[comp[0]], ssol.collaterals, ssol.order
         for pos in local_order:
@@ -220,14 +227,6 @@ def solve_large_alpha(net):
     if not is_large_alpha(net):
         raise ValueError("network is not in the large-alpha regime")
     return _solve_whole(net, "large-alpha")
-
-
-def compute_nec(net, sol):
-    """Network Excess Collaterals: the solution total over the sum of the
-    stand-alone star optima.  1 means cycles cost nothing extra."""
-    if sol.status is not Status.SOLVED:
-        raise ValueError("NEC is undefined for an infeasible network")
-    return sol.nec
 
 
 def solve(net):

@@ -124,13 +124,31 @@ class TestSolvability:
         )
         result = solvability_check(net)
         assert result.solvable
-        assert len(result.reduction_steps) == 2
+        assert result.secured == (0, 1)
 
     def test_verdict_matches_full_collateral_viability(self):
         rng = random.Random(37)
         for trial in range(25):
             net = random_network(rng.randint(3, 6), 3, seed=rng.randint(0, 10**6))
             assert solvability_check(net).solvable == is_viable(net, CollateralMatrix.full(net))
+
+    def test_secured_set_matches_full_collateral_elimination(self):
+        # IESDS under full collaterals is an independent oracle: an edge
+        # stays stuck iff its investor is an enterprise the closure left
+        # unsecured
+        rng = random.Random(43)
+        infeasible = 0
+        for trial in range(200):
+            net = random_network(rng.randint(2, 8), 3, seed=rng.randint(0, 10**6),
+                                 large_alpha=trial % 2 == 1)
+            result = solvability_check(net)
+            unsecured = net.enterprise_set - set(result.secured)
+            _, stuck = iterated_elimination(net, CollateralMatrix.full(net))
+            assert stuck == {e for e, edge in enumerate(net.edges) if edge.investor in unsecured}
+            assert len(set(result.secured)) == len(result.secured)
+            assert result.solvable == (not unsecured)
+            infeasible += not result.solvable
+        assert infeasible > 20
 
     def test_witness_satisfies_both_conditions(self):
         rng = random.Random(41)

@@ -91,22 +91,6 @@ class TestSolve:
         assert set(report["star_optima"]) == {"A", "B", "C"}
         assert "NEC: 4/3 (~1.33333)" in err
 
-    def test_method_exact_agrees(self, capsys, cycle_path):
-        code, out, _ = run(capsys, "solve", cycle_path, "--method", "exact")
-        assert code == 0
-        report = json.loads(out)
-        assert report["total"] == "8" and report["method"] == "exact"
-
-    def test_method_dag_on_cycle_fails(self, capsys, cycle_path):
-        code, _, err = run(capsys, "solve", cycle_path, "--method", "dag")
-        assert code == 1
-        assert "cycle" in err
-
-    def test_method_star_on_network_fails(self, capsys, cycle_path):
-        code, _, err = run(capsys, "solve", cycle_path, "--method", "star")
-        assert code == 1
-        assert "single-enterprise" in err
-
     def test_infeasible(self, capsys, infeasible_path):
         code, out, err = run(capsys, "solve", infeasible_path)
         assert code == 2
@@ -187,6 +171,22 @@ class TestVerify:
             assert code == 0
             assert json.loads(out)["minimal"] is minimal
 
+    @pytest.mark.parametrize("collaterals, path", [
+        ([{"enterprise": "A", "investor": "a1"}], "$.collaterals[0]"),
+        ({"A": "1"}, "$.collaterals"),
+        ([{"enterprise": "A", "investor": "a1", "collateral": "0"},
+          {"enterprise": "A", "investor": "a2", "collateral": "-1"}], "$.collaterals[1].collateral"),
+        ([{"enterprise": "A", "investor": "a1", "collateral": "1"},
+          {"enterprise": "A", "investor": "a1", "collateral": "0"}], "$.collaterals[1]"),
+    ], ids=["missing-collateral", "not-a-list", "negative", "duplicate-edge"])
+    def test_malformed_collaterals_rejected(self, capsys, cycle_path, tmp_path, collaterals, path):
+        c_path = tmp_path / "bad.json"
+        c_path.write_text(json.dumps({"collaterals": collaterals}))
+        code, out, err = run(capsys, "verify", cycle_path, str(c_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: %s: " % path)
+
     def test_collateral_on_non_edge_rejected(self, capsys, cycle_path, tmp_path):
         c_path = tmp_path / "bad.json"
         c_path.write_text(
@@ -233,3 +233,16 @@ class TestGen:
         _, first, _ = run(capsys, "gen", "random", "--n", "8", "--d", "3", "--seed", "5")
         _, second, _ = run(capsys, "gen", "random", "--n", "8", "--d", "3", "--seed", "5")
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "--k", "2"],
+        ["knapsack", "--xs", "1,2", "--t", "9"],
+        ["random", "--n", "4", "--d", "2", "--weights", "5,1"],
+        ["fvs", "--edges", "a"],
+    ], ids=["cycle", "knapsack", "random", "fvs"])
+    def test_invalid_parameters_are_one_line_errors(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1

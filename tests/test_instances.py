@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collat import (
     DocumentError,
+    InvestmentNetwork,
     gen_cycle_family,
     gen_fvs_gadget,
     gen_knapsack_star,
@@ -35,6 +38,72 @@ def minimal_doc():
             {"enterprise": "E", "investor": "q", "amount": "5/2"},
         ],
     }
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(1, 7))
+    ids = draw(st.lists(st.one_of(st.integers(-9, 99), st.text("abcxyz_1", min_size=1, max_size=4)),
+                        min_size=n, max_size=n, unique=True))
+    pairs = []
+    if n > 1:  # (k, k + shift mod n): no self-edges
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+                              .map(lambda p: (p[0], (p[0] + p[1]) % n)), unique=True, max_size=12))
+    amounts = st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
+    edges = [(k, i, draw(amounts)) for k, i in pairs]
+    cost = draw(st.lists(rationals, min_size=n, max_size=n))
+    rate = draw(st.lists(rationals, min_size=n, max_size=n))
+    return InvestmentNetwork(n, edges, cost=cost, rate=rate, ids=ids)
+
+
+def _json_values():
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                        st.text(max_size=5), st.sampled_from(["1/2", "0", "x", "E", "p"]))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+        max_leaves=6)
+
+
+def _field_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _field_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for pos, item in enumerate(value):
+            yield from _field_paths(item, path + (pos,))
+
+
+class TestDocumentProperties:
+    @settings(deadline=None)
+    @given(networks())
+    def test_serialize_parse_round_trip(self, net):
+        for doc in (serialize_network(net), json.loads(dumps_document(serialize_network(net)))):
+            again = parse_document(doc)
+            assert again.n == net.n
+            assert again.edges == net.edges
+            assert again.cost == net.cost
+            assert again.rate == net.rate
+            assert again.ids == net.ids
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_malformed_field_is_a_document_error(self, data):
+        # any one field of a valid document replaced by an arbitrary JSON
+        # value either parses or raises DocumentError, never anything else
+        doc = minimal_doc()
+        path = data.draw(st.sampled_from(list(_field_paths(doc))[1:]))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(_json_values())
+        try:
+            parse_document(doc)
+        except DocumentError as exc:
+            assert str(exc).startswith("$")
 
 
 class TestDocumentFormat:

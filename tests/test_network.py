@@ -9,7 +9,6 @@ from collat import (
     InvestmentNetwork,
     Status,
     TooLargeError,
-    compute_nec,
     gen_cycle_family,
     default_determination,
     edge_need,
@@ -26,6 +25,7 @@ from collat import (
 )
 from collat.model import cascade
 from collat.network import is_acyclic
+from collat.star import STATE_GUARD
 from helpers import assert_minimal, assert_valid_elimination_order, least_zero_full_total
 
 
@@ -235,15 +235,14 @@ class TestComputeNec:
     def test_cycle_premium(self):
         net = gen_cycle_family(13)
         sol = solve(net)
-        assert compute_nec(net, sol) == 3
         assert sol.nec == 3
+        assert sol.nec == sol.total / sum(sol.star_optima.values())
 
     def test_undefined_when_infeasible(self):
         net = InvestmentNetwork(
             2, [(0, 1, 1), (1, 0, 1)], cost={0: 1, 1: 1}, rate={0: 5, 1: 5}
         )
-        with pytest.raises(ValueError):
-            compute_nec(net, solve(net))
+        assert solve(net).nec is None
 
 
 class TestDispatcher:
@@ -290,7 +289,8 @@ class TestDispatcher:
             sol = solve(net)
             assert validate_network(net).ok
             assert sum(sol.star_totals.values(), Fraction(0)) == sol.total
-            assert sol.nec == compute_nec(net, sol)
+            optima = sum(sol.star_optima.values(), Fraction(0))
+            assert sol.nec == (sol.total / optima if optima else 1)
             assert sol.total == solve_exact(net).total
             assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
 
@@ -320,6 +320,18 @@ class TestDispatcher:
     def test_guard_stops_a_large_alpha_component(self):
         net = random_network(20, 3, seed=4, large_alpha=True)
         with pytest.raises(TooLargeError, match="37 edges"):
+            solve(net)
+
+    def test_star_guard_error_names_the_enterprise(self):
+        # the power-of-two star of tests/test_star.py behind a small upstream
+        # enterprise that it funds: every subset sum is distinct
+        amounts = [2**i for i in range(STATE_GUARD.bit_length())]
+        d = len(amounts)
+        edges = [(1, 2 + i, x) for i, x in enumerate(amounts)] + [(0, 1, 1), (0, d + 2, 1)]
+        ids = ["A", "hub"] + ["s%d" % i for i in range(d)] + ["a"]
+        net = InvestmentNetwork(d + 3, edges, cost={0: 1, 1: 1}, rate={0: 1, 1: 1}, ids=ids)
+        assert validate_network(net).ok
+        with pytest.raises(TooLargeError, match="^enterprise hub: star with %d players" % d):
             solve(net)
 
     def test_guard_error_names_the_component(self):
