@@ -226,7 +226,7 @@ def validate_network(net):
     return ValidationReport(violations)
 
 
-def cascade(net, cooperate_mask):
+def cascade(net, cooperate_mask, within=None):
     """Least fixed point of the default cascade (worst-case, zero recovery),
     as the bitmask of defaulted vertices for a bitmask of cooperate edges.
 
@@ -234,12 +234,19 @@ def cascade(net, cooperate_mask):
     its cost as defaulted, which drops all of that firm's own investments.
     The result is independent of processing order.  Raising exactly Z_k
     counts as solvent.
+
+    The result is antitone in `cooperate_mask`, so for a superset of a mask
+    whose cascade is known, `within` may pass that cascade: only its
+    enterprises are tested, with the same result.
     """
+    firms = net.funding.items()
+    if within is not None:
+        firms = [(k, funding) for k, funding in firms if within >> k & 1]
     defaulted = 0
     changed = True
     while changed:
         changed = False
-        for k, funding in net.funding.items():
+        for k, funding in firms:
             if defaulted >> k & 1:
                 continue
             raised = 0

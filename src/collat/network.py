@@ -4,19 +4,26 @@
 edges oriented enterprise -> investor, downstream first: by then, investors
 outside a component always pay, so the optimum is the sum of the component
 optima.  A single enterprise is a star (`solve_star`; NEC 1 on acyclic
-networks).  A cyclic component runs a dynamic program over resolved
-edge-sets; the minimal collateral making an edge eliminable (`model.edge_need`
-on the bitmask cascade `model.cascade`) depends only on the *set* of resolved
-edges, so the order search drops from O(|E|!) to O(2^|E| |E|), with
-`EXACT_GUARD` bounding |E| per component.  For integer inputs with
-alpha_k > Z_k every positive collateral of an optimal solution is full; the
-DP reaches that optimum as it does any other, so no separate search runs.
-`Solution.method` names the whole-network route.  `solve_exact` and
-`solve_large_alpha` take the whole network as one component (oracles).
+networks).  A cyclic component runs an exact best-first (A*) search over
+resolved edge-sets (`_search`): the minimal collateral making an edge
+eliminable (`model.edge_need` on the bitmask cascade `model.cascade`)
+depends only on the *set* of resolved edges, so states are sets, not
+orders.  Each state jumps to its closure under zero-need eliminations, and
+a consistent lower bound (each star's no-default completion cost) steers
+the search, so it expands a small fraction of the 2^|E| sets; a tie rule
+picks among optimal matrices, and `SEARCH_BUDGET` bounds the work per
+component.  `solve_exact` and `solve_large_alpha` take the whole network
+as one component and run the exhaustive subset dynamic program
+(`_subset_dp`, O(2^|E| |E|), `EXACT_GUARD` on |E|) instead: the oracles.
+For integer inputs with alpha_k > Z_k every positive collateral of an
+optimal solution is full; both reach that optimum as they do any other,
+so no separate search runs.  `Solution.method` names the whole-network
+route.
 """
 from __future__ import annotations
 
 import enum
+import heapq
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,11 +35,12 @@ from .analysis import (
     solvability_check,
 )
 from .model import CollateralMatrix, InvestmentNetwork, TooLargeError, cascade, edge_need
-from .star import StarInstance, solve_star
+from .star import StarInstance, solve_star, suffix_dp
 
 log = logging.getLogger(__name__)
 
-EXACT_GUARD = 20
+EXACT_GUARD = 20  # edges of one component in the subset DP
+SEARCH_BUDGET = 1 << 14  # expansions plus bound entries per component in `_search`
 
 
 class CyclicInputError(ValueError):
@@ -97,11 +105,13 @@ def _per_star_sums(net, c):
     }
 
 
-def _solve_components(net, components, method):
+def _solve_components(net, components, method, cyclic_solver):
     """Solve (enterprises, cyclic flag) components in the given order and
     concatenate, labelled `method`.  A cyclic component's sub-network keeps
     only its own enterprises' edges, so outside investors are plain
-    investors, and gets the subset DP."""
+    investors, and goes to `cyclic_solver`: the best-first search
+    (`_search`, under `SEARCH_BUDGET`) from `solve`, the exhaustive subset
+    DP (`_subset_dp`, under `EXACT_GUARD`) from the oracles."""
     stars = {k: star for k, star, _ in star_decomposition(net)}
 
     def star_solution(k):
@@ -113,12 +123,13 @@ def _solve_components(net, components, method):
     star_optima, amounts, order = {}, {}, []
     for comp, cyclic in components:
         if cyclic:
+            # star optima first: an oversized star trips its guard, with its
+            # name, before the search prices completions of it
+            star_optima.update((k, star_solution(k).total) for k in comp)
             edge_ids = sorted(e for k in comp for e in net.out_edges[k])
             sub = InvestmentNetwork(net.n, [net.edges[e] for e in edge_ids],
                                     net.cost, net.rate, net.ids)
-            local, local_order = _subset_dp(sub)
-            # star optima only now, so an oversized component trips the guard first
-            star_optima.update((k, star_solution(k).total) for k in comp)
+            local, local_order = cyclic_solver(sub)
         else:  # a single enterprise: its star solution is the component's
             ssol = star_solution(comp[0])
             star_optima[comp[0]] = ssol.total
@@ -149,9 +160,13 @@ def solve_dag(net):
     components = _enterprise_components(net)
     if any(cyclic for _, cyclic in components):
         raise CyclicInputError("network contains a directed cycle")
-    out = _solve_components(net, components, "dag")
+    out = _solve_components(net, components, "dag", None)
     assert out.nec == 1
     return out
+
+
+def _component_names(net):
+    return ", ".join(str(net.ids[k]) for k in sorted(net.enterprise_set))
 
 
 def _subset_dp(net):
@@ -161,10 +176,9 @@ def _subset_dp(net):
     optimum.  Returns (amounts by edge, elimination order)."""
     m = len(net.edges)
     if m > EXACT_GUARD:
-        names = ", ".join(str(net.ids[k]) for k in sorted(net.enterprise_set))
         raise TooLargeError(
             "exact solver guard is |E| <= %d; enterprises {%s} have %d edges"
-            % (EXACT_GUARD, names, m)
+            % (EXACT_GUARD, _component_names(net), m)
         )
     cascade_memo = {}
     size = 1 << m
@@ -207,11 +221,158 @@ def _subset_dp(net):
     return amounts, order
 
 
+def _search(net):
+    """Best-first (A*) search over resolved edge-sets of a solvable network,
+    with the optimum of `_subset_dp`.
+
+    `edge_need` is antitone in the cooperating set, which gives two exact
+    tools.  Free closure: an edge whose need is 0 can be eliminated first
+    at no cost, after which no need rises, so each state jumps to its
+    closure under zero-need eliminations (the same set in any order).
+    Lower bound: h(S) sums, over the enterprises k, the least cost of
+    resolving the rest of star k from S with no investor defaulting.
+    Defaults only raise needs, so h never overestimates, and h(S) -
+    h(S + e) is at most e's no-default need, itself at most need_e(S + e):
+    h is consistent, so the first full state taken from the queue is
+    optimal.
+
+    Ties: the queue yields the least bound, then the most resolved edges,
+    then the least edge bitmask; a state keeps the first path to reach it
+    at its least cost; a closure adds its free edges in index order, batch
+    after batch.  `SEARCH_BUDGET` caps the expansions plus the star-bound
+    entries (TooLargeError beyond it); every memo lives for one call.
+    Returns (amounts by edge, elimination order)."""
+    m = len(net.edges)
+    full = (1 << m) - 1
+    zero = Fraction(0)
+    firm_bit = [1 << edge.enterprise for edge in net.edges]
+    star_mask = {k: sum(1 << e for e in net.out_edges[k]) for k in net.enterprise_set}
+    # per star: scaled amounts by local player, sigma (non-increasing amount,
+    # ties by index) as (player, edge) pairs, and resolved edges -> completion
+    stars = {}
+    for k in star_mask:
+        edges = net.out_edges[k]
+        sigma = sorted(enumerate(edges), key=lambda pe: (-net.scaled_amounts[pe[1]], pe[0]))
+        stars[k] = ([net.scaled_amounts[e] for e in edges], sigma, {})
+    cascades = {}  # cooperate mask -> cascade
+    expansions = entries = 0
+
+    def check_budget():
+        if expansions + entries > SEARCH_BUDGET:
+            raise TooLargeError(
+                "search budget is %d expansions plus bound entries; enterprises {%s} "
+                "with %d edges reached %d expansions and %d bound entries"
+                % (SEARCH_BUDGET, _component_names(net), m, expansions, entries)
+            )
+
+    def defaults(cmask, within, funded):
+        """cascade(cmask), given `within`, the cascade of a subset of cmask
+        (None if unknown), and the bitmask `funded` of the enterprises the
+        extra edges invest in.  Adding edges only shrinks a cascade, and it
+        stays `within` unless an extra edge funds one of its enterprises."""
+        if within is not None and not within & funded:
+            return within
+        dmask = cascades.get(cmask)
+        if dmask is None:
+            dmask = cascades[cmask] = cascade(net, cmask, within)
+        return dmask
+
+    def completion(k, resolved):
+        """Least cost of resolving the edges of star k outside the bitmask
+        `resolved` with no investor defaulting: `suffix_dp` over them, the
+        resolved ones counting as eliminated first at no cost."""
+        nonlocal entries
+        amounts, sigma, table = stars[k]
+        value = table.get(resolved)
+        if value is None:
+            entries += 1
+            check_budget()
+            players = [i for i, e in sigma if not resolved >> e & 1]
+            layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players)
+            value = table[resolved] = Fraction(min(c for c, _ in layer.values()), net.scale)
+        return value
+
+    # only an edge that needs nothing with every edge cooperating can be free
+    floor = [edge_need(net, full, defaults(full, None, -1), e) for e in range(m)]
+    assert None not in floor  # guaranteed by the solvability check
+    may_be_free = [e for e in range(m) if not floor[e]]
+    never_free = [e for e in range(m) if floor[e]]
+
+    bound = sum((completion(k, 0) for k in star_mask), zero)
+    # (bound, -resolved edges, raw mask, parent closed mask, edge, need)
+    queue = [(bound, 0, 0, None, -1, zero)]
+    best = {0: bound}  # raw mask -> least bound pushed
+    # closed mask -> (parent, edge, cost, free edges, cascade)
+    came_from = {None: (None, -1, zero, (), None)}
+    while True:
+        bound, _, raw, parent, edge, need = heapq.heappop(queue)
+        if best[raw] is not bound:
+            continue
+        # the free closure, batch after batch; the last batch's needs are
+        # the children's
+        closed, free = raw, []
+        dmask = defaults(raw, came_from[parent][4], firm_bit[edge])
+        while True:
+            children, found = [], []
+            for e in may_be_free:
+                if not closed >> e & 1:
+                    cmask = closed | 1 << e
+                    cneed = edge_need(net, cmask, defaults(cmask, dmask, firm_bit[e]), e)
+                    if cneed:
+                        children.append((e, cneed))
+                    elif cneed is not None:
+                        found.append(e)
+            if not found:
+                break
+            funded = 0
+            for e in found:
+                closed |= 1 << e
+                funded |= firm_bit[e]
+            free += found
+            dmask = defaults(closed, dmask, funded)
+        if closed in came_from:
+            continue
+        g = came_from[parent][2] + need
+        came_from[closed] = (parent, edge, g, free, dmask)
+        if closed == full:
+            break
+        expansions += 1
+        check_budget()
+        for e in never_free:
+            if not closed >> e & 1:
+                cmask = closed | 1 << e
+                cneed = edge_need(net, cmask, defaults(cmask, dmask, firm_bit[e]), e)
+                if cneed is not None:
+                    children.append((e, cneed))
+        for e, cneed in children:
+            k = net.edges[e].enterprise
+            resolved = closed & star_mask[k]
+            cmask = closed | 1 << e
+            child = bound + cneed - completion(k, resolved) + completion(k, resolved | 1 << e)
+            prev = best.get(cmask)
+            if prev is None or child < prev:
+                best[cmask] = child
+                heapq.heappush(queue, (child, -cmask.bit_count(), cmask, closed, e, cneed))
+    log.info("search: enterprises {%s}: %d edges, %d expansions, %d closed states, "
+             "%d bound entries, %d cascades", _component_names(net), m, expansions,
+             len(came_from) - 1, entries, len(cascades))
+    amounts, segments = {}, []
+    while closed is not None:
+        parent, edge, g, free, _ = came_from[closed]
+        amounts.update((e, zero) for e in free)
+        segments.append(free)
+        if edge >= 0:
+            amounts[edge] = g - came_from[parent][2]
+            segments.append([edge])
+        closed = parent
+    return amounts, [e for segment in reversed(segments) for e in segment]
+
+
 def _solve_whole(net, method):
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method=method)
-    return _solve_components(net, [(sorted(net.enterprise_set), True)], method)
+    return _solve_components(net, [(sorted(net.enterprise_set), True)], method, _subset_dp)
 
 
 def solve_exact(net):
@@ -231,10 +392,12 @@ def solve_large_alpha(net):
 
 def solve(net):
     """Optimal collaterals for any network, by one pass over the enterprise
-    SCCs downstream first; the subset DP's guard bounds each component's
-    edge count.  `method` names the whole-network route: "star" (one
-    enterprise), "dag" (acyclic), "exact" (some component is cyclic) or
-    "none" (infeasible)."""
+    SCCs downstream first; each cyclic component runs the best-first search
+    (`_search`) under `SEARCH_BUDGET`, and among optimal matrices its tie
+    rule picks one, so the matrix may differ from `solve_exact`'s while the
+    status, total, NEC and witness do not.  `method` names the
+    whole-network route: "star" (one enterprise), "dag" (acyclic), "exact"
+    (some component is cyclic) or "none" (infeasible)."""
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
@@ -243,6 +406,6 @@ def solve(net):
         method = "exact"
     else:
         method = "star" if len(net.enterprise_set) == 1 else "dag"
-    out = _solve_components(net, components, method)
+    out = _solve_components(net, components, method, _search)
     log.info("solve ran %s over %d components", method, len(components))
     return out

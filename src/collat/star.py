@@ -6,17 +6,21 @@ shape "full collaterals to a set A first, then the remaining players in
 sigma order (non-increasing investment, ties by index) with closed-form
 partial collaterals".  In that form a non-full player i sees the prefix
 P_i = X - (sum of the non-full players after i in sigma), so its collateral
-depends on one number, not on which players make up A.  `solve_star` walks
+depends on one number, not on which players make up A.  `suffix_dp` walks
 the players from the last in sigma to the first with that suffix sum as the
 dynamic-programming state and keeps the least cost per state: O(d * L)
 steps, where a layer holds L <= min(2^d, distinct suffix sums) states, at
 most X + 1 on integer inputs (pseudo-polynomial, as the inverse-knapsack
-reduction allows).  `STATE_GUARD` bounds L.  `brute_force_star` enumerates
-all d! orders and serves as the independent oracle.
+reduction allows).  `STATE_GUARD` bounds L.  `solve_star` runs it on every
+player.  The form also holds when some players are already eliminated at
+no cost, since they only sit in every prefix: those who pay full come
+first, and swapping adjacent partial players into sigma order never costs
+more.  So `suffix_dp` over the others prices the cheapest completion, the
+network search's lower bound.  `brute_force_star` walks all d! orders and
+serves as the independent oracle.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,9 +86,15 @@ def minimal_vector_for_order(star, order):
     prefix = Fraction(0)
     for idx in order:
         prefix += star.amounts[idx]
-        inner = 1 - (1 + star.rate) * (1 - star.cost / prefix)
-        c[idx] = star.amounts[idx] * max(Fraction(0), min(Fraction(1), inner))
+        c[idx] = _minimal_amount(star, idx, prefix)
     return tuple(c)
+
+
+def _minimal_amount(star, player, prefix):
+    """The per-order formula: the player's collateral when the players
+    placed so far, herself included, sum to `prefix`."""
+    inner = 1 - (1 + star.rate) * (1 - star.cost / prefix)
+    return star.amounts[player] * max(Fraction(0), min(Fraction(1), inner))
 
 
 def sigma_for_set(star, full_set):
@@ -125,11 +135,59 @@ def optimal_partial_for_set(star, full_set):
     return tuple(c)
 
 
+def suffix_dp(amounts, cost, rate, players):
+    """The dynamic program of `solve_star` on integer `amounts` and `cost`
+    (one common scale): place `players`, a sub-sequence of sigma, while the
+    players left out count as eliminated first at no cost (their amounts
+    are in every prefix).  A full player adds its amount and leaves t
+    alone; a partial player adds x * clamp(1 - (1+alpha)(1 - Z / (X - t)),
+    0, 1), on the amounts' scale, and moves t up by x.
+
+    Returns the last layer, suffix sum t -> (least cost, full-set bitmask
+    with player 0 the most significant bit); per state, cost ties go to the
+    larger bitmask.  Raises TooLargeError when a layer exceeds
+    `STATE_GUARD` states.
+    """
+    d = len(amounts)
+    u, v = rate.numerator, rate.denominator
+    total = sum(amounts)
+    # with p the prefix on the amounts' scale:
+    # 1 - (1+alpha)(1 - Z/P) = ((u+v)z - u p) / (v p).  Full steps stay ints.
+    free_above = (u + v) * cost
+    layer = {0: (0, 0)}  # t -> (least cost, full-set bitmask)
+
+    def offer(key, price, mask):
+        cur = nxt.get(key)
+        if cur is None:
+            if len(nxt) == STATE_GUARD:
+                raise TooLargeError(
+                    "star with %d players: DP layer %d reached %d states; the guard is %d"
+                    % (d, step + 1, STATE_GUARD + 1, STATE_GUARD)
+                )
+        elif price > cur[0] or price == cur[0] and mask < cur[1]:
+            return
+        nxt[key] = (price, mask)
+
+    for step, i in enumerate(reversed(players)):
+        a, bit = amounts[i], 1 << (d - 1 - i)
+        nxt = {}
+        for t, (price, mask) in layer.items():
+            offer(t, price + a, mask | bit)
+            p = total - t
+            num = free_above - u * p
+            if num <= 0:
+                offer(t + a, price, mask)
+            elif p <= cost:
+                offer(t + a, price + a, mask)
+            else:
+                offer(t + a, price + Fraction(a * num, v * p), mask)
+        layer = nxt
+    return layer
+
+
 def solve_star(star):
-    """Minimum-total viable collateral vector, by a dynamic program over the
-    non-full suffix sum t (see the module docstring).  A full player adds
-    its amount and leaves t alone; a partial player adds
-    x * clamp(1 - (1+alpha)(1 - Z / (X - t)), 0, 1) and moves t up by x.
+    """Minimum-total viable collateral vector, by `suffix_dp` over all the
+    players, scaled to integers (see the module docstring).
 
     Ties go to the lexicographically smallest full-set tuple.  Per state the
     DP breaks cost ties toward the larger full-set bitmask, player 0 the
@@ -147,40 +205,7 @@ def solve_star(star):
     d = star.size
     scale = math.lcm(star.cost.denominator, *(x.denominator for x in star.amounts))
     scaled = [int(x * scale) for x in star.amounts]
-    z = int(star.cost * scale)
-    u, v = star.rate.numerator, star.rate.denominator
-    total = sum(scaled)
-    # with p = P * scale: 1 - (1+alpha)(1 - Z/P) = ((u+v)z - u p) / (v p).
-    # Costs are held times `scale`, so 0/full steps stay ints.
-    free_above = (u + v) * z
-    layer = {0: (0, 0)}  # t -> (least cost, full-set bitmask)
-
-    def offer(key, cost, mask):
-        cur = nxt.get(key)
-        if cur is None:
-            if len(nxt) == STATE_GUARD:
-                raise TooLargeError(
-                    "star with %d players: DP layer %d reached %d states; the guard is %d"
-                    % (d, step + 1, STATE_GUARD + 1, STATE_GUARD)
-                )
-        elif cost > cur[0] or cost == cur[0] and mask < cur[1]:
-            return
-        nxt[key] = (cost, mask)
-
-    for step, i in enumerate(reversed(sigma_for_set(star, ()))):
-        a, bit = scaled[i], 1 << (d - 1 - i)
-        nxt = {}
-        for t, (cost, mask) in layer.items():
-            offer(t, cost + a, mask | bit)
-            p = total - t
-            num = free_above - u * p
-            if num <= 0:
-                offer(t + a, cost, mask)
-            elif p <= z:
-                offer(t + a, cost + a, mask)
-            else:
-                offer(t + a, cost + Fraction(a * num, v * p), mask)
-        layer = nxt
+    layer = suffix_dp(scaled, int(star.cost * scale), star.rate, sigma_for_set(star, ()))
     best, best_mask = min(layer.values(), key=lambda entry: (entry[0], -entry[1]))
     best = Fraction(best, scale)
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
@@ -202,18 +227,42 @@ def solve_star(star):
 def brute_force_star(star):
     """Minimum over the per-order minimal vectors of all d! orders.
 
-    Test oracle for `solve_star`; refuses beyond the factorial guard.
+    A depth-first walk visits the orders in lexicographic order.  Orders
+    that place the same set first share its prefix sum and the amounts it
+    fixes, so each is priced once; ties keep the first order walked, i.e.
+    the least `(total, order)`.  Test oracle for `solve_star`; refuses
+    beyond the factorial guard.
     """
     d = star.size
     if d > BRUTE_FORCE_GUARD:
         raise ValueError("brute force guard is %d players" % BRUTE_FORCE_GUARD)
-    best = None
-    for order in itertools.permutations(range(d)):
-        c = minimal_vector_for_order(star, order)
-        total = sum(c, Fraction(0))
-        key = (total, order)
-        if best is None or key < best[0]:
-            best = (key, c, order)
-    _, c, order = best
+    full = (1 << d) - 1
+    sums = {0: Fraction(0)}  # placed set -> prefix sum
+    amounts = {}  # (placed set, last player) -> the last player's amount
+    c, order, best = [None] * d, [], None
+
+    def walk(placed, total):
+        nonlocal best
+        if placed == full:
+            if best is None or total < best[0]:
+                best = (total, tuple(order), tuple(c))
+            return
+        for i in range(d):
+            if placed >> i & 1:
+                continue
+            nxt = placed | 1 << i
+            amount = amounts.get((nxt, i))
+            if amount is None:
+                prefix = sums.get(nxt)
+                if prefix is None:
+                    prefix = sums[nxt] = sums[placed] + star.amounts[i]
+                amount = amounts[nxt, i] = _minimal_amount(star, i, prefix)
+            c[i] = amount
+            order.append(i)
+            walk(nxt, total + amount)
+            order.pop()
+
+    walk(0, Fraction(0))
+    total, order, c = best
     full_set = frozenset(i for i in range(d) if c[i] == star.amounts[i])
-    return StarSolution(c, sum(c, Fraction(0)), tuple(order), full_set)
+    return StarSolution(c, total, order, full_set)

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import pytest
 
@@ -99,6 +101,17 @@ class TestSolve:
         assert report["nec"] is None
         assert report["witness"]["vertices"] == ["P", "Q"]
         assert "undefined" in err
+
+    def test_verbose_logs_the_search_per_component(self, capsys, caplog, cycle_path):
+        caplog.set_level(logging.INFO, logger="collat")
+        code, _, _ = run(capsys, "-v", "solve", cycle_path)
+        assert code == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "collat.network"]
+        assert re.fullmatch(
+            r"search: enterprises \{A, B, C\}: 9 edges, \d+ expansions, \d+ closed states, "
+            r"\d+ bound entries, \d+ cascades",
+            lines[0],
+        )
 
     def test_csv_output(self, capsys, cycle_path):
         code, out, _ = run(capsys, "solve", cycle_path, "--out", "csv")

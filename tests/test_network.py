@@ -1,7 +1,11 @@
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from collat import (
     CollateralMatrix,
@@ -23,6 +27,8 @@ from collat import (
     star_decomposition,
     validate_network,
 )
+from collat import network
+from collat.cli import _is_minimal
 from collat.model import cascade
 from collat.network import is_acyclic
 from collat.star import STATE_GUARD
@@ -317,10 +323,17 @@ class TestDispatcher:
         with pytest.raises(TooLargeError):
             solve_exact(net)
 
-    def test_guard_stops_a_large_alpha_component(self):
+    def test_search_solves_the_37_edge_large_alpha_component(self):
+        # beyond the subset DP's guard; no oracle reaches this size
         net = random_network(20, 3, seed=4, large_alpha=True)
-        with pytest.raises(TooLargeError, match="37 edges"):
-            solve(net)
+        sol = solve(net)
+        assert sol.status is Status.SOLVED and sol.method == "exact"
+        assert sol.total == 29
+        assert is_viable(net, sol.collaterals)
+        assert _is_minimal(net, sol.collaterals)
+        for e, amount in enumerate(sol.collaterals.amounts):
+            assert amount in (0, net.edges[e].amount)
+        assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
 
     def test_star_guard_error_names_the_enterprise(self):
         # the power-of-two star of tests/test_star.py behind a small upstream
@@ -334,10 +347,63 @@ class TestDispatcher:
         with pytest.raises(TooLargeError, match="^enterprise hub: star with %d players" % d):
             solve(net)
 
-    def test_guard_error_names_the_component(self):
+    @staticmethod
+    def _spiked_22():
         # P <-> Q with 10 spikes each: one cyclic component of 22 edges
         edges = [(0, 1, 1), (1, 0, 1)]
         edges += [(k, 2 + 10 * k + s, 1) for k in (0, 1) for s in range(10)]
-        net = InvestmentNetwork(22, edges, cost={0: 2, 1: 2}, rate={0: 2, 1: 2})
-        with pytest.raises(TooLargeError, match=r"\{0, 1\} have 22 edges"):
-            solve(net)
+        return InvestmentNetwork(22, edges, cost={0: 2, 1: 2}, rate={0: 2, 1: 2})
+
+    def test_search_solves_the_22_edge_spiked_component(self):
+        net = self._spiked_22()
+        sol = solve(net)
+        assert sol.status is Status.SOLVED
+        assert is_viable(net, sol.collaterals)
+        assert _is_minimal(net, sol.collaterals)
+        assert_minimal(net, sol.collaterals, is_viable)
+
+    def test_search_budget_error_names_the_component(self, monkeypatch):
+        monkeypatch.setattr(network, "SEARCH_BUDGET", 3)
+        started = time.perf_counter()
+        with pytest.raises(TooLargeError) as err:
+            solve(self._spiked_22())
+        assert time.perf_counter() - started < 1
+        assert re.match(
+            r"search budget is 3 expansions plus bound entries; enterprises \{0, 1\} "
+            r"with 22 edges reached \d+ expansions and \d+ bound entries$",
+            str(err.value),
+        )
+
+
+@st.composite
+def small_cyclic_networks(draw):
+    """Seeded random networks with a cycle and at most 14 edges: integer,
+    rescaled to rationals (amounts and costs over 2..13), or in the
+    integer large-rate regime."""
+    kind = draw(st.sampled_from(["integer", "rational", "large-alpha"]))
+    net = random_network(draw(st.integers(4, 8)), 3, seed=draw(st.integers(0, 10**6)),
+                         large_alpha=kind == "large-alpha")
+    assume(0 < len(net.edges) <= 14 and not is_acyclic(net))
+    if kind == "rational":
+        q = draw(st.integers(2, 13))
+        net = InvestmentNetwork(
+            net.n, [(e.enterprise, e.investor, e.amount / q) for e in net.edges],
+            cost=[z / q for z in net.cost], rate=net.rate,
+        )
+    return net
+
+
+class TestSearchAgainstExact:
+    """`solve` runs the best-first search on cyclic components; the
+    whole-network subset DP of `solve_exact` is the oracle."""
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(small_cyclic_networks())
+    def test_same_answer_as_the_subset_dp(self, net):
+        sol, ref = solve(net), solve_exact(net)
+        assert sol.status is ref.status
+        assert sol.witness == ref.witness
+        if sol.status is Status.SOLVED:
+            assert sol.total == ref.total and sol.nec == ref.nec
+            assert is_viable(net, sol.collaterals)
+            assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
