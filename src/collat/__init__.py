@@ -11,6 +11,7 @@ from .analysis import (
     SolvabilityResult,
     full_collateral_condition,
     is_large_alpha,
+    is_minimal,
     is_viable,
     iterated_elimination,
     solvability_check,

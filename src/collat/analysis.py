@@ -1,47 +1,37 @@
 """Equilibrium-structure machinery.
 
 Iterated elimination of dominated strategies (IESDS), viability of a
-collateral matrix (all-invest as the unique Nash equilibrium), solvability of
-a network by collaterals, and the closed-form zero/full-collateral threshold
-conditions.
+collateral matrix (all-invest as the unique Nash equilibrium) and its
+minimality, solvability of a network by collaterals, and the closed-form
+zero/full-collateral threshold conditions.
 
-IESDS runs on the cooperate bitmask through `model.invests`, which holds the
-single tie rule of the whole codebase: a player who is exactly indifferent
-between investing and defecting invests.  Solvability is a secured-vertex
-closure on the same scaled funding table (`InvestmentNetwork.funding`).
+IESDS (`iterated_elimination`) and the minimality test of a viable matrix
+(`is_minimal`: one elimination run per positive collateral, with that
+collateral at 0) are adapters over `model.eliminate`, which holds the tie
+rule: a player who is exactly indifferent between investing and defecting
+invests.  Solvability is a secured-vertex closure on the same scaled
+funding table (`InvestmentNetwork.funding`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import invests
+from .model import eliminate
 
 
 def iterated_elimination(net, c, scan_order=None):
-    """Greedy IESDS over edges.
+    """Greedy IESDS over edges: `model.eliminate` from the empty set.
 
-    At each step, scan the unresolved edges for one whose player -- with the
-    resolved edges cooperating, everything else defecting, and the default
-    cascade applied -- is solvent and weakly prefers to invest; append it to
-    the order.  Returns (resolved order, stuck edges).  The final stuck set
-    does not depend on the scan order (monotone closure); `scan_order` exists
-    so tests can check exactly that.
+    An edge resolves once its player -- with the resolved edges
+    cooperating, everything else defecting, and the default cascade
+    applied -- is solvent and weakly prefers to invest.  Returns (resolved
+    order, stuck edges).  The final stuck set does not depend on the scan
+    order (monotone closure); `scan_order` exists so tests can check
+    exactly that.
     """
-    if scan_order is None:
-        scan_order = range(len(net.edges))
-    scan_order = list(scan_order)
-    resolved = []
-    resolved_mask = 0
-    progress = True
-    while progress:
-        progress = False
-        for edge in scan_order:
-            if not resolved_mask >> edge & 1 and invests(net, c, resolved_mask, edge):
-                resolved.append(edge)
-                resolved_mask |= 1 << edge
-                progress = True
-    return resolved, frozenset(e for e in scan_order if not resolved_mask >> e & 1)
+    order, _, _, needs = eliminate(net, c, edges=scan_order)
+    return order, frozenset(needs)
 
 
 def is_viable(net, c):
@@ -54,6 +44,20 @@ def is_viable(net, c):
     """
     _, stuck = iterated_elimination(net, c)
     return not stuck
+
+
+def is_minimal(net, c):
+    """True iff no single collateral of the viable matrix `c` can be lowered.
+
+    With edge e at 0, IESDS resolves a set R without e.  Every other edge's
+    payoff ignores c_e, so lowering c_e keeps the matrix viable iff e can
+    still resolve at R; the collateral e needs is antitone in the resolved
+    set, so its least value over the run is the one at R, and `c` is
+    minimal iff every positive c_e equals it."""
+    return all(
+        eliminate(net, c.replace(e, 0))[3].get(e, 0) == amount
+        for e, amount in enumerate(c.amounts) if amount
+    )
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ import sys
 import time
 
 from . import instances
-from .analysis import iterated_elimination, solvability_check
+from .analysis import is_minimal, iterated_elimination, solvability_check
 from .instances import DocumentError, format_rational, parse_rational
-from .model import CollateralMatrix, cascade, edge_need, validate_network
+from .model import CollateralMatrix, validate_network
 from .network import Status, TooLargeError, solve
 
 log = logging.getLogger("collat")
@@ -190,32 +190,13 @@ def _load_collaterals(net, path):
     return CollateralMatrix(net, amounts)
 
 
-def _is_minimal(net, c):
-    """True iff no single collateral of the viable matrix `c` can be lowered.
-
-    With edge e at 0, IESDS resolves a set R without e.  Every other edge's
-    payoff ignores c_e, so lowering c_e keeps the matrix viable iff e can
-    still resolve at R; the collateral e needs is antitone in the resolved
-    set, so its least value over the run is the one at R."""
-    for e, amount in enumerate(c.amounts):
-        if amount == 0:
-            continue
-        resolved, stuck = iterated_elimination(net, c.replace(e, 0))
-        if e not in stuck:
-            return False
-        cooperate = sum(1 << r for r in resolved) | 1 << e
-        if edge_need(net, cooperate, cascade(net, cooperate), e) != amount:
-            return False
-    return True
-
-
 def cmd_verify(args):
     started = time.perf_counter()
     net = _load(args.network)
     c = _load_collaterals(net, args.collaterals)
     order, stuck = iterated_elimination(net, c)
     viable = not stuck
-    minimal = _is_minimal(net, c) if viable else None
+    minimal = is_minimal(net, c) if viable else None
     report = {
         "report_version": REPORT_VERSION,
         "input_digest": _digest(args.network),

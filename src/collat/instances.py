@@ -193,9 +193,15 @@ def gen_fvs_gadget(graph_edges):
     cycle); surviving edges get unit weight; every surviving vertex gets two
     spike investors of weights 1 and k, with k = 1 + the input graph's
     maximum out-degree, Z = k+1 and alpha = 2k.  A DAG input yields the
-    empty network.
+    empty network.  A self-loop or a repeated arc raises ValueError: the
+    network would have a self-edge or a duplicate edge.
     """
     graph_edges = [(str(u), str(v)) for u, v in graph_edges]
+    for pos, (u, v) in enumerate(graph_edges):
+        if u == v:
+            raise ValueError("graph edge %s-%s is a self-loop" % (u, v))
+        if (u, v) in graph_edges[:pos]:
+            raise ValueError("graph edge %s-%s is repeated" % (u, v))
     out_deg = {}
     vertices = set()
     for u, v in graph_edges:
@@ -271,10 +277,15 @@ def random_network(n, max_out_degree, acyclic=False, weight_range=(1, 9), seed=0
     below each enterprise's inflow and rates are pushed high enough that
     every enterprise is profitable.  With `acyclic` the edges follow a
     random topological order.  With `large_alpha` rates are integers above
-    the cost, landing in the 0/full regime.
+    the cost, landing in the 0/full regime.  A negative `max_out_degree` or
+    a `weight_range` other than 1 <= lo <= hi raises ValueError.
     """
-    rng = random.Random(seed)
     lo, hi = weight_range
+    if max_out_degree < 0:
+        raise ValueError("max_out_degree must be >= 0, got %d" % max_out_degree)
+    if not 1 <= lo <= hi:
+        raise ValueError("weight_range must satisfy 1 <= lo <= hi, got %s,%s" % (lo, hi))
+    rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
     position = {v: pos for pos, v in enumerate(order)}

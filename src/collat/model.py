@@ -10,11 +10,12 @@ own investments, which can cascade.
 amounts and costs scaled once per network to integers over a common
 denominator.  `edge_need` is the one return computation on top of it: the
 least collateral that makes an edge invest, given the cooperating edges and
-their cascade.  `invests` holds the tie rule (invest iff solvent and
-c_e >= need); `best_response` is its frozenset adapter, and IESDS, the
-subset DP and `collat verify` call the kernel directly.
-`default_determination`, `enterprise_return`, `edge_utility` and
-`is_nash_equilibrium` stay as the definitional reference.
+their cascade.  `eliminate` is the one elimination loop on top of both,
+and holds the tie rule (resolve iff solvent and c_e >= need): IESDS,
+`collat verify`'s minimality test and the search's free closure all run
+it.  `best_response` (on a full cascade), `default_determination`,
+`enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
+definitional reference.
 
 All monetary quantities are `fractions.Fraction`.  Comparisons are exact and
 ties are load-bearing (capital exactly covering the cost counts as solvent;
@@ -309,13 +310,44 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
     return Fraction(net.scaled_amounts[edge] * shortfall, q * raised * net.scale)
 
 
-def invests(net, c, cooperate_mask, edge):
-    """The tie rule: with the edges of `cooperate_mask` and `edge`
-    cooperating, `edge`'s player invests iff the investor stays solvent and
-    c_e >= `edge_need` (exact indifference resolves to investing)."""
-    cooperate_mask |= 1 << edge
-    need = edge_need(net, cooperate_mask, cascade(net, cooperate_mask), edge)
-    return need is not None and c[edge] >= need
+def eliminate(net, c, resolved=0, within=None, edges=None):
+    """Iterated elimination under the collaterals `c`, from the bitmask
+    `resolved` (`within`, if given, is the cascade of a subset of it).
+
+    Sweeps the unresolved edges of `edges` (default: all, in index order)
+    and resolves each edge e whose `edge_need` with `resolved | e`
+    cooperating is not None and <= c_e -- the tie rule: exact indifference
+    resolves to investing -- until a sweep resolves nothing.  The result is
+    a monotone closure: the final set does not depend on the sweep order.
+    The defaulted mask is kept along the way; only an edge into a defaulted
+    enterprise can change it, and then the cascade reruns over those
+    enterprises alone.
+
+    Returns (order, resolved mask, defaulted mask, needs), where `needs`
+    maps each still-unresolved edge of `edges` to its need at the final set
+    (None if its investor would default).
+    """
+    edges = range(len(net.edges)) if edges is None else list(edges)
+    defaulted = cascade(net, resolved, within)
+    order = []
+    while True:
+        before = len(order)
+        needs = {}
+        for e in edges:
+            bit = 1 << e
+            if resolved & bit:
+                continue
+            cmask, dmask = resolved | bit, defaulted
+            if defaulted >> net.edges[e].enterprise & 1:
+                dmask = cascade(net, cmask, defaulted)
+            need = edge_need(net, cmask, dmask, e)
+            if need is not None and need <= c[e]:
+                resolved, defaulted = cmask, dmask
+                order.append(e)
+            else:
+                needs[e] = need
+        if len(order) == before:
+            return order, resolved, defaulted, needs
 
 
 def enterprise_return(net, invest, edge):
@@ -367,15 +399,18 @@ def player_utility(net, c, cooperate, player):
 
 def best_response(net, c, cooperate, edge):
     """Best action on one edge, all other edges held fixed by `cooperate`:
-    `invests` on a set of cooperate edges.
+    with them and `edge` cooperating, invest iff the investor stays solvent
+    and c_e >= `edge_need` on a full cascade.
 
     Ties resolve to investing; a player who would default when cooperating
-    earns 0 < x and therefore defects.
+    earns 0 < x and therefore defects.  The reference predicate for
+    `eliminate`.
     """
-    mask = 0
+    mask = 1 << edge
     for e in cooperate:
         mask |= 1 << e
-    return Action.COOPERATE if invests(net, c, mask, edge) else Action.DEFECT
+    need = edge_need(net, mask, cascade(net, mask), edge)
+    return Action.COOPERATE if need is not None and c[edge] >= need else Action.DEFECT
 
 
 def is_nash_equilibrium(net, c, cooperate):

@@ -8,13 +8,14 @@ networks).  A cyclic component runs an exact best-first (A*) search over
 resolved edge-sets (`_search`): the minimal collateral making an edge
 eliminable (`model.edge_need` on the bitmask cascade `model.cascade`)
 depends only on the *set* of resolved edges, so states are sets, not
-orders.  Each state jumps to its closure under zero-need eliminations, and
-a consistent lower bound (each star's no-default completion cost) steers
-the search, so it expands a small fraction of the 2^|E| sets; a tie rule
-picks among optimal matrices, and `SEARCH_BUDGET` bounds the work per
-component.  `solve_exact` and `solve_large_alpha` take the whole network
-as one component and run the exhaustive subset dynamic program
-(`_subset_dp`, O(2^|E| |E|), `EXACT_GUARD` on |E|) instead: the oracles.
+orders.  Each state jumps to its closure under zero-need eliminations
+(`model.eliminate` with zero collaterals), and a consistent lower bound
+(each star's no-default completion cost) steers the search, so it expands
+a small fraction of the 2^|E| sets; a tie rule picks among optimal
+matrices, and `SEARCH_BUDGET` bounds the work per component.  `solve_exact`
+and `solve_large_alpha` take the whole network as one component and run
+the exhaustive subset dynamic program (`_subset_dp`, O(2^|E| |E|),
+`EXACT_GUARD` on |E|) instead: the oracles.
 For integer inputs with alpha_k > Z_k every positive collateral of an
 optimal solution is full; both reach that optimum as they do any other,
 so no separate search runs.  `Solution.method` names the whole-network
@@ -34,7 +35,7 @@ from .analysis import (
     is_large_alpha,
     solvability_check,
 )
-from .model import CollateralMatrix, InvestmentNetwork, TooLargeError, cascade, edge_need
+from .model import CollateralMatrix, InvestmentNetwork, TooLargeError, cascade, edge_need, eliminate
 from .star import StarInstance, solve_star, suffix_dp
 
 log = logging.getLogger(__name__)
@@ -228,7 +229,9 @@ def _search(net):
     `edge_need` is antitone in the cooperating set, which gives two exact
     tools.  Free closure: an edge whose need is 0 can be eliminated first
     at no cost, after which no need rises, so each state jumps to its
-    closure under zero-need eliminations (the same set in any order).
+    closure under zero-need eliminations (the same set in any order):
+    `model.eliminate` with every collateral at 0, from the state and the
+    cascade of its parent, which also leaves each child edge's need.
     Lower bound: h(S) sums, over the enterprises k, the least cost of
     resolving the rest of star k from S with no investor defaulting.
     Defaults only raise needs, so h never overestimates, and h(S) -
@@ -238,14 +241,14 @@ def _search(net):
 
     Ties: the queue yields the least bound, then the most resolved edges,
     then the least edge bitmask; a state keeps the first path to reach it
-    at its least cost; a closure adds its free edges in index order, batch
-    after batch.  `SEARCH_BUDGET` caps the expansions plus the star-bound
-    entries (TooLargeError beyond it); every memo lives for one call.
+    at its least cost; a closure adds its free edges in the order of
+    `model.eliminate`'s sweeps (index order, repeated until none is free).
+    `SEARCH_BUDGET` caps the expansions plus the star-bound entries
+    (TooLargeError beyond it); every memo lives for one call.
     Returns (amounts by edge, elimination order)."""
     m = len(net.edges)
     full = (1 << m) - 1
-    zero = Fraction(0)
-    firm_bit = [1 << edge.enterprise for edge in net.edges]
+    zero, zeros = Fraction(0), [0] * m
     star_mask = {k: sum(1 << e for e in net.out_edges[k]) for k in net.enterprise_set}
     # per star: scaled amounts by local player, sigma (non-increasing amount,
     # ties by index) as (player, edge) pairs, and resolved edges -> completion
@@ -254,7 +257,6 @@ def _search(net):
         edges = net.out_edges[k]
         sigma = sorted(enumerate(edges), key=lambda pe: (-net.scaled_amounts[pe[1]], pe[0]))
         stars[k] = ([net.scaled_amounts[e] for e in edges], sigma, {})
-    cascades = {}  # cooperate mask -> cascade
     expansions = entries = 0
 
     def check_budget():
@@ -264,18 +266,6 @@ def _search(net):
                 "with %d edges reached %d expansions and %d bound entries"
                 % (SEARCH_BUDGET, _component_names(net), m, expansions, entries)
             )
-
-    def defaults(cmask, within, funded):
-        """cascade(cmask), given `within`, the cascade of a subset of cmask
-        (None if unknown), and the bitmask `funded` of the enterprises the
-        extra edges invest in.  Adding edges only shrinks a cascade, and it
-        stays `within` unless an extra edge funds one of its enterprises."""
-        if within is not None and not within & funded:
-            return within
-        dmask = cascades.get(cmask)
-        if dmask is None:
-            dmask = cascades[cmask] = cascade(net, cmask, within)
-        return dmask
 
     def completion(k, resolved):
         """Least cost of resolving the edges of star k outside the bitmask
@@ -292,12 +282,6 @@ def _search(net):
             value = table[resolved] = Fraction(min(c for c, _ in layer.values()), net.scale)
         return value
 
-    # only an edge that needs nothing with every edge cooperating can be free
-    floor = [edge_need(net, full, defaults(full, None, -1), e) for e in range(m)]
-    assert None not in floor  # guaranteed by the solvability check
-    may_be_free = [e for e in range(m) if not floor[e]]
-    never_free = [e for e in range(m) if floor[e]]
-
     bound = sum((completion(k, 0) for k in star_mask), zero)
     # (bound, -resolved edges, raw mask, parent closed mask, edge, need)
     queue = [(bound, 0, 0, None, -1, zero)]
@@ -308,28 +292,8 @@ def _search(net):
         bound, _, raw, parent, edge, need = heapq.heappop(queue)
         if best[raw] is not bound:
             continue
-        # the free closure, batch after batch; the last batch's needs are
-        # the children's
-        closed, free = raw, []
-        dmask = defaults(raw, came_from[parent][4], firm_bit[edge])
-        while True:
-            children, found = [], []
-            for e in may_be_free:
-                if not closed >> e & 1:
-                    cmask = closed | 1 << e
-                    cneed = edge_need(net, cmask, defaults(cmask, dmask, firm_bit[e]), e)
-                    if cneed:
-                        children.append((e, cneed))
-                    elif cneed is not None:
-                        found.append(e)
-            if not found:
-                break
-            funded = 0
-            for e in found:
-                closed |= 1 << e
-                funded |= firm_bit[e]
-            free += found
-            dmask = defaults(closed, dmask, funded)
+        # the free closure; the needs left at it are the children's
+        free, closed, dmask, needs = eliminate(net, zeros, raw, came_from[parent][4])
         if closed in came_from:
             continue
         g = came_from[parent][2] + need
@@ -338,13 +302,9 @@ def _search(net):
             break
         expansions += 1
         check_budget()
-        for e in never_free:
-            if not closed >> e & 1:
-                cmask = closed | 1 << e
-                cneed = edge_need(net, cmask, defaults(cmask, dmask, firm_bit[e]), e)
-                if cneed is not None:
-                    children.append((e, cneed))
-        for e, cneed in children:
+        for e, cneed in needs.items():
+            if cneed is None:
+                continue
             k = net.edges[e].enterprise
             resolved = closed & star_mask[k]
             cmask = closed | 1 << e
@@ -354,8 +314,8 @@ def _search(net):
                 best[cmask] = child
                 heapq.heappush(queue, (child, -cmask.bit_count(), cmask, closed, e, cneed))
     log.info("search: enterprises {%s}: %d edges, %d expansions, %d closed states, "
-             "%d bound entries, %d cascades", _component_names(net), m, expansions,
-             len(came_from) - 1, entries, len(cascades))
+             "%d bound entries", _component_names(net), m, expansions,
+             len(came_from) - 1, entries)
     amounts, segments = {}, []
     while closed is not None:
         parent, edge, g, free, _ = came_from[closed]

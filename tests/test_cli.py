@@ -109,7 +109,7 @@ class TestSolve:
         lines = [r.getMessage() for r in caplog.records if r.name == "collat.network"]
         assert re.fullmatch(
             r"search: enterprises \{A, B, C\}: 9 edges, \d+ expansions, \d+ closed states, "
-            r"\d+ bound entries, \d+ cascades",
+            r"\d+ bound entries",
             lines[0],
         )
 
@@ -247,15 +247,22 @@ class TestGen:
         _, second, _ = run(capsys, "gen", "random", "--n", "8", "--d", "3", "--seed", "5")
         assert first == second
 
-    @pytest.mark.parametrize("argv", [
-        ["cycle", "--k", "2"],
-        ["knapsack", "--xs", "1,2", "--t", "9"],
-        ["random", "--n", "4", "--d", "2", "--weights", "5,1"],
-        ["fvs", "--edges", "a"],
-    ], ids=["cycle", "knapsack", "random", "fvs"])
-    def test_invalid_parameters_are_one_line_errors(self, capsys, argv):
+    @pytest.mark.parametrize("argv, named", [
+        (["cycle", "--k", "2"], ""),
+        (["knapsack", "--xs", "1,2", "--t", "9"], ""),
+        (["random", "--n", "4", "--d", "2", "--weights", "5,1"], ""),
+        (["fvs", "--edges", "a"], ""),
+        # documents `collat check` would reject, or a bare randrange error
+        (["fvs", "--edges", "a-a,a-b,b-a"], "a-a is a self-loop"),
+        (["fvs", "--edges", "a-b,a-b,b-a"], "a-b is repeated"),
+        (["random", "--n", "4", "--d", "2", "--weights", "0,3", "--seed", "1"], "weight_range"),
+        (["random", "--n", "4", "--d", "2", "--weights", "0,3", "--seed", "3"], "weight_range"),
+        (["random", "--n", "4", "--d", "-1"], "max_out_degree"),
+    ], ids=["cycle", "knapsack", "random", "fvs", "fvs-self-loop", "fvs-repeated-arc",
+            "random-zero-weight", "random-zero-weight-no-cost", "random-negative-degree"])
+    def test_invalid_parameters_are_one_line_errors(self, capsys, argv, named):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and named in err
         assert len(err.strip().splitlines()) == 1

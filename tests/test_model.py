@@ -9,6 +9,7 @@ from collat import (
     InvestmentNetwork,
     best_response,
     default_determination,
+    edge_need,
     edge_utility,
     enterprise_return,
     is_nash_equilibrium,
@@ -16,6 +17,7 @@ from collat import (
     random_network,
     validate_network,
 )
+from collat.model import cascade, eliminate
 
 
 def star_net(amounts, z, alpha):
@@ -294,6 +296,56 @@ class TestBestResponse:
             for e in edges:
                 if best_response(net, c, small, e) is Action.COOPERATE:
                     assert best_response(net, c, big, e) is Action.COOPERATE
+
+
+class TestEliminate:
+    """`eliminate` keeps its defaulted mask incrementally; `best_response`,
+    on a full cascade, is the reference predicate."""
+
+    @staticmethod
+    def _nets(rng, denominators, trials):
+        for trial in range(trials):
+            base = random_network(rng.randint(3, 8), 3, seed=rng.randint(0, 10**6),
+                                  large_alpha=trial % 3 == 2)
+            yield base
+            yield _rescaled(base, denominators)
+
+    def _check(self, net, c, start, result):
+        order, resolved, defaulted, needs = result
+        assert resolved == start | sum(1 << e for e in order)
+        assert defaulted == cascade(net, resolved)
+        before = [e for e in range(len(net.edges)) if start >> e & 1]
+        for t, e in enumerate(order):
+            assert best_response(net, c, before + order[:t], e) is Action.COOPERATE
+        assert sorted(needs) == [e for e in range(len(net.edges)) if not resolved >> e & 1]
+        for e, need in needs.items():
+            assert best_response(net, c, before + order, e) is Action.DEFECT
+            cmask = resolved | 1 << e
+            assert need == edge_need(net, cmask, cascade(net, cmask), e)
+
+    def test_matches_the_reference_predicate(self):
+        # random matrices from 0 to full, in quarters of each amount
+        rng = random.Random(41)
+        denominators = random.Random(42)
+        shrunk = 0  # runs whose defaulted mask shrank, by cascade reruns
+        for net in self._nets(rng, denominators, 60):
+            c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
+            result = eliminate(net, c)
+            self._check(net, c, 0, result)
+            shrunk += result[2] != cascade(net, 0)
+        assert shrunk > 20
+
+    def test_from_a_resolved_set_and_a_subset_cascade(self):
+        # the search's use: start from any set, with the cascade of a subset
+        rng = random.Random(43)
+        denominators = random.Random(44)
+        for net in self._nets(rng, denominators, 40):
+            m = len(net.edges)
+            c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
+            start = sum(1 << e for e in range(m) if rng.random() < 0.4)
+            subset = start & sum(1 << e for e in range(m) if rng.random() < 0.5)
+            for within in (None, cascade(net, subset)):
+                self._check(net, c, start, eliminate(net, c, start, within))
 
 
 class TestNashEquilibrium:

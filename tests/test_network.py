@@ -17,6 +17,7 @@ from collat import (
     default_determination,
     edge_need,
     enterprise_return,
+    is_minimal,
     is_viable,
     random_network,
     solvability_check,
@@ -28,7 +29,6 @@ from collat import (
     validate_network,
 )
 from collat import network
-from collat.cli import _is_minimal
 from collat.model import cascade
 from collat.network import is_acyclic
 from collat.star import STATE_GUARD
@@ -330,7 +330,7 @@ class TestDispatcher:
         assert sol.status is Status.SOLVED and sol.method == "exact"
         assert sol.total == 29
         assert is_viable(net, sol.collaterals)
-        assert _is_minimal(net, sol.collaterals)
+        assert is_minimal(net, sol.collaterals)
         for e, amount in enumerate(sol.collaterals.amounts):
             assert amount in (0, net.edges[e].amount)
         assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
@@ -359,7 +359,7 @@ class TestDispatcher:
         sol = solve(net)
         assert sol.status is Status.SOLVED
         assert is_viable(net, sol.collaterals)
-        assert _is_minimal(net, sol.collaterals)
+        assert is_minimal(net, sol.collaterals)
         assert_minimal(net, sol.collaterals, is_viable)
 
     def test_search_budget_error_names_the_component(self, monkeypatch):
