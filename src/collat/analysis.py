@@ -55,7 +55,7 @@ def is_minimal(net, c):
     set, so its least value over the run is the one at R, and `c` is
     minimal iff every positive c_e equals it."""
     return all(
-        eliminate(net, c.replace(e, 0))[3].get(e, 0) == amount
+        eliminate(net, c.amounts[:e] + (0,) + c.amounts[e + 1:])[3].get(e, 0) == amount
         for e, amount in enumerate(c.amounts) if amount
     )
 

@@ -217,6 +217,18 @@ def cmd_verify(args):
     return 0 if viable else 2
 
 
+def _integers(option, text, count=None):
+    """The comma-separated integers of a `gen` option, `count` of them if given."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ValueError("%s takes %s comma-separated integers, got %r"
+                         % (option, count or "only", text))
+    return values
+
+
 def cmd_gen(args):
     meta = {"generator": args.family, "seed": getattr(args, "seed", None)}
     try:
@@ -228,13 +240,13 @@ def cmd_gen(args):
                 args.n,
                 args.d,
                 acyclic=args.acyclic,
-                weight_range=tuple(int(w) for w in args.weights.split(",")),
+                weight_range=tuple(_integers("--weights", args.weights, 2)),
                 seed=args.seed,
                 large_alpha=args.large_alpha,
             )
             meta.update(n=args.n, d=args.d, acyclic=args.acyclic)
         elif args.family == "knapsack":
-            xs = [int(x) for x in args.xs.split(",")]
+            xs = _integers("--xs", args.xs)
             star = instances.gen_knapsack_star(xs, args.t)
             net = star.to_network()
             meta.update(xs=xs, t=args.t)
@@ -267,7 +279,6 @@ def build_parser():
 
     p = sub.add_parser("check", help="validate a network and test solvability")
     p.add_argument("network")
-    p.add_argument("--out", choices=["json"], default="json")
     p.add_argument("--out-file")
     p.set_defaults(func=cmd_check)
 
@@ -280,7 +291,6 @@ def build_parser():
     p = sub.add_parser("verify", help="check a collateral matrix for viability and minimality")
     p.add_argument("network")
     p.add_argument("collaterals", help="JSON file with a 'collaterals' list (solve reports work)")
-    p.add_argument("--out", choices=["json"], default="json")
     p.add_argument("--out-file")
     p.set_defaults(func=cmd_verify)
 

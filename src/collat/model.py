@@ -8,12 +8,13 @@ own investments, which can cascade.
 
 `cascade` is the one cascade loop: bitmasks over edges and vertices, with
 amounts and costs scaled once per network to integers over a common
-denominator.  `edge_need` is the one return computation on top of it: the
-least collateral that makes an edge invest, given the cooperating edges and
-their cascade.  `eliminate` is the one elimination loop on top of both,
-and holds the tie rule (resolve iff solvent and c_e >= need): IESDS,
-`collat verify`'s minimality test and the search's free closure all run
-it.  `best_response` (on a full cascade), `default_determination`,
+denominator.  On those integers `least_collateral` is the solver's one
+least-collateral formula (`star._minimal_amount`: the Fraction reference)
+and `edge_need`, on top of the cascade, the least collateral that makes an
+edge invest.  `eliminate` is the one elimination loop on top of both, and
+holds the tie rule (resolve iff solvent and c_e >= need): IESDS, `collat
+verify`'s minimality test and the search's free closure all run it.
+`best_response` (on a full cascade), `default_determination`,
 `enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
 definitional reference.
 
@@ -279,35 +280,42 @@ def default_determination(net, cooperate):
     )
 
 
+def least_collateral(a, raised, cost, rate):
+    """The solver's one least-collateral formula: a's worst-case shortfall
+    a * clamp(1 - (1+alpha)(1 - Z/P), 0, 1), with P = `raised`, Z = `cost`
+    and alpha = `rate`, on integers of one scale (an int, or a Fraction)."""
+    if raised <= cost:
+        return a
+    # 1 - (1+p/q)(1 - Z/P) = (q P - (p+q)(P - Z)) / (q P)
+    p, q = rate.numerator, rate.denominator
+    num = q * raised - (p + q) * (raised - cost)
+    if num <= 0:
+        return 0
+    return Fraction(a * num, q * raised)
+
+
 def edge_need(net, cooperate_mask, defaulted_mask, edge):
     """Least collateral that makes `edge`'s player weakly prefer investing,
     with the edges of `cooperate_mask` (which holds `edge`) cooperating and
     `defaulted_mask = cascade(net, cooperate_mask)`.
 
     None if the investor defaults (the edge then pays 0 < x whatever the
-    collateral), else max(0, x - R) with R the edge's share of its enterprise's net
-    return (0 if the enterprise defaults).  Computed on the scaled integers;
-    only the result is a Fraction.
+    collateral), else `least_collateral` on the scaled integers, with P the
+    enterprise's capital from its surviving cooperating investors (x if the
+    enterprise defaults: then P < Z).  Only the result is a Fraction.
     """
     e = net.edges[edge]
     if defaulted_mask >> e.investor & 1:
         return None
     k = e.enterprise
-    if defaulted_mask >> k & 1:
-        return e.amount
     raised = 0
     for bit, investor, amount in net.funding[k]:
         if cooperate_mask & bit and not defaulted_mask >> investor & 1:
             raised += amount
-    gain = raised - net.scaled_costs[k]
-    if gain <= 0:
-        return e.amount
-    # x - R = x (raised - (1 + p/q) gain) / raised, with alpha_k = p/q
-    p, q = net.rate[k].numerator, net.rate[k].denominator
-    shortfall = q * raised - (p + q) * gain
-    if shortfall <= 0:
-        return Fraction(0)
-    return Fraction(net.scaled_amounts[edge] * shortfall, q * raised * net.scale)
+    need = least_collateral(net.scaled_amounts[edge], raised, net.scaled_costs[k], net.rate[k])
+    if type(need) is int:  # nothing or the whole amount
+        return e.amount if need else Fraction(0)
+    return need / net.scale
 
 
 def eliminate(net, c, resolved=0, within=None, edges=None):

@@ -36,7 +36,7 @@ from .analysis import (
     solvability_check,
 )
 from .model import CollateralMatrix, InvestmentNetwork, TooLargeError, cascade, edge_need, eliminate
-from .star import StarInstance, solve_star, suffix_dp
+from .star import StarInstance, sigma, solve_star, suffix_dp
 
 log = logging.getLogger(__name__)
 
@@ -250,13 +250,13 @@ def _search(net):
     full = (1 << m) - 1
     zero, zeros = Fraction(0), [0] * m
     star_mask = {k: sum(1 << e for e in net.out_edges[k]) for k in net.enterprise_set}
-    # per star: scaled amounts by local player, sigma (non-increasing amount,
-    # ties by index) as (player, edge) pairs, and resolved edges -> completion
+    # per star: scaled amounts by local player, sigma as (player, edge)
+    # pairs, and resolved edges -> completion
     stars = {}
     for k in star_mask:
         edges = net.out_edges[k]
-        sigma = sorted(enumerate(edges), key=lambda pe: (-net.scaled_amounts[pe[1]], pe[0]))
-        stars[k] = ([net.scaled_amounts[e] for e in edges], sigma, {})
+        amounts = [net.scaled_amounts[e] for e in edges]
+        stars[k] = (amounts, [(i, edges[i]) for i in sigma(amounts)], {})
     expansions = entries = 0
 
     def check_budget():
@@ -272,12 +272,12 @@ def _search(net):
         `resolved` with no investor defaulting: `suffix_dp` over them, the
         resolved ones counting as eliminated first at no cost."""
         nonlocal entries
-        amounts, sigma, table = stars[k]
+        amounts, order, table = stars[k]
         value = table.get(resolved)
         if value is None:
             entries += 1
             check_budget()
-            players = [i for i, e in sigma if not resolved >> e & 1]
+            players = [i for i, e in order if not resolved >> e & 1]
             layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players)
             value = table[resolved] = Fraction(min(c for c, _ in layer.values()), net.scale)
         return value

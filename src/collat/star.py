@@ -12,12 +12,14 @@ dynamic-programming state and keeps the least cost per state: O(d * L)
 steps, where a layer holds L <= min(2^d, distinct suffix sums) states, at
 most X + 1 on integer inputs (pseudo-polynomial, as the inverse-knapsack
 reduction allows).  `STATE_GUARD` bounds L.  `solve_star` runs it on every
-player.  The form also holds when some players are already eliminated at
-no cost, since they only sit in every prefix: those who pay full come
-first, and swapping adjacent partial players into sigma order never costs
-more.  So `suffix_dp` over the others prices the cheapest completion, the
-network search's lower bound.  `brute_force_star` walks all d! orders and
-serves as the independent oracle.
+player; each step is priced by `model.least_collateral` on the scaled
+integers (`_minimal_amount` is the Fraction reference), and `sigma` is the
+one sort into sigma order.  The form also holds when some players are
+already eliminated at no cost, since they only sit in every prefix: those
+who pay full come first, and swapping adjacent partial players into sigma
+order never costs more.  So `suffix_dp` over the others prices the
+cheapest completion, the network search's lower bound.  `brute_force_star`
+walks all d! orders and serves as the independent oracle.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import InvestmentNetwork, TooLargeError, as_money
+from .model import InvestmentNetwork, TooLargeError, as_money, least_collateral
 
 STATE_GUARD = 1 << 15  # suffix-sum states in one layer of the solve_star DP
 BRUTE_FORCE_GUARD = 9
@@ -97,41 +99,29 @@ def _minimal_amount(star, player, prefix):
     return star.amounts[player] * max(Fraction(0), min(Fraction(1), inner))
 
 
+def sigma(amounts):
+    """The sigma order of the players: non-increasing amount, ties by index
+    (a stable sort keeps equal amounts in index order, also reversed)."""
+    return sorted(range(len(amounts)), key=amounts.__getitem__, reverse=True)
+
+
 def sigma_for_set(star, full_set):
-    """Order with `full_set` as prefix (input order) followed by the rest in
-    non-increasing investment order, ties by input index."""
+    """`full_set` in input order, then the other players in sigma order."""
     full_set = frozenset(full_set)
-    prefix = sorted(full_set)
-    rest = sorted(
-        (i for i in range(star.size) if i not in full_set),
-        key=lambda i: (-star.amounts[i], i),
-    )
-    return tuple(prefix + rest)
+    return tuple(sorted(full_set) + [i for i in sigma(star.amounts) if i not in full_set])
 
 
 def optimal_partial_for_set(star, full_set):
     """Collateral vector with full collaterals on `full_set` and the
-    closed-form partial amounts for everyone else, processed in
-    non-increasing investment order.
-
-    A partial amount that the formula would push above the investment is
-    capped at it (equivalently, the min(1, .) clamp of the per-order minimal
-    vector); amounts above the investment are payoff-equivalent.
+    per-order minimal amounts (`_minimal_amount`) for everyone else,
+    processed in sigma order after it.  The reference pricing of a full set.
     """
     full_set = frozenset(full_set)
-    c = [None] * star.size
-    covered = Fraction(0)
-    for i in full_set:
-        c[i] = star.amounts[i]
-        covered += star.amounts[i]
-    prefix = covered
-    for i in sigma_for_set(star, full_set):
-        if i in full_set:
-            continue
-        x = star.amounts[i]
-        prefix += x
-        raw = x * (1 - (1 + star.rate) * (1 - star.cost / prefix))
-        c[i] = max(Fraction(0), min(raw, x))
+    c = list(star.amounts)  # full players pay their amount
+    prefix = sum((c[i] for i in full_set), Fraction(0))
+    for i in sigma_for_set(star, full_set)[len(full_set):]:
+        prefix += star.amounts[i]
+        c[i] = _minimal_amount(star, i, prefix)
     return tuple(c)
 
 
@@ -140,8 +130,8 @@ def suffix_dp(amounts, cost, rate, players):
     (one common scale): place `players`, a sub-sequence of sigma, while the
     players left out count as eliminated first at no cost (their amounts
     are in every prefix).  A full player adds its amount and leaves t
-    alone; a partial player adds x * clamp(1 - (1+alpha)(1 - Z / (X - t)),
-    0, 1), on the amounts' scale, and moves t up by x.
+    alone; a partial player adds `least_collateral` with the prefix X - t
+    raised, and moves t up by its amount.
 
     Returns the last layer, suffix sum t -> (least cost, full-set bitmask
     with player 0 the most significant bit); per state, cost ties go to the
@@ -149,11 +139,7 @@ def suffix_dp(amounts, cost, rate, players):
     `STATE_GUARD` states.
     """
     d = len(amounts)
-    u, v = rate.numerator, rate.denominator
     total = sum(amounts)
-    # with p the prefix on the amounts' scale:
-    # 1 - (1+alpha)(1 - Z/P) = ((u+v)z - u p) / (v p).  Full steps stay ints.
-    free_above = (u + v) * cost
     layer = {0: (0, 0)}  # t -> (least cost, full-set bitmask)
 
     def offer(key, price, mask):
@@ -173,14 +159,7 @@ def suffix_dp(amounts, cost, rate, players):
         nxt = {}
         for t, (price, mask) in layer.items():
             offer(t, price + a, mask | bit)
-            p = total - t
-            num = free_above - u * p
-            if num <= 0:
-                offer(t + a, price, mask)
-            elif p <= cost:
-                offer(t + a, price + a, mask)
-            else:
-                offer(t + a, price + Fraction(a * num, v * p), mask)
+            offer(t + a, price + least_collateral(a, total - t, cost, rate), mask)
         layer = nxt
     return layer
 
@@ -196,7 +175,8 @@ def solve_star(star):
     optimal tuple L differs from A*, the least index where they differ lies
     in A*, and L can only be smaller if it stops there: L is a truncation
     A* & [0, m) for some m in A*.  So the first such truncation, shortest
-    first, that is optimal is the answer, else A* itself.
+    first, that is optimal is the answer, else A* itself.  Each truncation
+    is priced with `least_collateral` on the same integers as the DP.
 
     Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
@@ -204,23 +184,29 @@ def solve_star(star):
         raise ValueError("star instance is not profitable")
     d = star.size
     scale = math.lcm(star.cost.denominator, *(x.denominator for x in star.amounts))
-    scaled = [int(x * scale) for x in star.amounts]
-    layer = suffix_dp(scaled, int(star.cost * scale), star.rate, sigma_for_set(star, ()))
+    amounts = [int(x * scale) for x in star.amounts]
+    cost = int(star.cost * scale)
+    order = sigma(amounts)
+    layer = suffix_dp(amounts, cost, star.rate, order)
     best, best_mask = min(layer.values(), key=lambda entry: (entry[0], -entry[1]))
-    best = Fraction(best, scale)
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
+    total = sum(amounts)
     for m in range(len(full_set) + 1):  # the truncations, then A* itself
-        c = optimal_partial_for_set(star, full_set[:m])
-        if sum(c, Fraction(0)) == best:
-            full_set = full_set[:m]
+        head, c = full_set[:m], amounts[:]  # full players pay their amount
+        t = 0  # the suffix sum of the partial players walked
+        for i in reversed(order):
+            if i not in head:
+                c[i] = least_collateral(amounts[i], total - t, cost, star.rate)
+                t += amounts[i]
+        if sum(c) == best:
             break
     else:
         raise AssertionError("the DP optimum is not the total of its full set")
     return StarSolution(
-        collaterals=c,
-        total=best,
-        order=sigma_for_set(star, full_set),
-        full_set=frozenset(full_set),
+        collaterals=tuple(Fraction(v, scale) for v in c),
+        total=Fraction(best, scale),
+        order=tuple(head) + tuple(i for i in order if i not in head),
+        full_set=frozenset(head),
     )
 
 

@@ -5,8 +5,9 @@ equilibria are found by exhaustive enumeration of all pure profiles, and
 elimination orders are re-validated position by position from the raw
 best-response predicate; 0/full optima come from IESDS on every 0/full
 matrix; star optima come from pricing every one of the 2^d full sets
-with the closed form `optimal_partial_for_set`, which `solve_star`'s
-dynamic program does not run in its search.
+with `optimal_partial_for_set` (the Fraction reference formula), which
+`solve_star` does not call: it prices with `model.least_collateral` on
+scaled integers.
 """
 from fractions import Fraction
 

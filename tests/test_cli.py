@@ -258,8 +258,15 @@ class TestGen:
         (["random", "--n", "4", "--d", "2", "--weights", "0,3", "--seed", "1"], "weight_range"),
         (["random", "--n", "4", "--d", "2", "--weights", "0,3", "--seed", "3"], "weight_range"),
         (["random", "--n", "4", "--d", "-1"], "max_out_degree"),
+        # bare unpacking or int() errors that did not name the option
+        (["random", "--n", "4", "--d", "2", "--weights", "5"], "--weights"),
+        (["random", "--n", "4", "--d", "2", "--weights", "1,2,3"], "--weights"),
+        (["random", "--n", "4", "--d", "2", "--weights", "a,b"], "--weights"),
+        (["knapsack", "--xs", "1,,2", "--t", "2"], "--xs"),
     ], ids=["cycle", "knapsack", "random", "fvs", "fvs-self-loop", "fvs-repeated-arc",
-            "random-zero-weight", "random-zero-weight-no-cost", "random-negative-degree"])
+            "random-zero-weight", "random-zero-weight-no-cost", "random-negative-degree",
+            "random-one-weight", "random-three-weights", "random-non-integer-weights",
+            "knapsack-empty-item"])
     def test_invalid_parameters_are_one_line_errors(self, capsys, argv, named):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 1

@@ -17,7 +17,8 @@ from collat import (
     random_network,
     validate_network,
 )
-from collat.model import cascade, eliminate
+from collat.model import cascade, eliminate, least_collateral
+from collat.star import StarInstance, _minimal_amount
 
 
 def star_net(amounts, z, alpha):
@@ -346,6 +347,38 @@ class TestEliminate:
             subset = start & sum(1 << e for e in range(m) if rng.random() < 0.5)
             for within in (None, cascade(net, subset)):
                 self._check(net, c, start, eliminate(net, c, start, within))
+
+
+class TestLeastCollateral:
+    """`least_collateral` on scaled integers against the Fraction reference
+    `star._minimal_amount` (a player of amount a seeing the prefix P)."""
+
+    @staticmethod
+    def _reference(a, raised, cost, rate):
+        return _minimal_amount(StarInstance([a], cost, rate), 0, Fraction(raised))
+
+    @pytest.mark.parametrize("a, raised, cost, rate, expected", [
+        (2, 5, 5, Fraction(1), 2),  # raised == cost: the whole amount
+        (2, 4, 5, Fraction(1), 2),  # raised below cost
+        (2, 6, 3, Fraction(1), 0),  # q P - (p+q)(P - Z) == 0 exactly
+        (2, 4, 0, Fraction(1), 0),  # cost 0
+        (2, 4, 3, Fraction(2, 3), Fraction(7, 6)),  # q > 1: 2 (12 - 5) / 12
+    ], ids=["raised-equals-cost", "raised-below-cost", "zero-numerator", "zero-cost",
+            "rate-with-q-above-1"])
+    def test_boundaries(self, a, raised, cost, rate, expected):
+        got = least_collateral(a, raised, cost, rate)
+        assert got == expected == self._reference(a, raised, cost, rate)
+
+    def test_matches_the_reference(self):
+        rng = random.Random(51)
+        for _ in range(2000):
+            a = rng.randint(1, 9)
+            raised = a + rng.randint(0, 30)
+            rate = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            cost = rng.randint(0, 40)
+            got = least_collateral(a, raised, cost, rate)
+            assert got == self._reference(a, raised, cost, rate)
+            assert 0 <= got <= a
 
 
 class TestNashEquilibrium:

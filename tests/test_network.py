@@ -17,6 +17,7 @@ from collat import (
     default_determination,
     edge_need,
     enterprise_return,
+    is_large_alpha,
     is_minimal,
     is_viable,
     random_network,
@@ -25,11 +26,12 @@ from collat import (
     solve_dag,
     solve_exact,
     solve_large_alpha,
+    solve_star,
     star_decomposition,
     validate_network,
 )
 from collat import network
-from collat.model import cascade
+from collat.model import cascade, eliminate
 from collat.network import is_acyclic
 from collat.star import STATE_GUARD
 from helpers import assert_minimal, assert_valid_elimination_order, least_zero_full_total
@@ -407,3 +409,56 @@ class TestSearchAgainstExact:
             assert sol.total == ref.total and sol.nec == ref.nec
             assert is_viable(net, sol.collaterals)
             assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
+
+
+class TestExactTypes:
+    """Every solver path returns Fractions.  The solvers work on integers
+    scaled by a common denominator, and an int divided by the scale with
+    `/` would silently be a float."""
+
+    @staticmethod
+    def _nets():
+        rng = random.Random(71)
+        for trial in range(36):
+            kind = ("acyclic", "cyclic", "large-alpha")[trial % 3]
+            net = random_network(rng.randint(4, 8), 3, acyclic=kind == "acyclic",
+                                 seed=rng.randint(0, 10**6), large_alpha=kind == "large-alpha")
+            q = rng.randint(2, 13)
+            yield net
+            yield InvestmentNetwork(
+                net.n, [(e.enterprise, e.investor, e.amount / q) for e in net.edges],
+                cost=[z / q for z in net.cost], rate=net.rate,
+            )
+
+    @staticmethod
+    def _assert_solution(sol):
+        if sol.status is not Status.SOLVED:
+            return
+        values = [*sol.collaterals.amounts, sol.total, sol.nec, *sol.star_optima.values()]
+        assert all(type(v) is Fraction for v in values), values
+
+    def test_solvers_and_kernels_return_fractions(self):
+        rng = random.Random(72)
+        scales = set()
+        for net in self._nets():
+            if not net.edges:
+                continue
+            scales.add(net.scale > 1)
+            for _, star, _ in star_decomposition(net):
+                ssol = solve_star(star)
+                values = [*ssol.collaterals, ssol.total]
+                assert all(type(v) is Fraction for v in values), values
+            self._assert_solution(solve(net))
+            if len(net.edges) <= 12:
+                exact = solve_large_alpha if is_large_alpha(net) else solve_exact
+                self._assert_solution(exact(net))
+            m = len(net.edges)
+            for _ in range(20):
+                e = rng.randrange(m)
+                cmask = rng.getrandbits(m) | 1 << e
+                need = edge_need(net, cmask, cascade(net, cmask), e)
+                assert need is None or type(need) is Fraction, need
+            c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
+            needs = eliminate(net, c)[3]
+            assert all(v is None or type(v) is Fraction for v in needs.values()), needs
+        assert scales == {False, True}
