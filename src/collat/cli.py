@@ -4,10 +4,20 @@ Subcommands: `check` (validation + solvability), `solve` (optimal
 collaterals + NEC), `verify` (viability/minimality of a user-supplied
 matrix), `gen` (instance files).
 
+`check`, `solve` and `verify` share one op path (`_report`): load and
+validate the network, let the command compute its fields, status and exit
+code, wrap them in the versioned envelope (`report_version`,
+`input_digest`, `command`, `status`, `timing_seconds`) and serialize the
+report as JSON, or as per-edge CSV for `solve --out csv`.  Every document,
+`gen`'s included, is written by `_emit`: to `--out-file`, or to stdout
+with a short human summary on stderr.
+
 Exit codes are uniform: 0 success / solvable / viable, 2 domain-negative
 verdict (infeasible, not viable), 1 operational error (I/O, parse,
-validation, guard overrun).  JSON reports carry exact "p/q" strings; the
-decimal renderings in human output are 6-significant-digit hints only.
+validation, invalid `gen` parameters, guard overrun).  An operational error
+is one `error:` line on stderr from `main`, and nothing is written.  JSON
+reports carry exact "p/q" strings; the decimal renderings in human output
+are 6-significant-digit hints only.
 """
 from __future__ import annotations
 
@@ -26,9 +36,12 @@ from .instances import DocumentError, format_rational, parse_rational
 from .model import CollateralMatrix, validate_network
 from .network import Status, TooLargeError, solve
 
-log = logging.getLogger("collat")
-
 REPORT_VERSION = 1
+CSV_COLUMNS = ["enterprise", "investor", "amount", "collateral"]
+
+
+class ParameterError(Exception):
+    """Invalid `collat gen` parameters."""
 
 
 def _decimal_hint(f):
@@ -45,111 +58,93 @@ def _edge_ref(net, edge):
     return {"enterprise": net.ids[e.enterprise], "investor": net.ids[e.investor]}
 
 
+def _by_id(net, values):
+    return {str(net.ids[k]): format_rational(v) for k, v in sorted(values.items())}
+
+
 def _witness_json(net, witness):
     return {
         "vertices": sorted((net.ids[v] for v in witness.vertices), key=str),
-        "shortfalls": {
-            str(net.ids[k]): format_rational(v) for k, v in sorted(witness.shortfalls.items())
-        },
+        "shortfalls": _by_id(net, witness.shortfalls),
     }
 
 
-def _emit(args, report, human_lines):
-    out = sys.stdout
-    close = False
-    if getattr(args, "out_file", None):
-        out = open(args.out_file, "w")
-        close = True
-    try:
-        if getattr(args, "out", "json") == "csv":
-            writer = csv.writer(out)
-            writer.writerow(["enterprise", "investor", "amount", "collateral"])
-            for row in report.get("collaterals", []):
-                writer.writerow([row["enterprise"], row["investor"], row["amount"], row["collateral"]])
-        else:
-            json.dump(report, out, indent=2, sort_keys=True)
-            out.write("\n")
-        if out is sys.stdout:
-            for line in human_lines:
-                print(line, file=sys.stderr)
-    finally:
-        if close:
-            out.close()
+def _emit(args, text, human_lines):
+    """Write `text` to `--out-file`, or to stdout with `human_lines` on stderr."""
+    if args.out_file:
+        with open(args.out_file, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+        for line in human_lines:
+            print(line, file=sys.stderr)
 
 
-def _load(path):
-    net = instances.load_network(path)
-    report = validate_network(net)
-    if not report.ok:
-        raise DocumentError("; ".join(report.violations), "$")
-    return net
+def _csv(report):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([row[k] for k in CSV_COLUMNS] for row in report.get("collaterals", []))
+    return buffer.getvalue()
 
 
-def cmd_check(args):
+def _report(args):
+    """The op path of `check`, `solve` and `verify`: load and validate the
+    network, let the command compute its verdict, wrap it in the envelope
+    and emit it.  Returns the command's exit code."""
     started = time.perf_counter()
-    net = _load(args.network)
+    net = instances.load_network(args.network)
+    validation = validate_network(net)
+    if not validation.ok:
+        raise DocumentError("; ".join(validation.violations), "$")
+    code, status, report, human = args.verdict(args, net)
+    report.update(
+        report_version=REPORT_VERSION,
+        input_digest=_digest(args.network),
+        command=args.command,
+        status=status,
+        timing_seconds=round(time.perf_counter() - started, 6),
+    )
+    _emit(args, _csv(report) if args.out == "csv" else instances.dumps_document(report), human)
+    return code
+
+
+def cmd_check(args, net):
     result = solvability_check(net)
-    report = {
-        "report_version": REPORT_VERSION,
-        "input_digest": _digest(args.network),
-        "command": "check",
-        "status": "solvable" if result.solvable else "infeasible",
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
-    human = ["status: %s" % report["status"]]
-    if not result.solvable:
-        report["witness"] = _witness_json(net, result.witness)
-        human.append("witness vertices: %s" % ", ".join(map(str, report["witness"]["vertices"])))
-    _emit(args, report, human)
-    return 0 if result.solvable else 2
+    if result.solvable:
+        return 0, "solvable", {}, ["status: solvable"]
+    witness = _witness_json(net, result.witness)
+    vertices = ", ".join(map(str, witness["vertices"]))
+    return 2, "infeasible", {"witness": witness}, ["status: infeasible", "witness vertices: %s" % vertices]
 
 
-def cmd_solve(args):
-    started = time.perf_counter()
-    net = _load(args.network)
-    try:
-        sol = solve(net)
-    except TooLargeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    report = {
-        "report_version": REPORT_VERSION,
-        "input_digest": _digest(args.network),
-        "command": "solve",
-        "method": sol.method,
-        "status": sol.status.value,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
+def cmd_solve(args, net):
+    sol = solve(net)
+    fields = {"method": sol.method}
     if sol.status is Status.INFEASIBLE:
-        report["total"] = "infinite"
-        report["nec"] = None
-        report["witness"] = _witness_json(net, sol.witness)
-        _emit(args, report, ["status: infeasible", "NEC: undefined (no viable matrix)"])
-        return 2
-    report["total"] = format_rational(sol.total)
-    report["nec"] = format_rational(sol.nec)
-    report["collaterals"] = [
-        dict(
-            _edge_ref(net, e),
-            amount=format_rational(net.edges[e].amount),
-            collateral=format_rational(sol.collaterals[e]),
-        )
-        for e in range(len(net.edges))
-    ]
-    report["elimination_order"] = [_edge_ref(net, e) for e in sol.order]
-    report["star_totals"] = {
-        str(net.ids[k]): format_rational(v) for k, v in sorted(sol.star_totals.items())
-    }
-    report["star_optima"] = {
-        str(net.ids[k]): format_rational(v) for k, v in sorted(sol.star_optima.items())
-    }
+        fields.update(total="infinite", nec=None, witness=_witness_json(net, sol.witness))
+        return 2, "infeasible", fields, ["status: infeasible", "NEC: undefined (no viable matrix)"]
+    fields.update(
+        total=format_rational(sol.total),
+        nec=format_rational(sol.nec),
+        collaterals=[
+            dict(
+                _edge_ref(net, e),
+                amount=format_rational(net.edges[e].amount),
+                collateral=format_rational(sol.collaterals[e]),
+            )
+            for e in range(len(net.edges))
+        ],
+        elimination_order=[_edge_ref(net, e) for e in sol.order],
+        star_totals=_by_id(net, sol.star_totals),
+        star_optima=_by_id(net, sol.star_optima),
+    )
     human = [
         "method: %s" % sol.method,
-        "total: %s (~%s)" % (report["total"], _decimal_hint(sol.total)),
-        "NEC: %s (~%s)" % (report["nec"], _decimal_hint(sol.nec)),
+        "total: %s (~%s)" % (fields["total"], _decimal_hint(sol.total)),
+        "NEC: %s (~%s)" % (fields["nec"], _decimal_hint(sol.nec)),
     ]
-    _emit(args, report, human)
-    return 0
+    return 0, "solved", fields, human
 
 
 def _load_collaterals(net, path):
@@ -190,31 +185,15 @@ def _load_collaterals(net, path):
     return CollateralMatrix(net, amounts)
 
 
-def cmd_verify(args):
-    started = time.perf_counter()
-    net = _load(args.network)
+def cmd_verify(args, net):
     c = _load_collaterals(net, args.collaterals)
-    order, stuck = iterated_elimination(net, c)
-    viable = not stuck
-    minimal = is_minimal(net, c) if viable else None
-    report = {
-        "report_version": REPORT_VERSION,
-        "input_digest": _digest(args.network),
-        "command": "verify",
-        "status": "viable" if viable else "not-viable",
-        "total": format_rational(c.total()),
-        "minimal": minimal,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
-    if not viable:
-        report["stuck_edges"] = [_edge_ref(net, e) for e in sorted(stuck)]
-    human = ["status: %s" % report["status"]]
-    if viable:
-        human.append("minimal: %s" % minimal)
-    else:
-        human.append("stuck edges: %d" % len(stuck))
-    _emit(args, report, human)
-    return 0 if viable else 2
+    _, stuck = iterated_elimination(net, c)
+    fields = {"total": format_rational(c.total())}
+    if stuck:
+        fields.update(minimal=None, stuck_edges=[_edge_ref(net, e) for e in sorted(stuck)])
+        return 2, "not-viable", fields, ["status: not-viable", "stuck edges: %d" % len(stuck)]
+    fields["minimal"] = is_minimal(net, c)
+    return 0, "viable", fields, ["status: viable", "minimal: %s" % fields["minimal"]]
 
 
 def _integers(option, text, count=None):
@@ -256,16 +235,11 @@ def cmd_gen(args):
                 raise ValueError("--edges takes u-v pairs, got %r" % args.edges)
             net = instances.gen_fvs_gadget(pairs)
             meta["graph_edges"] = ["-".join(p) for p in pairs]
-    except ValueError as exc:  # invalid generator parameters
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    text = instances.dumps_document(instances.serialize_network(net, meta))
+    except ValueError as exc:  # invalid generator parameters, not solver bugs
+        raise ParameterError(exc) from None
+    _emit(args, instances.dumps_document(instances.serialize_network(net, meta)), [])
     if args.out_file:
-        with open(args.out_file, "w") as handle:
-            handle.write(text)
         print("wrote %s" % args.out_file, file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -277,22 +251,18 @@ def build_parser():
     parser.add_argument("-v", "--verbose", action="store_true", help="log solver dispatch")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a network and test solvability")
-    p.add_argument("network")
-    p.add_argument("--out-file")
-    p.set_defaults(func=cmd_check)
+    def report(name, verdict, help_):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("network")
+        p.add_argument("--out-file")
+        p.set_defaults(func=_report, verdict=verdict, out="json")
+        return p
 
-    p = sub.add_parser("solve", help="compute optimal collaterals and the NEC")
-    p.add_argument("network")
+    report("check", cmd_check, "validate a network and test solvability")
+    p = report("solve", cmd_solve, "compute optimal collaterals and the NEC")
     p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--out-file")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify", help="check a collateral matrix for viability and minimality")
-    p.add_argument("network")
+    p = report("verify", cmd_verify, "check a collateral matrix for viability and minimality")
     p.add_argument("collaterals", help="JSON file with a 'collaterals' list (solve reports work)")
-    p.add_argument("--out-file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate instance files")
     gen_sub = p.add_subparsers(dest="family", required=True)
@@ -322,10 +292,7 @@ def main(argv=None):
                         format="%(message)s")
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DocumentError, OSError, ParameterError, TooLargeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -234,11 +234,21 @@ def gen_fvs_gadget(graph_edges):
 
 def gen_knapsack_star(xs, t):
     """Reduction star for the inverse knapsack instance (xs, t): the items
-    plus one extra player of size max(xs)+1, Z = max(xs)+1+t, alpha = 2Z."""
+    plus one extra player of size max(xs)+1, Z = max(xs)+1+t, alpha = 2Z.
+
+    The domain is at least one item, every item positive, and
+    0 <= t <= sum(xs) - max(xs); anything else raises ValueError naming the
+    offending item or bound.
+    """
     xs = [int(x) for x in xs]
     t = int(t)
     if not xs:
         raise ValueError("need at least one item")
+    for pos, x in enumerate(xs):
+        if x <= 0:
+            raise ValueError("item xs[%d] = %d must be positive" % (pos, x))
+    if t < 0:
+        raise ValueError("t must be >= 0, got %d" % t)
     if t > sum(xs) - max(xs):
         raise ValueError("requires t <= sum(xs) - max(xs)")
     x_max = max(xs) + 1
@@ -277,10 +287,13 @@ def random_network(n, max_out_degree, acyclic=False, weight_range=(1, 9), seed=0
     below each enterprise's inflow and rates are pushed high enough that
     every enterprise is profitable.  With `acyclic` the edges follow a
     random topological order.  With `large_alpha` rates are integers above
-    the cost, landing in the 0/full regime.  A negative `max_out_degree` or
-    a `weight_range` other than 1 <= lo <= hi raises ValueError.
+    the cost, landing in the 0/full regime.  The domain is n >= 0,
+    max_out_degree >= 0 and a `weight_range` with 1 <= lo <= hi; anything
+    else raises ValueError naming the parameter.
     """
     lo, hi = weight_range
+    if n < 0:
+        raise ValueError("n must be >= 0, got %d" % n)
     if max_out_degree < 0:
         raise ValueError("max_out_degree must be >= 0, got %d" % max_out_degree)
     if not 1 <= lo <= hi:

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import logging
 import re
 
 import pytest
 
-from collat import InvestmentNetwork, gen_cycle_family, save_network
+from collat import InvestmentNetwork, gen_cycle_family, load_network, save_network
 from collat.cli import main
+from collat.star import STATE_GUARD
 
 
 @pytest.fixture
@@ -34,6 +36,39 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    @pytest.mark.parametrize("feasible", [True, False], ids=["positive", "negative"])
+    def test_shared_fields(self, capsys, tmp_path, cycle_path, infeasible_path, command, feasible):
+        path = cycle_path if feasible else infeasible_path
+        argv = [command, path]
+        if command == "verify":
+            # full collaterals on the cycle family are viable; none on the
+            # spikeless two-cycle leave both edges stuck
+            net = load_network(path)
+            rows = [
+                {
+                    "enterprise": net.ids[e.enterprise],
+                    "investor": net.ids[e.investor],
+                    "collateral": str(e.amount) if feasible else "0",
+                }
+                for e in net.edges
+            ]
+            c_path = tmp_path / "c.json"
+            c_path.write_text(json.dumps({"collaterals": rows}))
+            argv.append(str(c_path))
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert report["report_version"] == 1
+        assert report["command"] == command
+        with open(path, "rb") as handle:
+            assert report["input_digest"] == hashlib.sha256(handle.read()).hexdigest()
+        positive = {"check": "solvable", "solve": "solved", "verify": "viable"}[command]
+        negative = {"check": "infeasible", "solve": "infeasible", "verify": "not-viable"}[command]
+        assert (code, report["status"]) == ((0, positive) if feasible else (2, negative))
+        assert type(report["timing_seconds"]) is float and report["timing_seconds"] >= 0
 
 
 class TestCheck:
@@ -119,6 +154,27 @@ class TestSolve:
         lines = out.strip().splitlines()
         assert lines[0] == "enterprise,investor,amount,collateral"
         assert len(lines) == 10
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_guard_overrun_is_a_one_line_error(self, capsys, tmp_path, to_file):
+        # the power-of-two star of tests/test_star.py behind a small upstream
+        # enterprise that it funds: every subset sum is distinct
+        amounts = [2**i for i in range(STATE_GUARD.bit_length())]
+        d = len(amounts)
+        edges = [(1, 2 + i, x) for i, x in enumerate(amounts)] + [(0, 1, 1), (0, d + 2, 1)]
+        ids = ["A", "hub"] + ["s%d" % i for i in range(d)] + ["a"]
+        net_path = tmp_path / "guard.json"
+        save_network(
+            InvestmentNetwork(d + 3, edges, cost={0: 1, 1: 1}, rate={0: 1, 1: 1}, ids=ids), net_path
+        )
+        target = tmp_path / "report.json"
+        argv = ["solve", str(net_path)] + (["--out-file", str(target)] if to_file else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: enterprise hub: star with")
+        assert not target.exists()
 
     def test_out_file(self, capsys, cycle_path, tmp_path):
         target = tmp_path / "report.json"
@@ -263,10 +319,15 @@ class TestGen:
         (["random", "--n", "4", "--d", "2", "--weights", "1,2,3"], "--weights"),
         (["random", "--n", "4", "--d", "2", "--weights", "a,b"], "--weights"),
         (["knapsack", "--xs", "1,,2", "--t", "2"], "--xs"),
+        # documents outside the generators' domain, written without a word
+        (["random", "--n", "-3", "--d", "2"], "n must be >= 0, got -3"),
+        (["knapsack", "--xs", "3,2", "--t", "-1"], "t must be >= 0, got -1"),
+        (["knapsack", "--xs", "0,2", "--t", "1"], "xs[0] = 0 must be positive"),
     ], ids=["cycle", "knapsack", "random", "fvs", "fvs-self-loop", "fvs-repeated-arc",
             "random-zero-weight", "random-zero-weight-no-cost", "random-negative-degree",
             "random-one-weight", "random-three-weights", "random-non-integer-weights",
-            "knapsack-empty-item"])
+            "knapsack-empty-item", "random-negative-n", "knapsack-negative-t",
+            "knapsack-non-positive-item"])
     def test_invalid_parameters_are_one_line_errors(self, capsys, argv, named):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 1
