@@ -6,11 +6,13 @@ minimality, solvability of a network by collaterals, and the closed-form
 zero/full-collateral threshold conditions.
 
 IESDS (`iterated_elimination`) and the minimality test of a viable matrix
-(`is_minimal`: one elimination run per positive collateral, with that
-collateral at 0) are adapters over `model.eliminate`, which holds the tie
-rule: a player who is exactly indifferent between investing and defecting
-invests.  Solvability is a secured-vertex closure on the same scaled
-funding table (`InvestmentNetwork.funding`).
+(`is_minimal`: one elimination run under the matrix for its viable order,
+then one run per positive collateral with that collateral at 0, started
+from the edges resolved before it in that order) are adapters over
+`model.eliminate`, which holds the tie rule: a player who is exactly
+indifferent between investing and defecting invests.  Solvability is a
+secured-vertex closure on the same scaled funding table
+(`InvestmentNetwork.funding`).
 """
 from __future__ import annotations
 
@@ -53,11 +55,26 @@ def is_minimal(net, c):
     payoff ignores c_e, so lowering c_e keeps the matrix viable iff e can
     still resolve at R; the collateral e needs is antitone in the resolved
     set, so its least value over the run is the one at R, and `c` is
-    minimal iff every positive c_e equals it."""
-    return all(
-        eliminate(net, c.amounts[:e] + (0,) + c.amounts[e + 1:])[3].get(e, 0) == amount
-        for e, amount in enumerate(c.amounts) if amount
-    )
+    minimal iff every positive c_e equals it.
+
+    One run under `c` gives the viable order.  The edges resolved before e
+    in it resolve with c_e at 0 as well (their needs ignore c_e), so e's run
+    starts from that prefix: the closure is monotone, so it reaches the same
+    R as a run from the empty set.  A positive edge stuck under `c` makes
+    `c` not minimal (not viable, in fact): at 0 it resolves a smaller set,
+    where its need is no lower than its need under `c`, which exceeds c_e.
+    """
+    order, _, _, stuck = eliminate(net, c)
+    if any(c.amounts[e] for e in stuck):
+        return False
+    prefix = 0
+    for e in order:
+        if c.amounts[e]:
+            lowered = c.amounts[:e] + (0,) + c.amounts[e + 1:]
+            if eliminate(net, lowered, prefix)[3].get(e, 0) != c.amounts[e]:
+                return False
+        prefix |= 1 << e
+    return True
 
 
 @dataclass(frozen=True)

@@ -241,9 +241,15 @@ def cascade(net, cooperate_mask, within=None):
     whose cascade is known, `within` may pass that cascade: only its
     enterprises are tested, with the same result.
     """
-    firms = net.funding.items()
-    if within is not None:
-        firms = [(k, funding) for k, funding in firms if within >> k & 1]
+    if within is None:
+        firms = net.funding.items()
+    else:
+        firms = []
+        while within:
+            low = within & -within
+            k = low.bit_length() - 1
+            firms.append((k, net.funding[k]))
+            within ^= low
     defaulted = 0
     changed = True
     while changed:
@@ -328,8 +334,12 @@ def eliminate(net, c, resolved=0, within=None, edges=None):
     resolves to investing -- until a sweep resolves nothing.  The result is
     a monotone closure: the final set does not depend on the sweep order.
     The defaulted mask is kept along the way; only an edge into a defaulted
-    enterprise can change it, and then the cascade reruns over those
-    enterprises alone.
+    enterprise k can change it, and then the cascade reruns over those
+    enterprises alone -- unless the rescue test fails: if the edges of
+    `resolved | e` into k raise less than Z_k even counting every investor,
+    solvent or not, k defaults whatever the others do.  Adding e then
+    changes the funding of k alone, which is in both fixed points, so the
+    cascade is unchanged and the mask is kept without a rerun.
 
     Returns (order, resolved mask, defaulted mask, needs), where `needs`
     maps each still-unresolved edge of `edges` to its need at the final set
@@ -346,7 +356,10 @@ def eliminate(net, c, resolved=0, within=None, edges=None):
             if resolved & bit:
                 continue
             cmask, dmask = resolved | bit, defaulted
-            if defaulted >> net.edges[e].enterprise & 1:
+            k = net.edges[e].enterprise
+            if defaulted >> k & 1 and sum(  # the rescue test
+                amount for b, _, amount in net.funding[k] if cmask & b
+            ) >= net.scaled_costs[k]:
                 dmask = cascade(net, cmask, defaulted)
             need = edge_need(net, cmask, dmask, e)
             if need is not None and need <= c[e]:

@@ -4,10 +4,12 @@ These deliberately avoid the solver code paths they are used to check:
 equilibria are found by exhaustive enumeration of all pure profiles, and
 elimination orders are re-validated position by position from the raw
 best-response predicate; 0/full optima come from IESDS on every 0/full
-matrix; star optima come from pricing every one of the 2^d full sets
-with `optimal_partial_for_set` (the Fraction reference formula), which
-`solve_star` does not call: it prices with `model.least_collateral` on
-scaled integers.
+matrix; minimality comes from one elimination run from the empty set per
+positive collateral (`reference_is_minimal`), without the prefix seeding
+of `is_minimal`; star optima come from pricing every one of the 2^d full
+sets with `optimal_partial_for_set` (the Fraction reference formula),
+which `solve_star` does not call: it prices with `model.least_collateral`
+on scaled integers.
 """
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from collat import (
     optimal_partial_for_set,
     sigma_for_set,
 )
+from collat.model import eliminate
 
 ENUMERATE_GUARD = 25
 
@@ -82,6 +85,16 @@ def assert_minimal(net, c, is_viable):
             continue
         reduced = c.replace(e, amount - eps)
         assert not is_viable(net, reduced), "coordinate %d is reducible" % e
+
+
+def reference_is_minimal(net, c):
+    """Minimality of a viable matrix with one whole elimination run from the
+    empty set per positive collateral, that collateral at 0: `c` is minimal
+    iff each such run leaves the edge exactly that collateral short."""
+    return all(
+        eliminate(net, c.amounts[:e] + (0,) + c.amounts[e + 1:])[3].get(e, 0) == amount
+        for e, amount in enumerate(c.amounts) if amount
+    )
 
 
 def enumerate_star(star):

@@ -9,13 +9,16 @@ from collat import (
     full_collateral_condition,
     gen_cycle_family,
     is_large_alpha,
+    is_minimal,
     is_viable,
     iterated_elimination,
     random_network,
     solvability_check,
+    solve,
     zero_collateral_condition,
 )
-from helpers import unique_all_cooperate
+from collat.model import eliminate
+from helpers import reference_is_minimal, unique_all_cooperate
 
 
 def star_net(amounts, z, alpha):
@@ -102,6 +105,45 @@ class TestViability:
                 ),
             ):
                 assert is_viable(net, c) == unique_all_cooperate(net, c)
+
+
+class TestMinimality:
+    """`is_minimal`, whose runs start from the viable order's prefix,
+    against `reference_is_minimal`, one run from the empty set per positive
+    collateral."""
+
+    def _matrices(self, net, rng):
+        m = len(net.edges)
+        for _ in range(4):  # from 0 to full, in quarters: many not viable
+            yield CollateralMatrix(
+                net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
+        sol = solve(net)
+        if sol.collaterals is not None:
+            c = sol.collaterals
+            yield c
+            below = [e for e in range(m) if c[e] < net.edges[e].amount]
+            if below:
+                e = rng.choice(below)
+                yield c.replace(e, (c[e] + net.edges[e].amount) / 2)
+        # zero collaterals but one stuck edge's, which stays short of its need:
+        # every resolved edge is at 0, so only that edge's verdict counts
+        needs = eliminate(net, CollateralMatrix.zeros(net))[3]
+        if needs:
+            e = rng.choice(sorted(needs))
+            yield CollateralMatrix.zeros(net).replace(e, (needs[e] or net.edges[e].amount) / 2)
+
+    def test_matches_the_reference(self):
+        rng = random.Random(61)
+        verdicts = []
+        for trial in range(90):
+            kind = trial % 3  # acyclic, cyclic, large-alpha
+            net = random_network(rng.randint(3, 8), 3, acyclic=kind == 0,
+                                 seed=rng.randint(0, 10**6), large_alpha=kind == 2)
+            for c in self._matrices(net, rng):
+                expected = reference_is_minimal(net, c)
+                assert is_minimal(net, c) == expected, (trial, c)
+                verdicts.append(expected)
+        assert verdicts.count(True) > 50 and verdicts.count(False) > 200
 
 
 class TestSolvability:

@@ -17,6 +17,7 @@ from collat import (
     random_network,
     validate_network,
 )
+from collat import model
 from collat.model import cascade, eliminate, least_collateral
 from collat.star import StarInstance, _minimal_amount
 
@@ -347,6 +348,38 @@ class TestEliminate:
             subset = start & sum(1 << e for e in range(m) if rng.random() < 0.5)
             for within in (None, cascade(net, subset)):
                 self._check(net, c, start, eliminate(net, c, start, within))
+
+    def test_rescue_test_skips_cascade_reruns(self, monkeypatch):
+        # enterprise 0 needs 2, and its edge from leaf 2 brings only 1: that
+        # edge alone can never rescue it, so checking it reruns no cascade
+        net = InvestmentNetwork(4, [(0, 1, 2), (0, 2, 1), (1, 0, 1), (1, 3, 1)],
+                                cost={0: 2, 1: 1}, rate={0: 2, 1: 1})
+        assert validate_network(net).ok
+        counts = {"checks": 0, "reruns": 0}
+        plain_cascade, plain_need = model.cascade, model.edge_need
+
+        def counting_cascade(net, cooperate_mask, within=None):
+            counts["reruns"] += within is not None  # eliminate's first call passes none
+            return plain_cascade(net, cooperate_mask, within)
+
+        def counting_need(net, cmask, dmask, e):
+            # eliminate checks e into a defaulted enterprise iff it defaults
+            # under the edges resolved so far: cmask without e
+            before = plain_cascade(net, cmask & ~(1 << e))
+            counts["checks"] += before >> net.edges[e].enterprise & 1
+            return plain_need(net, cmask, dmask, e)
+
+        monkeypatch.setattr(model, "cascade", counting_cascade)
+        monkeypatch.setattr(model, "edge_need", counting_need)
+        runs = []
+        for mask in range(1 << len(net.edges)):
+            c = CollateralMatrix(net, [e.amount if mask >> i & 1 else 0
+                                       for i, e in enumerate(net.edges)])
+            runs.append((c, eliminate(net, c)))
+        monkeypatch.undo()
+        assert 0 < counts["reruns"] < counts["checks"]
+        for c, result in runs:
+            self._check(net, c, 0, result)
 
 
 class TestLeastCollateral:
