@@ -22,17 +22,17 @@ from fractions import Fraction
 from .model import eliminate
 
 
-def iterated_elimination(net, c, scan_order=None):
+def iterated_elimination(net, c):
     """Greedy IESDS over edges: `model.eliminate` from the empty set.
 
     An edge resolves once its player -- with the resolved edges
     cooperating, everything else defecting, and the default cascade
     applied -- is solvent and weakly prefers to invest.  Returns (resolved
     order, stuck edges).  The final stuck set does not depend on the scan
-    order (monotone closure); `scan_order` exists so tests can check
-    exactly that.
+    order (monotone closure): `eliminate` sweeps in edge index order, and a
+    network with its edge list permuted leaves the same edges stuck.
     """
-    order, _, _, needs = eliminate(net, c, edges=scan_order)
+    order, _, _, needs = eliminate(net, c)
     return order, frozenset(needs)
 
 

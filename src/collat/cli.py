@@ -288,17 +288,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(message)s")
+    # basicConfig is a no-op once the root logger has a handler, so each
+    # call sets the level on the package logger itself
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger("collat").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except (DocumentError, OSError, ParameterError, TooLargeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-
-
-def entry():  # console_scripts hook
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

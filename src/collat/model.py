@@ -85,10 +85,8 @@ class InvestmentNetwork:
         self.ids = tuple(ids) if ids is not None else tuple(range(self.n))
         self.enterprise_set = frozenset(e.enterprise for e in self.edges)
         self.out_edges = {k: [] for k in range(self.n)}
-        self.in_edges = {i: [] for i in range(self.n)}
         for idx, e in enumerate(self.edges):
             self.out_edges[e.enterprise].append(idx)
-            self.in_edges[e.investor].append(idx)
         self.edge_index = {(e.enterprise, e.investor): idx for idx, e in enumerate(self.edges)}
         # the cascade's integers: every amount and enterprise cost times `scale`
         self.scale = 1
@@ -324,15 +322,15 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
     return need / net.scale
 
 
-def eliminate(net, c, resolved=0, within=None, edges=None):
+def eliminate(net, c, resolved=0, within=None):
     """Iterated elimination under the collaterals `c`, from the bitmask
     `resolved` (`within`, if given, is the cascade of a subset of it).
 
-    Sweeps the unresolved edges of `edges` (default: all, in index order)
-    and resolves each edge e whose `edge_need` with `resolved | e`
-    cooperating is not None and <= c_e -- the tie rule: exact indifference
-    resolves to investing -- until a sweep resolves nothing.  The result is
-    a monotone closure: the final set does not depend on the sweep order.
+    Sweeps the unresolved edges in index order and resolves each edge e
+    whose `edge_need` with `resolved | e` cooperating is not None and <=
+    c_e -- the tie rule: exact indifference resolves to investing -- until
+    a sweep resolves nothing.  The result is a monotone closure: the final
+    set depends on neither the sweep order nor the edge list's order.
     The defaulted mask is kept along the way; only an edge into a defaulted
     enterprise k can change it, and then the cascade reruns over those
     enterprises alone -- unless the rescue test fails: if the edges of
@@ -342,16 +340,15 @@ def eliminate(net, c, resolved=0, within=None, edges=None):
     cascade is unchanged and the mask is kept without a rerun.
 
     Returns (order, resolved mask, defaulted mask, needs), where `needs`
-    maps each still-unresolved edge of `edges` to its need at the final set
+    maps each still-unresolved edge to its need at the final set
     (None if its investor would default).
     """
-    edges = range(len(net.edges)) if edges is None else list(edges)
     defaulted = cascade(net, resolved, within)
     order = []
     while True:
         before = len(order)
         needs = {}
-        for e in edges:
+        for e in range(len(net.edges)):
             bit = 1 << e
             if resolved & bit:
                 continue
@@ -413,9 +410,8 @@ def edge_utility(net, c, cooperate, edge):
 
 def player_utility(net, c, cooperate, player):
     """Sum of the player's edge utilities over all incoming opportunities."""
-    return sum(
-        (edge_utility(net, c, cooperate, e) for e in net.in_edges[player]), Fraction(0)
-    )
+    edges = [e for e, x in enumerate(net.edges) if x.investor == player]
+    return sum((edge_utility(net, c, cooperate, e) for e in edges), Fraction(0))
 
 
 def best_response(net, c, cooperate, edge):

@@ -1,21 +1,23 @@
 """Network-level collateral solvers.
 
-`solve` solves the strongly connected components (SCCs) of the enterprises,
-edges oriented enterprise -> investor, downstream first: by then, investors
+Every entry point is a labelled view of one pass (`_solve_components`):
+`solvability_check` first (if infeasible: the witness, method "none"),
+then the strongly connected components (SCCs) of the enterprises, edges
+oriented enterprise -> investor, downstream first: by then, investors
 outside a component always pay, so the optimum is the sum of the component
-optima.  A single enterprise is a star (`solve_star`; NEC 1 on acyclic
-networks).  A cyclic component runs an exact best-first (A*) search over
-resolved edge-sets (`_search`): the minimal collateral making an edge
-eliminable (`model.edge_need` on the bitmask cascade `model.cascade`)
-depends only on the *set* of resolved edges, so states are sets, not
-orders.  Each state jumps to its closure under zero-need eliminations
-(`model.eliminate` with zero collaterals), and a consistent lower bound
-(each star's no-default completion cost) steers the search, so it expands
-a small fraction of the 2^|E| sets; a tie rule picks among optimal
-matrices, and `SEARCH_BUDGET` bounds the work per component.  `solve_exact`
-and `solve_large_alpha` take the whole network as one component and run
-the exhaustive subset dynamic program (`_subset_dp`, O(2^|E| |E|),
-`EXACT_GUARD` on |E|) instead: the oracles.
+optima.  A single enterprise is a star (`solve_star`; NEC 1 on the acyclic
+networks `solve_dag` takes).  In `solve` a cyclic component runs an exact
+best-first (A*) search over resolved edge-sets (`_search`): the minimal
+collateral making an edge eliminable (`model.edge_need` on the bitmask
+cascade `model.cascade`) depends only on the *set* of resolved edges, so
+states are sets, not orders.  Each state jumps to its closure under
+zero-need eliminations (`model.eliminate` with zero collaterals), and a
+consistent lower bound (each star's no-default completion cost) steers the
+search, so it expands a small fraction of the 2^|E| sets; a tie rule picks
+among optimal matrices, and `SEARCH_BUDGET` bounds the work per component.
+`solve_exact` and `solve_large_alpha` take the whole network as one
+component and run the exhaustive subset dynamic program (`_subset_dp`,
+O(2^|E| |E|), `EXACT_GUARD` on |E|) instead: the oracles.
 For integer inputs with alpha_k > Z_k every positive collateral of an
 optimal solution is full; both reach that optimum as they do any other,
 so no separate search runs.  `Solution.method` names the whole-network
@@ -107,12 +109,17 @@ def _per_star_sums(net, c):
 
 
 def _solve_components(net, components, method, cyclic_solver):
-    """Solve (enterprises, cyclic flag) components in the given order and
-    concatenate, labelled `method`.  A cyclic component's sub-network keeps
-    only its own enterprises' edges, so outside investors are plain
-    investors, and goes to `cyclic_solver`: the best-first search
-    (`_search`, under `SEARCH_BUDGET`) from `solve`, the exhaustive subset
-    DP (`_subset_dp`, under `EXACT_GUARD`) from the oracles."""
+    """The one solver pass: `solvability_check` first (if infeasible, the
+    witness and method "none"), then the (enterprises, cyclic flag)
+    components in the given order, concatenated and labelled `method`.  A
+    cyclic component's sub-network keeps only its own enterprises' edges,
+    so outside investors are plain investors, and goes to `cyclic_solver`:
+    the best-first search (`_search`, under `SEARCH_BUDGET`) from `solve`,
+    the exhaustive subset DP (`_subset_dp`, under `EXACT_GUARD`) from the
+    oracles."""
+    check = solvability_check(net)
+    if not check.solvable:
+        return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
     stars = {k: star for k, star, _ in star_decomposition(net)}
 
     def star_solution(k):
@@ -154,15 +161,14 @@ def _solve_components(net, components, method, cyclic_solver):
 
 
 def solve_dag(net):
-    """Optimal collaterals for an acyclic network: solve each star of the
-    decomposition independently and eliminate enterprises downstream first
-    (an enterprise is fully secured before anyone upstream relies on it, so
-    cascades never bite)."""
-    components = _enterprise_components(net)
-    if any(cyclic for _, cyclic in components):
+    """`solve` for an acyclic network (CyclicInputError otherwise), a solved
+    result labelled "dag": every component is one star, solved downstream
+    first, so cascades never bite and the NEC is 1."""
+    if not is_acyclic(net):
         raise CyclicInputError("network contains a directed cycle")
-    out = _solve_components(net, components, "dag", None)
-    assert out.nec == 1
+    out = solve(net)
+    if out.status is Status.SOLVED:
+        out.method = "dag"
     return out
 
 
@@ -328,17 +334,10 @@ def _search(net):
     return amounts, [e for segment in reversed(segments) for e in segment]
 
 
-def _solve_whole(net, method):
-    check = solvability_check(net)
-    if not check.solvable:
-        return Solution(Status.INFEASIBLE, witness=check.witness, method=method)
-    return _solve_components(net, [(sorted(net.enterprise_set), True)], method, _subset_dp)
-
-
 def solve_exact(net):
     """Exact minimum-total collaterals for any solvable network, by the
     subset DP on the whole network as one component; the oracle for `solve`."""
-    return _solve_whole(net, "exact")
+    return _solve_components(net, [(sorted(net.enterprise_set), True)], "exact", _subset_dp)
 
 
 def solve_large_alpha(net):
@@ -347,7 +346,7 @@ def solve_large_alpha(net):
     every positive collateral of the optimum is full."""
     if not is_large_alpha(net):
         raise ValueError("network is not in the large-alpha regime")
-    return _solve_whole(net, "large-alpha")
+    return _solve_components(net, [(sorted(net.enterprise_set), True)], "large-alpha", _subset_dp)
 
 
 def solve(net):
@@ -358,14 +357,11 @@ def solve(net):
     status, total, NEC and witness do not.  `method` names the
     whole-network route: "star" (one enterprise), "dag" (acyclic), "exact"
     (some component is cyclic) or "none" (infeasible)."""
-    check = solvability_check(net)
-    if not check.solvable:
-        return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
     components = _enterprise_components(net)
     if any(cyclic for _, cyclic in components):
         method = "exact"
     else:
         method = "star" if len(net.enterprise_set) == 1 else "dag"
     out = _solve_components(net, components, method, _search)
-    log.info("solve ran %s over %d components", method, len(components))
+    log.info("solve ran %s over %d components", out.method, len(components))
     return out

@@ -61,19 +61,22 @@ class TestIteratedElimination:
         assert heavy_spikes <= stuck
 
     def test_scan_order_does_not_change_stuck_set(self):
+        # elimination sweeps in edge index order, so the same network with
+        # its edge list permuted is scanned in another order
         rng = random.Random(17)
         for trial in range(30):
             net = random_network(rng.randint(3, 6), 3, seed=rng.randint(0, 10**6))
-            edges = list(net.all_edges())
-            c = CollateralMatrix(
-                net, [Fraction(rng.randint(0, 2), rng.randint(1, 2)) for _ in edges]
-            )
-            _, reference = iterated_elimination(net, c)
+            amounts = [Fraction(rng.randint(0, 2), rng.randint(1, 2)) for _ in net.edges]
+            _, reference = iterated_elimination(net, CollateralMatrix(net, amounts))
             for _ in range(3):
-                order = edges[:]
-                rng.shuffle(order)
-                _, stuck = iterated_elimination(net, c, scan_order=order)
-                assert stuck == reference
+                perm = list(range(len(net.edges)))  # new index -> old index
+                rng.shuffle(perm)
+                permuted = InvestmentNetwork(
+                    net.n, [net.edges[e] for e in perm], net.cost, net.rate, net.ids
+                )
+                c = CollateralMatrix(permuted, [amounts[e] for e in perm])
+                _, stuck = iterated_elimination(permuted, c)
+                assert {perm[e] for e in stuck} == reference
 
 
 class TestViability:

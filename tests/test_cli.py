@@ -1,7 +1,11 @@
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,28 @@ class TestSolve:
             r"\d+ bound entries",
             lines[0],
         )
+
+    @pytest.mark.parametrize("calls", [["", "-v"], ["-v", ""]], ids=["quiet-first", "verbose-first"])
+    def test_verbose_holds_per_call_in_one_process(self, cycle_path, calls):
+        # `caplog` sets the logger level itself, so a fresh process is the
+        # only place where one `main` call's -v can leak into the next
+        script = (
+            "import os, sys\n"
+            "from collat.cli import main\n"
+            "for flags in sys.argv[2:]:\n"
+            "    print('call:' + flags, file=sys.stderr, flush=True)\n"
+            "    main(flags.split() + ['solve', sys.argv[1], '--out-file', os.devnull])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, cycle_path, *calls],
+                              capture_output=True, text=True, env=env, check=True)
+        segments = proc.stderr.split("call:")[1:]
+        assert len(segments) == 2
+        for flags, segment in zip(calls, segments):
+            logged = segment.splitlines()[1:]
+            assert any(line.startswith("search: ") for line in logged) == bool(flags)
+            assert bool(logged) == bool(flags)
 
     def test_csv_output(self, capsys, cycle_path):
         code, out, _ = run(capsys, "solve", cycle_path, "--out", "csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import time
@@ -107,6 +108,14 @@ class TestSolveDag:
             assert sol.nec == 1
             assert is_viable(net, sol.collaterals)
 
+    def test_is_solve_labelled_dag(self):
+        rng = random.Random(211)
+        for trial in range(30):
+            net = random_network(rng.randint(2, 8), 3, acyclic=True, seed=rng.randint(0, 10**6))
+            sol, ref = solve_dag(net), solve(net)
+            assert sol.method == "dag"
+            assert dataclasses.replace(sol, method=ref.method) == ref
+
 
 def _need_at(net, resolved, edge):
     """`edge_need` with the edges in `resolved` (any iterable) and `edge`
@@ -117,7 +126,7 @@ def _need_at(net, resolved, edge):
     return edge_need(net, cooperate, cascade(net, cooperate), edge)
 
 
-class TestMinimalMatrixForResolvedSet:
+class TestEdgeNeed:
     """The least collateral an edge needs once a set is resolved: the
     `edge_need` kernel."""
 
@@ -187,10 +196,12 @@ class TestSolveExact:
         net = InvestmentNetwork(
             2, [(0, 1, 1), (1, 0, 1)], cost={0: 1, 1: 1}, rate={0: 5, 1: 5}
         )
-        sol = solve_exact(net)
-        assert sol.status is Status.INFEASIBLE
-        assert sol.witness.vertices == {0, 1}
-        assert sol.collaterals is None and sol.nec is None
+        for oracle in (solve_exact, solve_large_alpha):
+            sol = oracle(net)
+            assert sol.status is Status.INFEASIBLE
+            assert sol.method == "none"  # as `solve` labels it
+            assert sol.witness.vertices == {0, 1}
+            assert sol.collaterals is None and sol.nec is None
 
     def test_size_guard(self):
         edges = [(0, i + 1, 1) for i in range(21)]
@@ -239,7 +250,7 @@ class TestSolveLargeAlpha:
             assert solve_large_alpha(net).total == least_zero_full_total(net)
 
 
-class TestComputeNec:
+class TestNec:
     def test_cycle_premium(self):
         net = gen_cycle_family(13)
         sol = solve(net)
