@@ -10,9 +10,11 @@ IESDS (`iterated_elimination`) and the minimality test of a viable matrix
 then one run per positive collateral with that collateral at 0, started
 from the edges resolved before it in that order) are adapters over
 `model.eliminate`, which holds the tie rule: a player who is exactly
-indifferent between investing and defecting invests.  Solvability is a
-secured-vertex closure on the same scaled funding table
-(`InvestmentNetwork.funding`).
+indifferent between investing and defecting invests.  `collat verify`
+already has the viable order from its IESDS run and hands it to the
+per-collateral runs (`_minimal_along`) directly, so it runs the first
+elimination once.  Solvability is a secured-vertex closure on the same
+scaled funding table (`InvestmentNetwork.funding`).
 """
 from __future__ import annotations
 
@@ -57,16 +59,25 @@ def is_minimal(net, c):
     set, so its least value over the run is the one at R, and `c` is
     minimal iff every positive c_e equals it.
 
-    One run under `c` gives the viable order.  The edges resolved before e
-    in it resolve with c_e at 0 as well (their needs ignore c_e), so e's run
-    starts from that prefix: the closure is monotone, so it reaches the same
-    R as a run from the empty set.  A positive edge stuck under `c` makes
-    `c` not minimal (not viable, in fact): at 0 it resolves a smaller set,
-    where its need is no lower than its need under `c`, which exceeds c_e.
+    One run under `c` gives the viable order (`collat verify` takes it from
+    the IESDS run it has already made, see `_minimal_along`).  The edges
+    resolved before e in it resolve with c_e at 0 as well (their needs
+    ignore c_e), so e's run starts from that prefix: the closure is
+    monotone, so it reaches the same R as a run from the empty set.  A
+    positive edge stuck under `c` makes `c` not minimal (not viable, in
+    fact): at 0 it resolves a smaller set, where its need is no lower than
+    its need under `c`, which exceeds c_e.
     """
     order, _, _, stuck = eliminate(net, c)
     if any(c.amounts[e] for e in stuck):
         return False
+    return _minimal_along(net, c, order)
+
+
+def _minimal_along(net, c, order):
+    """`is_minimal` given `order`, the order IESDS resolves under `c`, with
+    no positive collateral left stuck: one run per positive collateral, at
+    0, from the prefix resolved before it."""
     prefix = 0
     for e in order:
         if c.amounts[e]:

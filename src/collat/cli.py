@@ -12,17 +12,24 @@ report as JSON, or as per-edge CSV for `solve --out csv`.  Every document,
 `gen`'s included, is written by `_emit`: to `--out-file`, or to stdout
 with a short human summary on stderr.
 
+The argument parser is built once per process, by the first `main` call
+(`build_parser` is cached); every call still parses into a fresh
+namespace and applies its own `-v`.
+
 Exit codes are uniform: 0 success / solvable / viable, 2 domain-negative
 verdict (infeasible, not viable), 1 operational error (I/O, parse,
-validation, invalid `gen` parameters, guard overrun).  An operational error
-is one `error:` line on stderr from `main`, and nothing is written.  JSON
-reports carry exact "p/q" strings; the decimal renderings in human output
-are 6-significant-digit hints only.
+validation, invalid `gen` parameters, guard overrun, and usage errors such
+as a missing argument, a bad choice or an unknown subcommand).  An
+operational error is one `error:` line on stderr from `main`, and nothing
+is written; `--help` prints the usage and exits 0.  JSON reports carry
+exact "p/q" strings; the decimal renderings in human output are
+6-significant-digit hints only.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -31,7 +38,7 @@ import sys
 import time
 
 from . import instances
-from .analysis import is_minimal, iterated_elimination, solvability_check
+from .analysis import _minimal_along, iterated_elimination, solvability_check
 from .instances import DocumentError, format_rational, parse_rational
 from .model import CollateralMatrix, validate_network
 from .network import Status, TooLargeError, solve
@@ -41,7 +48,16 @@ CSV_COLUMNS = ["enterprise", "investor", "amount", "collateral"]
 
 
 class ParameterError(Exception):
-    """Invalid `collat gen` parameters."""
+    """Invalid command-line parameters: a usage error, or `collat gen`
+    parameters outside a generator's domain."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `ParameterError` instead of exiting 2;
+    subparsers are built with the same class."""
+
+    def error(self, message):
+        raise ParameterError("%s: %s" % (self.prog, message))
 
 
 def _decimal_hint(f):
@@ -187,12 +203,12 @@ def _load_collaterals(net, path):
 
 def cmd_verify(args, net):
     c = _load_collaterals(net, args.collaterals)
-    _, stuck = iterated_elimination(net, c)
+    order, stuck = iterated_elimination(net, c)
     fields = {"total": format_rational(c.total())}
     if stuck:
         fields.update(minimal=None, stuck_edges=[_edge_ref(net, e) for e in sorted(stuck)])
         return 2, "not-viable", fields, ["status: not-viable", "stuck edges: %d" % len(stuck)]
-    fields["minimal"] = is_minimal(net, c)
+    fields["minimal"] = _minimal_along(net, c, order)
     return 0, "viable", fields, ["status: viable", "minimal: %s" % fields["minimal"]]
 
 
@@ -243,8 +259,9 @@ def cmd_gen(args):
     return 0
 
 
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collat",
         description="Minimum-collateral schemes for networked investment games",
     )
@@ -287,12 +304,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    # basicConfig is a no-op once the root logger has a handler, so each
-    # call sets the level on the package logger itself
-    logging.basicConfig(format="%(message)s")
-    logging.getLogger("collat").setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
+        args = build_parser().parse_args(argv)
+        # basicConfig is a no-op once the root logger has a handler, so each
+        # call sets the level on the package logger itself
+        logging.basicConfig(format="%(message)s")
+        logging.getLogger("collat").setLevel(logging.INFO if args.verbose else logging.WARNING)
         return args.func(args)
     except (DocumentError, OSError, ParameterError, TooLargeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import logging
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import collat.analysis
 from collat import InvestmentNetwork, gen_cycle_family, load_network, save_network
 from collat.cli import main
 from collat.star import STATE_GUARD
@@ -282,6 +284,22 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: %s: " % path)
 
+    def test_one_viability_run_per_verify(self, capsys, monkeypatch, cycle_path, tmp_path):
+        # IESDS under the matrix gives the viable order, then one run per
+        # positive collateral checks it at 0: nothing reruns the first run
+        report_path = tmp_path / "sol.json"
+        assert main(["solve", cycle_path, "--out-file", str(report_path)]) == 0
+        positive = sum(row["collateral"] != "0"
+                       for row in json.loads(report_path.read_text())["collaterals"])
+        assert positive > 0
+        calls = []
+        eliminate = collat.analysis.eliminate
+        monkeypatch.setattr(collat.analysis, "eliminate",
+                            lambda *args: calls.append(args) or eliminate(*args))
+        code, out, _ = run(capsys, "verify", cycle_path, str(report_path))
+        assert (code, json.loads(out)["minimal"]) == (0, True)
+        assert len(calls) == 1 + positive
+
     def test_collateral_on_non_edge_rejected(self, capsys, cycle_path, tmp_path):
         c_path = tmp_path / "bad.json"
         c_path.write_text(
@@ -360,3 +378,53 @@ class TestGen:
         assert out == ""
         assert err.startswith("error: ") and named in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, named", [
+        (["solve"], "collat solve: "),
+        (["solve", "{cycle}", "--out", "xml"], "collat solve: "),
+        (["frobnicate", "{cycle}"], "'frobnicate'"),
+        ([], "collat: "),
+    ], ids=["no-network", "bad-out-choice", "unknown-subcommand", "no-arguments"])
+    def test_usage_errors_are_one_line_errors(self, capsys, cycle_path, argv, named):
+        # exit 2 is a negative verdict; a usage error is an operational one
+        code, out, err = run(capsys, *[a.format(cycle=cycle_path) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert len(err.splitlines()) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: collat")
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run(capsys, "gen", "cycle", "--k", "2")
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        code, out, _ = run(capsys, "gen", "cycle", "--k", "3")
+        assert code == 0 and json.loads(out)["meta"]["k"] == 3
+        assert built == []
+
+    def test_nothing_leaks_between_calls(self, capsys, cycle_path, tmp_path):
+        code, out, _ = run(capsys, "solve", cycle_path, "--out", "csv")
+        assert code == 0 and out.startswith("enterprise,investor,amount,collateral")
+        code, out, _ = run(capsys, "solve", cycle_path)
+        assert code == 0 and json.loads(out)["command"] == "solve"
+
+        report_path = tmp_path / "sol.json"
+        assert main(["solve", cycle_path, "--out-file", str(report_path)]) == 0
+        run(capsys, "solve", cycle_path, "--out", "csv")
+        code, out, _ = run(capsys, "verify", cycle_path, str(report_path))
+        assert code == 0
+        assert {"command": "verify", "status": "viable", "minimal": True}.items() <= json.loads(out).items()
+
+        _, seeded, _ = run(capsys, "gen", "random", "--n", "5", "--d", "2", "--seed", "3")
+        _, unseeded, _ = run(capsys, "gen", "random", "--n", "5", "--d", "2")
+        _, zero, _ = run(capsys, "gen", "random", "--n", "5", "--d", "2", "--seed", "0")
+        assert unseeded == zero != seeded
