@@ -8,13 +8,18 @@ zero/full-collateral threshold conditions.
 IESDS (`iterated_elimination`) and the minimality test of a viable matrix
 (`is_minimal`: one elimination run under the matrix for its viable order,
 then one run per positive collateral with that collateral at 0, started
-from the edges resolved before it in that order) are adapters over
+from the edges resolved before it in that order and from every edge
+outside the lowered edge's funding ancestry) are adapters over
 `model.eliminate`, which holds the tie rule: a player who is exactly
-indifferent between investing and defecting invests.  `collat verify`
-already has the viable order from its IESDS run and hands it to the
-per-collateral runs (`_minimal_along`) directly, so it runs the first
-elimination once.  Solvability is a secured-vertex closure on the same
-scaled funding table (`InvestmentNetwork.funding`).
+indifferent between investing and defecting invests.  An edge's need only
+depends on the capital that flows into its enterprise, so it only moves
+with the edges into that enterprise's funding ancestry (the enterprise, its
+investors, their investors, ...); starting the others resolved leaves the
+need exact and skips their checks.  `collat verify` already has the viable
+order from its IESDS run and hands it to the per-collateral runs
+(`_minimal_along`) directly, so it runs the first elimination once.
+Solvability is a secured-vertex closure on the same scaled funding table
+(`InvestmentNetwork.funding`).
 """
 from __future__ import annotations
 
@@ -63,7 +68,9 @@ def is_minimal(net, c):
     the IESDS run it has already made, see `_minimal_along`).  The edges
     resolved before e in it resolve with c_e at 0 as well (their needs
     ignore c_e), so e's run starts from that prefix: the closure is
-    monotone, so it reaches the same R as a run from the empty set.  A
+    monotone, so it reaches the same R as a run from the empty set.  The
+    run also starts with every edge outside e's funding ancestry resolved,
+    which leaves e's need at R unchanged (`_minimal_along` proves it).  A
     positive edge stuck under `c` makes `c` not minimal (not viable, in
     fact): at 0 it resolves a smaller set, where its need is no lower than
     its need under `c`, which exceeds c_e.
@@ -76,16 +83,56 @@ def is_minimal(net, c):
 
 def _minimal_along(net, c, order):
     """`is_minimal` given `order`, the order IESDS resolves under `c`, with
-    no positive collateral left stuck: one run per positive collateral, at
-    0, from the prefix resolved before it."""
+    no positive collateral left stuck: one run per positive collateral e =
+    (k, i), at 0, from the prefix resolved before it and every edge
+    irrelevant to e already resolved.
+
+    The funding ancestry of a vertex v is v, its investors, their
+    investors, and so on; A = ancestry(k) | ancestry(i) (= ancestry(k), as
+    i invests in k), and e's relevant edges are the edges into A.  The
+    start mask is exact:
+    - e's need depends only on which edges into k resolve, the solvency of
+      k's investors and the solvency of i (`model.edge_need`);
+    - a vertex's solvency in the cascade depends only on the edges into it
+      and its investors' solvency, so the cascade's iteration on A never
+      reads a vertex or an edge outside A, on cyclic nets too;
+    - A is closed under "investor of", so every relevant edge's own
+      relevant edges are relevant too: whether it resolves reads only
+      relevant edges and its own collateral.
+    The closure's relevant part, and with it e's need, therefore does not
+    depend on any irrelevant edge, resolved or not: `eliminate(net,
+    lowered, prefix | irrelevant)` returns the same needs[e] as
+    `eliminate(net, lowered, prefix)`, without checking (and rerunning the
+    cascade for) the irrelevant edges.  The ancestry is walked once per
+    enterprise per call.
+    """
+    everything = (1 << len(net.edges)) - 1
+    relevant = {}
     prefix = 0
     for e in order:
         if c.amounts[e]:
+            k = net.edges[e].enterprise
+            if k not in relevant:
+                relevant[k] = _edges_into_ancestry(net, k)
             lowered = c.amounts[:e] + (0,) + c.amounts[e + 1:]
-            if eliminate(net, lowered, prefix)[3].get(e, 0) != c.amounts[e]:
+            start = prefix | everything & ~relevant[k]
+            if eliminate(net, lowered, start)[3].get(e, 0) != c.amounts[e]:
                 return False
         prefix |= 1 << e
     return True
+
+
+def _edges_into_ancestry(net, k):
+    """Bitmask of the edges into k's funding ancestry: the edges into k,
+    into k's investors, into their investors, and so on."""
+    edges, seen, stack = 0, 1 << k, [k]
+    while stack:
+        for bit, investor, _ in net.funding.get(stack.pop(), ()):
+            edges |= bit
+            if not seen >> investor & 1:
+                seen |= 1 << investor
+                stack.append(investor)
+    return edges
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,11 @@ Money = Fraction
 
 
 def as_money(value):
-    """Convert to an exact Fraction, rejecting floats outright."""
+    """Convert to an exact Fraction, rejecting floats outright.  A Fraction
+    (not a subclass) is immutable and already exact, so it comes back as it
+    is: the parser has built every amount, cost and rate already."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "float amounts are not allowed; pass int, Fraction or a 'p/q' string"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import collat.analysis
 from collat import (
     CollateralMatrix,
     InvestmentNetwork,
@@ -24,6 +25,25 @@ from helpers import reference_is_minimal, unique_all_cooperate
 def star_net(amounts, z, alpha):
     edges = [(0, i + 1, x) for i, x in enumerate(amounts)]
     return InvestmentNetwork(len(amounts) + 1, edges, cost={0: z}, rate={0: alpha})
+
+
+def disjoint_union(a, b):
+    """`a` and `b` side by side, `b`'s vertices renumbered after `a`'s: two
+    funding branches that share no vertex."""
+    edges = [(e.enterprise, e.investor, e.amount) for e in a.edges]
+    edges += [(e.enterprise + a.n, e.investor + a.n, e.amount) for e in b.edges]
+    return InvestmentNetwork(a.n + b.n, edges, cost=a.cost + b.cost, rate=a.rate + b.rate)
+
+
+def relevant_edges(net, e):
+    """The edges into the funding ancestry of edge e's enterprise and
+    investor (each vertex, its investors, theirs, ...), by a walk over the
+    edge list."""
+    ancestry, frontier = set(), {net.edges[e].enterprise, net.edges[e].investor}
+    while frontier:
+        ancestry |= frontier
+        frontier = {x.investor for x in net.edges if x.enterprise in frontier} - ancestry
+    return {f for f, x in enumerate(net.edges) if x.enterprise in ancestry}
 
 
 class TestIteratedElimination:
@@ -147,6 +167,56 @@ class TestMinimality:
                 assert is_minimal(net, c) == expected, (trial, c)
                 verdicts.append(expected)
         assert verdicts.count(True) > 50 and verdicts.count(False) > 200
+
+    def test_matches_the_reference_on_wide_and_split_nets(self):
+        # on small nets the funding ancestry holds nearly every edge; on
+        # wide DAGs and on two disjoint branches most edges lie outside it
+        rng = random.Random(67)
+        verdicts = []
+        for trial in range(40):
+            if trial % 2:
+                net = random_network(rng.randint(10, 16), rng.randint(2, 5), acyclic=True,
+                                     seed=rng.randint(0, 10**6))
+            else:
+                net = disjoint_union(
+                    random_network(rng.randint(3, 8), 3, acyclic=True, seed=rng.randint(0, 10**6)),
+                    random_network(rng.randint(3, 8), 3, seed=rng.randint(0, 10**6),
+                                   large_alpha=trial % 4 == 2))
+            for c in self._matrices(net, rng):
+                expected = reference_is_minimal(net, c)
+                assert is_minimal(net, c) == expected, (trial, c)
+                verdicts.append(expected)
+        assert verdicts.count(True) > 25 and verdicts.count(False) > 150
+
+    def test_runs_start_with_the_irrelevant_edges_resolved(self, monkeypatch):
+        # each run at 0 starts from the viable order's prefix plus every edge
+        # outside the lowered edge's funding ancestry, and from no other edge
+        runs = []
+        real = collat.analysis.eliminate
+        monkeypatch.setattr(collat.analysis, "eliminate",
+                            lambda net, c, *args: runs.append((c, args)) or real(net, c, *args))
+        rng = random.Random(73)
+        checked = skipped = 0
+        for trial in range(30):
+            net = disjoint_union(
+                random_network(rng.randint(4, 9), 3, acyclic=True, seed=rng.randint(0, 10**6)),
+                random_network(rng.randint(4, 9), 3, acyclic=trial % 2 == 0,
+                               seed=rng.randint(0, 10**6)))
+            c = solve(net).collaterals
+            if c is None:
+                continue
+            runs.clear()
+            assert is_minimal(net, c)
+            order = real(net, c)[0]
+            for lowered, (start,) in runs[1:]:
+                (e,) = [f for f in range(len(net.edges)) if lowered[f] != c[f]]
+                relevant = relevant_edges(net, e)
+                prefix = set(order[:order.index(e)])
+                starts = {f for f in range(len(net.edges)) if start >> f & 1}
+                assert starts == prefix & relevant | set(range(len(net.edges))) - relevant
+                checked += 1
+                skipped += len(set(range(len(net.edges))) - relevant - prefix)
+        assert checked > 60 and skipped > 300
 
 
 class TestSolvability:

@@ -449,3 +449,19 @@ class TestCollateralMatrix:
         net = star_net([2, 1], 1, 1)
         with pytest.raises(TypeError):
             CollateralMatrix(net, [0.5, 0])
+
+
+class TestAsMoney:
+    def test_a_fraction_comes_back_as_is_and_a_float_still_raises(self):
+        f = Fraction(3, 7)
+        assert model.as_money(f) is f
+        with pytest.raises(TypeError):
+            model.as_money(0.5)
+
+    def test_other_exact_values_convert(self):
+        class Sub(Fraction):
+            pass
+
+        for value in (3, "3/7", Sub(3, 7)):
+            money = model.as_money(value)
+            assert type(money) is Fraction and money == Fraction(value)
