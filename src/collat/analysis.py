@@ -9,15 +9,13 @@ IESDS (`iterated_elimination`) and the minimality test of a viable matrix
 (`is_minimal`: one elimination run under the matrix for its viable order,
 then one run per positive collateral with that collateral at 0, started
 from the edges resolved before it in that order and from every edge
-outside the lowered edge's funding ancestry) are adapters over
+outside the lowered edge's enterprise component) are adapters over
 `model.eliminate`, which holds the tie rule: a player who is exactly
-indifferent between investing and defecting invests.  An edge's need only
-depends on the capital that flows into its enterprise, so it only moves
-with the edges into that enterprise's funding ancestry (the enterprise, its
-investors, their investors, ...); starting the others resolved leaves the
-need exact and skips their checks.  `collat verify` already has the viable
-order from its IESDS run and hands it to the per-collateral runs
-(`_minimal_along`) directly, so it runs the first elimination once.
+indifferent between investing and defecting invests.  The components are
+`solve`'s (`_enterprise_components`): a collateral only moves the edges
+into its own component, as all upstream of it resolves without reading it.
+`collat verify` hands its IESDS run's viable order to the per-collateral
+runs (`_minimal_along`), so it runs the first elimination once.
 Solvability is a secured-vertex closure on the same scaled funding table
 (`InvestmentNetwork.funding`).
 """
@@ -68,12 +66,12 @@ def is_minimal(net, c):
     the IESDS run it has already made, see `_minimal_along`).  The edges
     resolved before e in it resolve with c_e at 0 as well (their needs
     ignore c_e), so e's run starts from that prefix: the closure is
-    monotone, so it reaches the same R as a run from the empty set.  The
-    run also starts with every edge outside e's funding ancestry resolved,
-    which leaves e's need at R unchanged (`_minimal_along` proves it).  A
-    positive edge stuck under `c` makes `c` not minimal (not viable, in
-    fact): at 0 it resolves a smaller set, where its need is no lower than
-    its need under `c`, which exceeds c_e.
+    monotone, so it reaches the same R as a run from the empty set.  It
+    also starts with the edges resolved under `c` outside e's enterprise
+    component resolved: each either never reaches e's need or lies in R
+    (`_minimal_along` proves it).  A positive edge stuck under `c` makes
+    `c` not minimal (not viable, in fact): at 0 it resolves a smaller set,
+    where its need is no lower than its need under `c`, which exceeds c_e.
     """
     order, _, _, stuck = eliminate(net, c)
     if any(c.amounts[e] for e in stuck):
@@ -84,55 +82,38 @@ def is_minimal(net, c):
 def _minimal_along(net, c, order):
     """`is_minimal` given `order`, the order IESDS resolves under `c`, with
     no positive collateral left stuck: one run per positive collateral e =
-    (k, i), at 0, from the prefix resolved before it and every edge
-    irrelevant to e already resolved.
+    (k, i), at 0, started from the prefix resolved before it and from every
+    edge of `order` not into k's enterprise component (on a viable `c`, as
+    in `collat verify`: every edge outside that component).
 
-    The funding ancestry of a vertex v is v, its investors, their
-    investors, and so on; A = ancestry(k) | ancestry(i) (= ancestry(k), as
-    i invests in k), and e's relevant edges are the edges into A.  The
-    start mask is exact:
-    - e's need depends only on which edges into k resolve, the solvency of
-      k's investors and the solvency of i (`model.edge_need`);
-    - a vertex's solvency in the cascade depends only on the edges into it
-      and its investors' solvency, so the cascade's iteration on A never
-      reads a vertex or an edge outside A, on cyclic nets too;
-    - A is closed under "investor of", so every relevant edge's own
-      relevant edges are relevant too: whether it resolves reads only
-      relevant edges and its own collateral.
-    The closure's relevant part, and with it e's need, therefore does not
-    depend on any irrelevant edge, resolved or not: `eliminate(net,
-    lowered, prefix | irrelevant)` returns the same needs[e] as
-    `eliminate(net, lowered, prefix)`, without checking (and rerunning the
-    cascade for) the irrelevant edges.  The ancestry is walked once per
-    enterprise per call.
+    The start is exact.  Write A for k's funding ancestry (k, its
+    investors, theirs, ...; i's lies inside it).
+    - e's need reads the edges into k and the solvency of k's investors
+      and of i (`model.edge_need`), and a vertex's solvency reads the edges
+      into it and its investors' solvency: so e's need, and whether an edge
+      into A resolves, reads only the edges into A.
+    - A vertex u of A outside k's component has an ancestry without k
+      (else u and k would reach each other), so whether an edge into u
+      resolves never reads c_e: if it resolves under `c`, it lies in the
+      final set R of the run at 0 from the empty set.
+    The prefix lies in R too and the closure is monotone, so the run
+    reaches the same needs[e] without checking the edges it starts
+    resolved.  The components are computed once per call.
     """
-    everything = (1 << len(net.edges)) - 1
-    relevant = {}
+    settled = sum(1 << e for e in order)
+    open_edges = {}
+    for comp, _ in _enterprise_components(net):
+        mask = sum(bit for k in comp for bit, _, _ in net.funding[k])
+        open_edges.update(dict.fromkeys(comp, mask))
     prefix = 0
     for e in order:
         if c.amounts[e]:
-            k = net.edges[e].enterprise
-            if k not in relevant:
-                relevant[k] = _edges_into_ancestry(net, k)
             lowered = c.amounts[:e] + (0,) + c.amounts[e + 1:]
-            start = prefix | everything & ~relevant[k]
+            start = prefix | settled & ~open_edges[net.edges[e].enterprise]
             if eliminate(net, lowered, start)[3].get(e, 0) != c.amounts[e]:
                 return False
         prefix |= 1 << e
     return True
-
-
-def _edges_into_ancestry(net, k):
-    """Bitmask of the edges into k's funding ancestry: the edges into k,
-    into k's investors, into their investors, and so on."""
-    edges, seen, stack = 0, 1 << k, [k]
-    while stack:
-        for bit, investor, _ in net.funding.get(stack.pop(), ()):
-            edges |= bit
-            if not seen >> investor & 1:
-                seen |= 1 << investor
-                stack.append(investor)
-    return edges
 
 
 @dataclass(frozen=True)
@@ -216,6 +197,20 @@ def _witness(net, secured_mask):
         if external < net.scaled_costs[k]:
             shortfalls[k] = Fraction(net.scaled_costs[k] - external, net.scale)
     return InfeasibilityWitness(frozenset(vertices), shortfalls)
+
+
+def _enterprise_components(net):
+    """Enterprise SCCs, downstream first (Tarjan emits a component only after
+    every component it reaches), each as (sorted enterprises, cyclic flag)."""
+    adjacency = {
+        k: [net.edges[e].investor for e in net.out_edges[k]
+            if net.edges[e].investor in net.enterprise_set]
+        for k in sorted(net.enterprise_set)
+    }
+    return [
+        (sorted(comp), len(comp) > 1 or any(k in adjacency[k] for k in comp))
+        for comp in _strongly_connected_components(adjacency)
+    ]
 
 
 def _strongly_connected_components(adjacency):

@@ -182,13 +182,11 @@ def _load_collaterals(net, path):
         path_ = "$.collaterals[%d]" % pos
         if not isinstance(rec, dict):
             raise DocumentError("expected an object", path_)
-        if "collateral" not in rec:
-            raise DocumentError("missing field 'collateral'", path_)
-        try:
-            k = index[rec["enterprise"]]
-            i = index[rec["investor"]]
-        except (KeyError, TypeError):
-            raise DocumentError("unknown vertex id", path_) from None
+        for key in ("enterprise", "investor", "collateral"):
+            if key not in rec:
+                raise DocumentError("missing field %r" % key, path_)
+        k = instances._vertex(index, rec, "enterprise", path_)
+        i = instances._vertex(index, rec, "investor", path_)
         edge = net.edge_index.get((k, i))
         if edge is None:
             raise DocumentError("collateral on a non-edge", path_)

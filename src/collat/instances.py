@@ -89,19 +89,22 @@ def parse_document(doc):
     for pos, rec in enumerate(doc["edges"]):
         path = "$.edges[%d]" % pos
         _check_keys(rec, {"enterprise", "investor", "amount"}, {"enterprise", "investor", "amount"}, path)
-        try:
-            k = index[rec["enterprise"]]
-        except (KeyError, TypeError):
-            raise DocumentError("unknown enterprise id %r" % (rec["enterprise"],), path + ".enterprise") from None
-        try:
-            i = index[rec["investor"]]
-        except (KeyError, TypeError):
-            raise DocumentError("unknown investor id %r" % (rec["investor"],), path + ".investor") from None
+        k = _vertex(index, rec, "enterprise", path)
+        i = _vertex(index, rec, "investor", path)
         if (k, i) in seen:
             raise DocumentError("duplicate edge (%r, %r)" % (rec["enterprise"], rec["investor"]), path)
         seen.add((k, i))
         edges.append((k, i, parse_rational(rec["amount"], path + ".amount")))
     return InvestmentNetwork(len(ids), edges, cost=cost, rate=rate, ids=ids)
+
+
+def _vertex(index, rec, field, path):
+    """The vertex `rec[field]` names in `index` (id -> vertex): only a str or
+    non-bool int does; `true` and `1.0` equal 1 as keys but are no ids."""
+    vid = rec[field]
+    if isinstance(vid, (str, int)) and not isinstance(vid, bool) and vid in index:
+        return index[vid]
+    raise DocumentError("unknown %s id %r" % (field, vid), "%s.%s" % (path, field))
 
 
 def serialize_network(net, meta=None):

@@ -3,7 +3,9 @@
 Every entry point is a labelled view of one pass (`_solve_components`):
 `solvability_check` first (if infeasible: the witness, method "none"),
 then the strongly connected components (SCCs) of the enterprises, edges
-oriented enterprise -> investor, downstream first: by then, investors
+oriented enterprise -> investor, downstream first
+(`analysis._enterprise_components`, which also bounds each of `collat
+verify`'s minimality runs and decides `is_acyclic`): by then, investors
 outside a component always pay, so the optimum is the sum of the component
 optima.  A single enterprise is a star (`solve_star`; NEC 1 on the acyclic
 networks `solve_dag` takes).  In `solve` a cyclic component runs an exact
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 from .analysis import (
     InfeasibilityWitness,
-    _strongly_connected_components,
+    _enterprise_components,
     is_large_alpha,
     solvability_check,
 )
@@ -63,7 +65,9 @@ class Solution:
     order: tuple = ()
     star_totals: dict = field(default_factory=dict)  # actual per-enterprise sums
     star_optima: dict = field(default_factory=dict)  # stand-alone star optima
-    nec: Fraction | None = None  # total / sum of star optima; None if infeasible
+    # total / sum of star optima; None if infeasible.  Star optima summing
+    # to 0 give 1, even where the total is positive (an undefined ratio)
+    nec: Fraction | None = None
     witness: InfeasibilityWitness | None = None
     method: str = ""
 
@@ -81,20 +85,6 @@ def star_decomposition(net):
         )
         out.append((k, star, edge_ids))
     return out
-
-
-def _enterprise_components(net):
-    """Enterprise SCCs, downstream first (Tarjan emits a component only after
-    every component it reaches), each as (sorted enterprises, cyclic flag)."""
-    adjacency = {
-        k: [net.edges[e].investor for e in net.out_edges[k]
-            if net.edges[e].investor in net.enterprise_set]
-        for k in sorted(net.enterprise_set)
-    }
-    return [
-        (sorted(comp), len(comp) > 1 or any(k in adjacency[k] for k in comp))
-        for comp in _strongly_connected_components(adjacency)
-    ]
 
 
 def is_acyclic(net):

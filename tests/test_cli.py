@@ -106,6 +106,19 @@ class TestCheck:
         assert code == 1
         assert "invalid JSON" in err
 
+    def test_boolean_vertex_reference_is_an_input_error(self, capsys, tmp_path):
+        # `"enterprise": true` would otherwise name the vertex whose id is 1
+        doc = {"version": 1, "vertices": [{"id": 0}, {"id": 1, "z": "1", "alpha": "1"}],
+               "edges": [{"enterprise": True, "investor": 0, "amount": "3"}]}
+        net_path, out_path = tmp_path / "net.json", tmp_path / "out.json"
+        net_path.write_text(json.dumps(doc))
+        for command in ("check", "solve"):
+            code, out, err = run(capsys, command, str(net_path), "--out-file", str(out_path))
+            assert code == 1
+            assert out == "" and not out_path.exists()
+            assert err.startswith("error: $.edges[0].enterprise: ")
+            assert len(err.splitlines()) == 1
+
     def test_unprofitable_network_is_an_input_error(self, capsys, tmp_path):
         doc = {
             "version": 1,
@@ -283,6 +296,23 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error: %s: " % path)
+
+    @pytest.mark.parametrize("enterprise, investor, field", [
+        (True, False, "enterprise"), (1, False, "investor"), (1.0, 0, "enterprise"),
+    ], ids=["true", "false", "float"])
+    def test_boolean_or_float_vertex_reference_rejected(self, capsys, tmp_path,
+                                                         enterprise, investor, field):
+        # true, false and 1.0 equal the ids 1, 0 and 1 as dict keys
+        net_path = tmp_path / "net.json"
+        save_network(InvestmentNetwork(2, [(1, 0, 3)], cost={1: 1}, rate={1: 1}), net_path)
+        c_path, out_path = tmp_path / "c.json", tmp_path / "out.json"
+        row = {"enterprise": enterprise, "investor": investor, "collateral": "0"}
+        c_path.write_text(json.dumps({"collaterals": [row]}))
+        code, out, err = run(capsys, "verify", str(net_path), str(c_path), "--out-file", str(out_path))
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error: $.collaterals[0].%s: " % field)
+        assert len(err.splitlines()) == 1
 
     def test_one_viability_run_per_verify(self, capsys, monkeypatch, cycle_path, tmp_path):
         # IESDS under the matrix gives the viable order, then one run per

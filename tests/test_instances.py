@@ -189,6 +189,19 @@ class TestDocumentFormat:
         with pytest.raises(DocumentError):
             parse_document(doc)
 
+    @pytest.mark.parametrize("field, ref", [
+        ("enterprise", True), ("investor", False), ("enterprise", 1.0), ("investor", 0.0),
+    ], ids=["true", "false", "float-enterprise", "float-investor"])
+    def test_vertex_reference_is_a_string_or_integer(self, field, ref):
+        # true, false and 1.0 equal the ids 1, 0 and 1 as dict keys
+        doc = {"version": 1, "vertices": [{"id": 0}, {"id": 1, "z": "1", "alpha": "1"}],
+               "edges": [{"enterprise": 1, "investor": 0, "amount": "3"}]}
+        parse_document(doc)
+        doc["edges"][0][field] = ref
+        with pytest.raises(DocumentError) as err:
+            parse_document(doc)
+        assert err.value.path == "$.edges[0].%s" % field
+
     def test_boolean_is_not_a_rational(self):
         doc = minimal_doc()
         doc["vertices"][0]["z"] = True
