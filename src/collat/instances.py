@@ -41,7 +41,16 @@ def parse_rational(value, path="$"):
             "float literals are not allowed; write an exact rational such as '1/2'", path
         )
     if isinstance(value, str):
+        # ASCII digits, or "p/q" in ASCII digits with q > 0, skip Fraction's
+        # string parser; everything else (signs, spaces, "_", decimals and
+        # exponents, other digits, zero denominators) goes through it
+        num, slash, den = value.partition("/")
         try:
+            if num.isascii() and num.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit() and den.strip("0"):
+                    return Fraction(int(num), int(den))
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise DocumentError("cannot parse rational %r" % value, path) from None

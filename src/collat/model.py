@@ -6,14 +6,20 @@ edge whether to invest ("cooperate") or decline ("defect").  An enterprise
 that fails to raise its operational cost defaults and withdraws all of its
 own investments, which can cascade.
 
-`cascade` is the one cascade loop: bitmasks over edges and vertices, with
-amounts and costs scaled once per network to integers over a common
-denominator.  On those integers `least_collateral` is the solver's one
-least-collateral formula (`star._minimal_amount`: the Fraction reference)
-and `edge_need`, on top of the cascade, the least collateral that makes an
-edge invest.  `eliminate` is the one elimination loop on top of both, and
-holds the tie rule (resolve iff solvent and c_e >= need): IESDS, `collat
-verify`'s minimality test and the search's free closure all run it.
+`InvestmentNetwork` builds the one table every layer after the parser
+reads: it keeps Fractions it is given as they are, and scales the amounts
+and enterprise costs once, with integer arithmetic, to integers over a
+common denominator (`scaled_amounts`, `scaled_costs`, and per enterprise
+the `funding` rows); a component's sub-network goes through the same
+constructor.  `validate_network` checks profitability on those integers
+(`is_profitable`).  `cascade` is the one cascade loop: bitmasks over
+edges and vertices, on the scaled integers.  On them `least_collateral` is
+the solver's one least-collateral formula (`star._minimal_amount`: the
+Fraction reference) and `edge_need`, on top of the cascade, the least
+collateral that makes an edge invest.  `eliminate` is the one elimination
+loop on top of both, and holds the tie rule (resolve iff solvent and c_e >=
+need): IESDS, `collat verify`'s minimality test and the search's free
+closure all run it.
 `best_response` (on a full cascade), `default_determination`,
 `enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
 definitional reference.
@@ -71,33 +77,41 @@ class InvestmentNetwork:
 
     Vertices are integers 0..n-1; `ids` optionally carries external names for
     reporting.  `cost[k]` and `rate[k]` are only meaningful for enterprise
-    vertices (non-zero out-degree); they default to 0 elsewhere.
+    vertices (non-zero out-degree); they default to 0 elsewhere.  An edge's
+    enterprise must be a vertex (ValueError otherwise); an investor out of
+    range is left to `validate_network`.
     """
 
     def __init__(self, n, edges, cost=None, rate=None, ids=None):
-        self.n = int(n)
+        self.n = n = int(n)
         norm = []
         for e in edges:
-            if isinstance(e, Edge):
-                norm.append(Edge(e.enterprise, e.investor, as_money(e.amount)))
-            else:
+            if not isinstance(e, Edge):
                 k, i, x = e
-                norm.append(Edge(int(k), int(i), as_money(x)))
+                e = Edge(int(k), int(i), as_money(x))
+            elif type(e.amount) is not Fraction:
+                e = Edge(e.enterprise, e.investor, as_money(e.amount))
+            norm.append(e)
         self.edges = tuple(norm)
         self.cost = self._per_vertex(cost)
         self.rate = self._per_vertex(rate)
-        self.ids = tuple(ids) if ids is not None else tuple(range(self.n))
-        self.enterprise_set = frozenset(e.enterprise for e in self.edges)
-        self.out_edges = {k: [] for k in range(self.n)}
+        self.ids = tuple(ids) if ids is not None else tuple(range(n))
+        self.out_edges = {k: [] for k in range(n)}
         for idx, e in enumerate(self.edges):
-            self.out_edges[e.enterprise].append(idx)
+            out = self.out_edges.get(e.enterprise)
+            if out is None:
+                raise ValueError("edge %d: endpoint out of range" % idx)
+            out.append(idx)
+        self.enterprise_set = frozenset(e.enterprise for e in self.edges)
         self.edge_index = {(e.enterprise, e.investor): idx for idx, e in enumerate(self.edges)}
         # the cascade's integers: every amount and enterprise cost times `scale`
-        self.scale = 1
-        for x in [e.amount for e in self.edges] + [self.cost[k] for k in self.enterprise_set]:
-            self.scale = math.lcm(self.scale, x.denominator)
-        self.scaled_amounts = tuple(int(e.amount * self.scale) for e in self.edges)
-        self.scaled_costs = {k: int(self.cost[k] * self.scale) for k in sorted(self.enterprise_set)}
+        amounts = [e.amount for e in self.edges]
+        costs = {k: self.cost[k] for k in sorted(self.enterprise_set)}
+        self.scale = scale = math.lcm(
+            *{x.denominator for x in amounts}, *{x.denominator for x in costs.values()}
+        )
+        self.scaled_amounts = tuple(x.numerator * (scale // x.denominator) for x in amounts)
+        self.scaled_costs = {k: x.numerator * (scale // x.denominator) for k, x in costs.items()}
         self.funding = {
             k: tuple((1 << e, self.edges[e].investor, self.scaled_amounts[e])
                      for e in self.out_edges[k])
@@ -105,14 +119,18 @@ class InvestmentNetwork:
         }
 
     def _per_vertex(self, values):
+        """n Fractions, one per vertex; a sequence of n Fractions is kept
+        as it is (as a tuple)."""
         if values is None:
-            return tuple(Fraction(0) for _ in range(self.n))
+            return (Fraction(0),) * self.n
         if isinstance(values, dict):
             return tuple(as_money(values.get(v, 0)) for v in range(self.n))
-        out = [as_money(v) for v in values]
+        out = tuple(values)
+        if not all(type(v) is Fraction for v in out):
+            out = tuple(as_money(v) for v in out)
         if len(out) != self.n:
             raise ValueError("per-vertex parameter length must equal n")
-        return tuple(out)
+        return out
 
     def total_opportunities(self, k):
         """X_k: the sum of investment opportunities in enterprise k."""
@@ -199,13 +217,15 @@ def validate_network(net):
     """Check structural invariants and per-enterprise profitability.
 
     Profitability requires (1 + alpha_k)(X_k - Z_k) >= X_k for every
-    enterprise k; unprofitable enterprises should be removed from the input
-    rather than modeled.  Returns an itemized report and never raises.
+    enterprise k (`is_profitable`, on the scaled integers; the Fractions
+    are formatted only for a violation's text); unprofitable enterprises
+    should be removed from the input rather than modeled.  Returns an
+    itemized report and never raises.
     """
     violations = []
     seen = set()
     for idx, e in enumerate(net.edges):
-        if e.amount <= 0:
+        if net.scaled_amounts[idx] <= 0:
             violations.append("edge %d (%s -> %s): non-positive edge weight" % (idx, e.enterprise, e.investor))
         if e.enterprise == e.investor:
             violations.append("edge %d: self-edge at vertex %s" % (idx, e.enterprise))
@@ -216,18 +236,23 @@ def validate_network(net):
             violations.append("duplicate edge (%s, %s)" % key)
         seen.add(key)
     for k in sorted(net.enterprise_set):
-        z = net.cost[k]
-        a = net.rate[k]
-        if z < 0:
+        if net.scaled_costs[k] < 0:
             violations.append("enterprise %s: negative cost" % (k,))
-        if a <= 0:
+        if net.rate[k].numerator <= 0:
             violations.append("enterprise %s: rate must be positive" % (k,))
-        x_total = net.total_opportunities(k)
-        if (1 + a) * (x_total - z) < x_total:
-            violations.append(
-                "enterprise %s: unprofitable ((1+%s)(%s-%s) < %s)" % (k, a, x_total, z, x_total)
-            )
+        if not is_profitable(net, k):
+            x_total = net.total_opportunities(k)
+            violations.append("enterprise %s: unprofitable ((1+%s)(%s-%s) < %s)"
+                              % (k, net.rate[k], x_total, net.cost[k], x_total))
     return ValidationReport(violations)
+
+
+def is_profitable(net, k):
+    """(1 + alpha_k)(X_k - Z_k) >= X_k, on the scaled integers: with
+    alpha_k = p/q (q > 0), (p+q)(X - Z) >= qX."""
+    x_total = sum(amount for _, _, amount in net.funding[k])
+    p, q = net.rate[k].numerator, net.rate[k].denominator
+    return (p + q) * (x_total - net.scaled_costs[k]) >= q * x_total
 
 
 def cascade(net, cooperate_mask, within=None):

@@ -17,9 +17,14 @@ zero-need eliminations (`model.eliminate` with zero collaterals), and a
 consistent lower bound (each star's no-default completion cost) steers the
 search, so it expands a small fraction of the 2^|E| sets; a tie rule picks
 among optimal matrices, and `SEARCH_BUDGET` bounds the work per component.
-`solve_exact` and `solve_large_alpha` take the whole network as one
-component and run the exhaustive subset dynamic program (`_subset_dp`,
-O(2^|E| |E|), `EXACT_GUARD` on |E|) instead: the oracles.
+The root bound sums each star's completion from nothing, which is the
+star's stand-alone optimum, so the search hands those back as the
+component's star optima (the NEC's denominator) and `solve_star` runs
+only on single-enterprise components.  `solve_exact` and
+`solve_large_alpha` take the whole network as one component and run the
+exhaustive subset dynamic program (`_subset_dp`, O(2^|E| |E|),
+`EXACT_GUARD` on |E|) instead, with star optima from `solve_star`: the
+oracles, so they check the root bound too.
 For integer inputs with alpha_k > Z_k every positive collateral of an
 optimal solution is full; both reach that optimum as they do any other,
 so no separate search runs.  `Solution.method` names the whole-network
@@ -39,7 +44,15 @@ from .analysis import (
     is_large_alpha,
     solvability_check,
 )
-from .model import CollateralMatrix, InvestmentNetwork, TooLargeError, cascade, edge_need, eliminate
+from .model import (
+    CollateralMatrix,
+    InvestmentNetwork,
+    TooLargeError,
+    cascade,
+    edge_need,
+    eliminate,
+    is_profitable,
+)
 from .star import StarInstance, sigma, solve_star, suffix_dp
 
 log = logging.getLogger(__name__)
@@ -98,38 +111,53 @@ def _per_star_sums(net, c):
     }
 
 
+def _star_solution(net, k):
+    """`solve_star` on enterprise k's star; its guard error names k."""
+    amounts = [net.edges[e].amount for e in net.out_edges[k]]
+    star = StarInstance(amounts, net.cost[k], net.rate[k])
+    try:
+        return solve_star(star)
+    except TooLargeError as exc:
+        raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
+
+
+def _check_stars(net):
+    """The checks `StarInstance` makes, on the scaled funding table, for
+    every enterprise in index order before any component runs, so the same
+    enterprise trips them whichever route solves it.  Profitability is
+    checked where each star is priced: `solve_star`, or the search's root
+    bound."""
+    for k, funding in net.funding.items():
+        if any(amount <= 0 for _, _, amount in funding):
+            raise ValueError("investment amounts must be positive")
+        if net.scaled_costs[k] < 0 or net.rate[k] <= 0:
+            raise ValueError("cost must be nonnegative and rate positive")
+
+
 def _solve_components(net, components, method, cyclic_solver):
     """The one solver pass: `solvability_check` first (if infeasible, the
     witness and method "none"), then the (enterprises, cyclic flag)
     components in the given order, concatenated and labelled `method`.  A
-    cyclic component's sub-network keeps only its own enterprises' edges,
-    so outside investors are plain investors, and goes to `cyclic_solver`:
-    the best-first search (`_search`, under `SEARCH_BUDGET`) from `solve`,
-    the exhaustive subset DP (`_subset_dp`, under `EXACT_GUARD`) from the
-    oracles."""
+    single enterprise is solved by `solve_star`.  A cyclic component's
+    sub-network keeps only its own enterprises' edges, so outside investors
+    are plain investors, and goes to `cyclic_solver`, which also returns
+    the component's star optima: the best-first search (`_search`, under
+    `SEARCH_BUDGET`; its root bound) from `solve`, the exhaustive subset DP
+    (`_subset_dp`, under `EXACT_GUARD`; `solve_star`) from the oracles."""
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
-    stars = {k: star for k, star, _ in star_decomposition(net)}
-
-    def star_solution(k):
-        try:
-            return solve_star(stars[k])
-        except TooLargeError as exc:
-            raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
-
+    _check_stars(net)
     star_optima, amounts, order = {}, {}, []
     for comp, cyclic in components:
         if cyclic:
-            # star optima first: an oversized star trips its guard, with its
-            # name, before the search prices completions of it
-            star_optima.update((k, star_solution(k).total) for k in comp)
             edge_ids = sorted(e for k in comp for e in net.out_edges[k])
             sub = InvestmentNetwork(net.n, [net.edges[e] for e in edge_ids],
                                     net.cost, net.rate, net.ids)
-            local, local_order = cyclic_solver(sub)
+            local, local_order, optima = cyclic_solver(sub)
+            star_optima.update(optima)
         else:  # a single enterprise: its star solution is the component's
-            ssol = star_solution(comp[0])
+            ssol = _star_solution(net, comp[0])
             star_optima[comp[0]] = ssol.total
             edge_ids, local, local_order = net.out_edges[comp[0]], ssol.collaterals, ssol.order
         for pos in local_order:
@@ -170,7 +198,10 @@ def _subset_dp(net):
     """Subset DP over resolved edge-sets of a solvable network: cost(S + e)
     relaxes over cost(S) + `edge_need` of e given S.  Every viable
     matrix admits an elimination order, so the DP minimum is the global
-    optimum.  Returns (amounts by edge, elimination order)."""
+    optimum.  The star optima come from `solve_star`, first: an oversized
+    star trips its guard, with its name, before the DP's own guard.
+    Returns (amounts by edge, elimination order, star optima)."""
+    optima = {k: _star_solution(net, k).total for k in sorted(net.enterprise_set)}
     m = len(net.edges)
     if m > EXACT_GUARD:
         raise TooLargeError(
@@ -215,7 +246,7 @@ def _subset_dp(net):
         order.append(e)
         s_mask = prev
     order.reverse()
-    return amounts, order
+    return amounts, order, optima
 
 
 def _search(net):
@@ -233,7 +264,10 @@ def _search(net):
     Defaults only raise needs, so h never overestimates, and h(S) -
     h(S + e) is at most e's no-default need, itself at most need_e(S + e):
     h is consistent, so the first full state taken from the queue is
-    optimal.
+    optimal.  The root bound h(empty) prices each whole star, so its terms
+    are the stand-alone star optima (each star first checked profitable,
+    and an oversized star trips its DP guard, with its name, before any
+    expansion).
 
     Ties: the queue yields the least bound, then the most resolved edges,
     then the least edge bitmask; a state keeps the first path to reach it
@@ -241,7 +275,7 @@ def _search(net):
     `model.eliminate`'s sweeps (index order, repeated until none is free).
     `SEARCH_BUDGET` caps the expansions plus the star-bound entries
     (TooLargeError beyond it); every memo lives for one call.
-    Returns (amounts by edge, elimination order)."""
+    Returns (amounts by edge, elimination order, star optima)."""
     m = len(net.edges)
     full = (1 << m) - 1
     zero, zeros = Fraction(0), [0] * m
@@ -274,11 +308,19 @@ def _search(net):
             entries += 1
             check_budget()
             players = [i for i, e in order if not resolved >> e & 1]
-            layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players)
+            try:
+                layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players)
+            except TooLargeError as exc:
+                raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
             value = table[resolved] = Fraction(min(c for c, _ in layer.values()), net.scale)
         return value
 
-    bound = sum((completion(k, 0) for k in star_mask), zero)
+    optima = {}  # the root bound's terms: the stand-alone star optima
+    for k in sorted(star_mask):
+        if not is_profitable(net, k):
+            raise ValueError("star instance is not profitable")
+        optima[k] = completion(k, 0)
+    bound = sum(optima.values(), zero)
     # (bound, -resolved edges, raw mask, parent closed mask, edge, need)
     queue = [(bound, 0, 0, None, -1, zero)]
     best = {0: bound}  # raw mask -> least bound pushed
@@ -321,7 +363,7 @@ def _search(net):
             amounts[edge] = g - came_from[parent][2]
             segments.append([edge])
         closed = parent
-    return amounts, [e for segment in reversed(segments) for e in segment]
+    return amounts, [e for segment in reversed(segments) for e in segment], optima
 
 
 def solve_exact(net):

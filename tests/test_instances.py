@@ -22,7 +22,7 @@ from collat import (
     solve_star,
     validate_network,
 )
-from collat.instances import NoSolutionError, dumps_document
+from collat.instances import NoSolutionError, dumps_document, parse_rational
 
 
 def minimal_doc():
@@ -207,6 +207,30 @@ class TestDocumentFormat:
         doc["vertices"][0]["z"] = True
         with pytest.raises(DocumentError):
             parse_document(doc)
+
+    # "²".isdigit() is true, but int("²") raises: the fast path for ASCII
+    # digits must leave it to Fraction's parser
+    @pytest.mark.parametrize("text", [
+        "7", "007", "5/2", "10/4", "-3/4", "+3", " 3 ", " 5/2", "1_000", "2.5", "1e3", "\u0663",
+    ])
+    def test_rational_string_is_read_as_fraction_reads_it(self, text):
+        try:
+            expected = Fraction(text)
+        except ValueError:  # "1_000" before Python 3.11
+            with pytest.raises(DocumentError):
+                parse_rational(text, "$.x")
+            return
+        value = parse_rational(text, "$.x")
+        assert type(value) is Fraction and value == expected
+
+    @pytest.mark.parametrize("text", ["0/0", "1/0", "3/-4", "\u00b2", "", "/", "3/"])
+    def test_rational_string_fraction_rejects_is_a_document_error(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(text)
+        with pytest.raises(DocumentError) as err:
+            parse_rational(text, "$.x")
+        assert err.value.path == "$.x"
+        assert str(err.value) == "$.x: cannot parse rational %r" % text
 
 
 class TestCycleFamily:

@@ -56,6 +56,45 @@ class TestValidation:
         violations = " ".join(validate_network(net).violations)
         assert "duplicate edge" in violations and "self-edge" in violations
 
+    @pytest.mark.parametrize("enterprise", [5, -1])
+    def test_enterprise_out_of_range_is_a_value_error(self, enterprise):
+        with pytest.raises(ValueError, match=r"^edge 0: endpoint out of range$"):
+            InvestmentNetwork(2, [(enterprise, 0, 1)])
+
+    @pytest.mark.parametrize("investor", [5, -1])
+    def test_investor_out_of_range_is_a_violation(self, investor):
+        net = InvestmentNetwork(2, [(0, investor, 1)], rate={0: 1})
+        assert "edge 0: endpoint out of range" in validate_network(net).violations
+
+    def test_profitability_on_the_scaled_integers_matches_fractions(self):
+        # random rational stars, some on the exact boundary (1+a)(X-Z) = X
+        # and some with rates <= 0: the same stars are flagged, with the
+        # same text, as by the Fraction formula
+        rng = random.Random(29)
+
+        def rational():
+            return Fraction(rng.randint(1, 40), rng.randint(1, 9))
+
+        flagged = boundary = 0
+        for trial in range(400):
+            amounts = [rational() for _ in range(rng.randint(1, 4))]
+            x_total = sum(amounts)
+            z = x_total * Fraction(rng.randint(0, 9), 10)
+            if trial % 4 == 0:
+                a = z / (x_total - z)
+            else:
+                a = Fraction(rng.randint(-6, 30), rng.randint(1, 7))
+            expected = []
+            if (1 + a) * (x_total - z) < x_total:
+                expected.append("enterprise 0: unprofitable ((1+%s)(%s-%s) < %s)"
+                                % (a, x_total, z, x_total))
+            got = [v for v in validate_network(star_net(amounts, z, a)).violations
+                   if "unprofitable" in v]
+            assert got == expected
+            flagged += bool(expected)
+            boundary += (1 + a) * (x_total - z) == x_total
+        assert 0 < flagged < 400 and boundary >= 100
+
 
 class TestDefaultDetermination:
     def test_all_defect_defaults_everyone(self, two_cycle_net):

@@ -32,6 +32,7 @@ from collat import (
     validate_network,
 )
 from collat import network
+from collat import star as star_module
 from collat.model import cascade, eliminate
 from collat.network import is_acyclic
 from collat.star import STATE_GUARD
@@ -420,6 +421,97 @@ class TestSearchAgainstExact:
             assert sol.total == ref.total and sol.nec == ref.nec
             assert is_viable(net, sol.collaterals)
             assert_valid_elimination_order(net, sol.collaterals, list(sol.order))
+
+
+class TestStarOptimaFromTheSearch:
+    """`solve` takes a cyclic component's star optima from the search's
+    root bound; `solve_star` runs only on single-enterprise components."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(small_cyclic_networks())
+    def test_root_bound_terms_are_the_star_optima(self, net):
+        sol = solve(net)
+        assume(sol.status is Status.SOLVED)
+        assert sorted(sol.star_optima) == sorted(net.enterprise_set)
+        for k, star, _ in star_decomposition(net):
+            assert type(sol.star_optima[k]) is Fraction
+            assert sol.star_optima[k] == solve_star(star).total
+
+    @staticmethod
+    def _cycle_with_upstream_star():
+        # P <-> Q with spikes (one cyclic component), and R funded by P and
+        # a spike of its own: a single-enterprise component
+        edges = [(0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 3, 3), (4, 0, 2), (4, 5, 1)]
+        params = {0: 2, 1: 2, 4: 1}
+        return InvestmentNetwork(6, edges, cost=params, rate=params)
+
+    def test_no_star_dp_runs_twice(self, monkeypatch, caplog):
+        net = self._cycle_with_upstream_star()
+        optima = {k: solve_star(star).total for k, star, _ in star_decomposition(net)}
+        star_calls, dp_calls = [], []
+        suffix_dp = star_module.suffix_dp
+
+        def counted_solve_star(star):
+            star_calls.append(star)
+            return solve_star(star)
+
+        def counted_suffix_dp(amounts, cost, rate, players):
+            dp_calls.append((amounts, tuple(players)))  # keeps `amounts` alive
+            return suffix_dp(amounts, cost, rate, players)
+
+        monkeypatch.setattr(network, "solve_star", counted_solve_star)
+        monkeypatch.setattr(network, "suffix_dp", counted_suffix_dp)
+        monkeypatch.setattr(star_module, "suffix_dp", counted_suffix_dp)
+        with caplog.at_level("INFO", logger="collat.network"):
+            sol = solve(net)
+        assert sol.status is Status.SOLVED and sol.method == "exact"
+        assert sol.star_optima == optima
+        # one solve_star, for R alone
+        assert [star.amounts for star in star_calls] == [(2, 1)]
+        keys = [(id(amounts), players) for amounts, players in dp_calls]
+        assert len(set(keys)) == len(keys)
+        # one full-star DP per star: R's in solve_star, P's and Q's at the root
+        assert sum(len(players) == len(amounts) for amounts, players in dp_calls) == 3
+        entries = re.search(r"(\d+) bound entries", caplog.text)
+        assert len(dp_calls) == 1 + int(entries.group(1))
+
+    @staticmethod
+    def _spiked(amount=1, cost=2, rate=2):
+        # the spiked two-cycle, with enterprise 0's parameters and its
+        # amount from enterprise 1 set by the caller
+        edges = [(0, 1, amount), (0, 2, 2), (1, 0, 1), (1, 3, 2)]
+        return InvestmentNetwork(4, edges, cost={0: cost, 1: 2}, rate={0: rate, 1: 2})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rate": 1}, "star instance is not profitable"),
+        ({"amount": 0}, "investment amounts must be positive"),
+        ({"amount": -1}, "investment amounts must be positive"),
+        ({"rate": 0}, "cost must be nonnegative and rate positive"),
+        ({"cost": -1}, "cost must be nonnegative and rate positive"),
+    ])
+    def test_a_bad_star_in_a_cycle_raises_the_star_checks(self, kwargs, message):
+        net = self._spiked(**kwargs)
+        assert solvability_check(net).solvable and not is_acyclic(net)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            solve(net)
+
+    def test_an_oversized_star_in_a_cycle_names_its_enterprise(self, monkeypatch):
+        # the power-of-two hub of the acyclic guard test, now in a cycle
+        # with the enterprise it funds
+        amounts = [2**i for i in range(STATE_GUARD.bit_length())]
+        d = len(amounts)
+        edges = [(1, 2 + i, x) for i, x in enumerate(amounts)]
+        edges += [(0, 1, 1), (0, d + 2, 1), (1, 0, 1)]
+        ids = ["A", "hub"] + ["s%d" % i for i in range(d)] + ["a"]
+        net = InvestmentNetwork(d + 3, edges, cost={0: 1, 1: 1}, rate={0: 1, 1: 1}, ids=ids)
+        assert validate_network(net).ok and not is_acyclic(net)
+
+        def no_expansion(*args):
+            raise AssertionError("the search expanded a state")
+
+        monkeypatch.setattr(network, "eliminate", no_expansion)
+        with pytest.raises(TooLargeError, match="^enterprise hub: star with %d players" % (d + 1)):
+            solve(net)
 
 
 class TestExactTypes:
