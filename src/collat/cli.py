@@ -9,8 +9,8 @@ validate the network, let the command compute its fields, status and exit
 code, wrap them in the versioned envelope (`report_version`,
 `input_digest`, `command`, `status`, `timing_seconds`) and serialize the
 report as JSON, or as per-edge CSV for `solve --out csv`.  Every document,
-`gen`'s included, is written by `_emit`: to `--out-file`, or to stdout
-with a short human summary on stderr.
+`gen`'s included, is written by `_emit`: to `--out-file` (as UTF-8), or
+to stdout with a short human summary on stderr.
 
 The argument parser is built once per process, by the first `main` call
 (`build_parser` is cached); every call still parses into a fresh
@@ -32,19 +32,20 @@ import csv
 import functools
 import hashlib
 import io
-import json
 import logging
 import sys
 import time
 
 from . import instances
 from .analysis import _minimal_along, iterated_elimination, solvability_check
-from .instances import DocumentError, format_rational, parse_rational
+from .instances import DocumentError, format_rational
 from .model import CollateralMatrix, validate_network
 from .network import Status, TooLargeError, solve
 
 REPORT_VERSION = 1
 CSV_COLUMNS = ["enterprise", "investor", "amount", "collateral"]
+# a set that iterates in the order of its missing-field errors
+_COLLATERAL_KEYS = dict.fromkeys(("enterprise", "investor", "collateral")).keys()
 
 
 class ParameterError(Exception):
@@ -64,11 +65,6 @@ def _decimal_hint(f):
     return "%.6g" % float(f)
 
 
-def _digest(path):
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
 def _edge_ref(net, edge):
     e = net.edges[edge]
     return {"enterprise": net.ids[e.enterprise], "investor": net.ids[e.investor]}
@@ -86,10 +82,11 @@ def _witness_json(net, witness):
 
 
 def _emit(args, text, human_lines):
-    """Write `text` to `--out-file`, or to stdout with `human_lines` on stderr."""
+    """Write `text` to `--out-file` as UTF-8 bytes, or to stdout with
+    `human_lines` on stderr."""
     if args.out_file:
-        with open(args.out_file, "w") as handle:
-            handle.write(text)
+        with open(args.out_file, "wb") as handle:
+            handle.write(text.encode())
     else:
         sys.stdout.write(text)
         for line in human_lines:
@@ -109,14 +106,16 @@ def _report(args):
     network, let the command compute its verdict, wrap it in the envelope
     and emit it.  Returns the command's exit code."""
     started = time.perf_counter()
-    net = instances.load_network(args.network)
+    with open(args.network, "rb") as handle:
+        data = handle.read()  # digested and parsed alike
+    net = instances.loads_network(data)
     validation = validate_network(net)
     if not validation.ok:
         raise DocumentError("; ".join(validation.violations), "$")
     code, status, report, human = args.verdict(args, net)
     report.update(
         report_version=REPORT_VERSION,
-        input_digest=_digest(args.network),
+        input_digest=hashlib.sha256(data).hexdigest(),
         command=args.command,
         status=status,
         timing_seconds=round(time.perf_counter() - started, 6),
@@ -140,18 +139,15 @@ def cmd_solve(args, net):
     if sol.status is Status.INFEASIBLE:
         fields.update(total="infinite", nec=None, witness=_witness_json(net, sol.witness))
         return 2, "infeasible", fields, ["status: infeasible", "NEC: undefined (no viable matrix)"]
+    refs = [_edge_ref(net, e) for e in range(len(net.edges))]
     fields.update(
         total=format_rational(sol.total),
         nec=format_rational(sol.nec),
         collaterals=[
-            dict(
-                _edge_ref(net, e),
-                amount=format_rational(net.edges[e].amount),
-                collateral=format_rational(sol.collaterals[e]),
-            )
-            for e in range(len(net.edges))
+            dict(ref, amount=format_rational(e.amount), collateral=format_rational(c))
+            for ref, e, c in zip(refs, net.edges, sol.collaterals)
         ],
-        elimination_order=[_edge_ref(net, e) for e in sol.order],
+        elimination_order=[refs[e] for e in sol.order],
         star_totals=_by_id(net, sol.star_totals),
         star_optima=_by_id(net, sol.star_optima),
     )
@@ -164,37 +160,32 @@ def cmd_solve(args, net):
 
 
 def _load_collaterals(net, path):
-    # float rejection happens per collateral value via parse_rational; the
+    # float rejection happens per collateral value via `rational`; the
     # document may carry unrelated float fields (e.g. a solve report's timing)
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("invalid JSON: %s" % exc, "$") from None
+    with open(path, "rb") as handle:
+        doc = instances.loads_json(handle.read())
     rows = doc.get("collaterals") if isinstance(doc, dict) else None
     if rows is None:
         raise DocumentError("missing 'collaterals' list", "$")
     if not isinstance(rows, list):
         raise DocumentError("expected a list", "$.collaterals")
     index = {vid: v for v, vid in enumerate(net.ids)}
+    rational = instances.rational_memo()
     amounts = {}
+    path = "$.collaterals[%d]"
     for pos, rec in enumerate(rows):
-        path_ = "$.collaterals[%d]" % pos
-        if not isinstance(rec, dict):
-            raise DocumentError("expected an object", path_)
-        for key in ("enterprise", "investor", "collateral"):
-            if key not in rec:
-                raise DocumentError("missing field %r" % key, path_)
-        k = instances._vertex(index, rec, "enterprise", path_)
-        i = instances._vertex(index, rec, "investor", path_)
+        if not (isinstance(rec, dict) and _COLLATERAL_KEYS <= rec.keys()):
+            instances._check_keys(rec, None, _COLLATERAL_KEYS, path % pos)
+        k = instances._vertex(index, rec, "enterprise", path, pos)
+        i = instances._vertex(index, rec, "investor", path, pos)
         edge = net.edge_index.get((k, i))
         if edge is None:
-            raise DocumentError("collateral on a non-edge", path_)
+            raise DocumentError("collateral on a non-edge", path % pos)
         if edge in amounts:
-            raise DocumentError("second collateral for the same edge", path_)
-        amount = parse_rational(rec["collateral"], path_ + ".collateral")
+            raise DocumentError("second collateral for the same edge", path % pos)
+        amount = rational(rec["collateral"], path, pos, "collateral")
         if amount < 0:
-            raise DocumentError("collateral must be nonnegative", path_ + ".collateral")
+            raise DocumentError("collateral must be nonnegative", path % pos + ".collateral")
         amounts[edge] = amount
     return CollateralMatrix(net, amounts)
 

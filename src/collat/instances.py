@@ -3,12 +3,23 @@
 Documents carry rationals as "p/q" (or integer) strings; float literals are
 rejected so exactness can never be silently lost.  Generators embed their
 parameters in the document metadata so reports are self-describing.
+
+A document is read as bytes (`loads_network`; `load_network` reads the
+file once and calls it), so the CLI digests and parses the same bytes.
+`loads_json` decodes them as `json.loads` does (UTF-8 with JSON's
+UTF-16/32 detection, a UTF-8 BOM accepted) and turns undecodable or
+too-deeply nested input into a `DocumentError`.  `parse_document` parses
+each distinct rational string once per document, and `dumps_document`
+writes a document directly, with the bytes of
+`json.dumps(doc, indent=2, sort_keys=True)` and a final newline.
 """
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from .model import InvestmentNetwork
 from .star import StarInstance
@@ -25,10 +36,8 @@ class DocumentError(ValueError):
 
 
 def format_rational(value):
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    """The value as "p/q", or as "p" if it is an integer."""
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def parse_rational(value, path="$"):
@@ -57,63 +66,98 @@ def parse_rational(value, path="$"):
     raise DocumentError("expected a rational string or integer", path)
 
 
+def rational_memo():
+    """A per-document `parse_rational`: `rational(value, path, pos, field)`
+    parses each distinct string or int once, and words the JSONPath
+    (`path % pos`, then the field) only to parse a new value.  Only a `str`
+    or `int` is a key, so `true` (equal to 1, and hashed alike) never hits
+    the entry for `1`."""
+    memo = {}
+
+    def rational(value, path, pos, field):
+        if type(value) is str or type(value) is int:
+            f = memo.get(value)
+            if f is None:
+                f = memo[value] = parse_rational(value, "%s.%s" % (path % pos, field))
+            return f
+        return parse_rational(value, "%s.%s" % (path % pos, field))
+
+    return rational
+
+
 def _check_keys(obj, allowed, required, path):
+    """Raise the `DocumentError` for the first wrong key of `obj`: it must
+    be an object with every `required` key and (unless `allowed` is None)
+    no other key than the `allowed` ones."""
     if not isinstance(obj, dict):
         raise DocumentError("expected an object", path)
     for key in obj:
-        if key not in allowed:
+        if allowed is not None and key not in allowed:
             raise DocumentError("unknown field %r" % key, path)
     for key in required:
         if key not in obj:
             raise DocumentError("missing field %r" % key, path)
 
 
+_VERTEX_KEYS = frozenset(("id", "z", "alpha"))
+_EDGE_KEYS = frozenset(("enterprise", "investor", "amount"))
+
+
 def parse_document(doc):
-    """Parse a network document (dict) into an InvestmentNetwork."""
+    """Parse a network document (dict) into an InvestmentNetwork.
+
+    A record's keys are checked as one set comparison, each distinct
+    rational string is parsed once (`rational_memo`), and a JSONPath is
+    worded only for an error."""
     _check_keys(doc, {"version", "vertices", "edges", "meta"}, {"version", "vertices", "edges"}, "$")
     if doc["version"] != SCHEMA_VERSION:
         raise DocumentError("unsupported version %r" % (doc["version"],), "$.version")
     if not isinstance(doc["vertices"], list):
         raise DocumentError("expected a list", "$.vertices")
+    rational = rational_memo()
     ids = []
     cost = []
     rate = []
     index = {}
+    path = "$.vertices[%d]"
     for pos, rec in enumerate(doc["vertices"]):
-        path = "$.vertices[%d]" % pos
-        _check_keys(rec, {"id", "z", "alpha"}, {"id"}, path)
+        if not (isinstance(rec, dict) and "id" in rec and rec.keys() <= _VERTEX_KEYS):
+            _check_keys(rec, _VERTEX_KEYS, {"id"}, path % pos)
         vid = rec["id"]
         if not isinstance(vid, (str, int)) or isinstance(vid, bool):
-            raise DocumentError("vertex id must be a string or integer", path + ".id")
+            raise DocumentError("vertex id must be a string or integer", path % pos + ".id")
         if vid in index:
-            raise DocumentError("duplicate vertex id %r" % (vid,), path + ".id")
+            raise DocumentError("duplicate vertex id %r" % (vid,), path % pos + ".id")
         index[vid] = pos
         ids.append(vid)
-        cost.append(parse_rational(rec.get("z", 0), path + ".z"))
-        rate.append(parse_rational(rec.get("alpha", 0), path + ".alpha"))
+        cost.append(rational(rec.get("z", 0), path, pos, "z"))
+        rate.append(rational(rec.get("alpha", 0), path, pos, "alpha"))
     if not isinstance(doc["edges"], list):
         raise DocumentError("expected a list", "$.edges")
     edges = []
     seen = set()
+    path = "$.edges[%d]"
     for pos, rec in enumerate(doc["edges"]):
-        path = "$.edges[%d]" % pos
-        _check_keys(rec, {"enterprise", "investor", "amount"}, {"enterprise", "investor", "amount"}, path)
-        k = _vertex(index, rec, "enterprise", path)
-        i = _vertex(index, rec, "investor", path)
+        if not (isinstance(rec, dict) and rec.keys() == _EDGE_KEYS):
+            _check_keys(rec, _EDGE_KEYS, _EDGE_KEYS, path % pos)
+        k = _vertex(index, rec, "enterprise", path, pos)
+        i = _vertex(index, rec, "investor", path, pos)
         if (k, i) in seen:
-            raise DocumentError("duplicate edge (%r, %r)" % (rec["enterprise"], rec["investor"]), path)
+            raise DocumentError("duplicate edge (%r, %r)" % (rec["enterprise"], rec["investor"]),
+                                path % pos)
         seen.add((k, i))
-        edges.append((k, i, parse_rational(rec["amount"], path + ".amount")))
+        edges.append((k, i, rational(rec["amount"], path, pos, "amount")))
     return InvestmentNetwork(len(ids), edges, cost=cost, rate=rate, ids=ids)
 
 
-def _vertex(index, rec, field, path):
+def _vertex(index, rec, field, path, pos):
     """The vertex `rec[field]` names in `index` (id -> vertex): only a str or
-    non-bool int does; `true` and `1.0` equal 1 as keys but are no ids."""
+    non-bool int does; `true` and `1.0` equal 1 as keys but are no ids.  An
+    error's JSONPath is `path % pos`, then the field."""
     vid = rec[field]
     if isinstance(vid, (str, int)) and not isinstance(vid, bool) and vid in index:
         return index[vid]
-    raise DocumentError("unknown %s id %r" % (field, vid), "%s.%s" % (path, field))
+    raise DocumentError("unknown %s id %r" % (field, vid), "%s.%s" % (path % pos, field))
 
 
 def serialize_network(net, meta=None):
@@ -144,16 +188,93 @@ def serialize_network(net, meta=None):
 
 
 def dumps_document(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(doc, indent=2, sort_keys=True)` and a newline, byte for
+    byte, written directly: the stdlib pretty-prints in pure Python.  A
+    value `json.dumps` rejects raises its TypeError; there is no check for
+    a container holding itself."""
+    out = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, indent, out):
+    """Write `value` as `json.dumps(indent=2, sort_keys=True)` does, at the
+    nesting whose line break and indentation is `indent`."""
+    if isinstance(value, str):
+        out(_encode_string(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, item in sorted(value.items()):
+            out(sep + inner + _encode_string(key if isinstance(key, str) else _key(key)) + ": ")
+            _write(item, inner, out)
+            sep = ","
+        out(indent + "}")
+    else:
+        text = _scalar(value)
+        if text is None:
+            raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+        out(text)
+
+
+def _scalar(value):
+    """json's text for null, a boolean or a number; None for anything else."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key(key):
+    """json's text for a dict key that is not a string."""
+    text = _scalar(key)
+    if text is None:
+        raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
+    return text
+
+
+def loads_json(data, parse_float=None):
+    """`json.loads` of a document's bytes (UTF-8, or UTF-16/32 by JSON's
+    detection; a UTF-8 BOM is accepted), with invalid, undecodable or
+    too-deeply nested input as a `DocumentError`."""
+    try:
+        return json.loads(data, parse_float=parse_float)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DocumentError("invalid JSON: %s" % exc, "$") from None
+
+
+def loads_network(data):
+    """Parse a network document from its bytes (see `loads_json`)."""
+    return parse_document(loads_json(data, parse_float=_reject_float))
 
 
 def load_network(path):
-    with open(path) as handle:
-        try:
-            doc = json.load(handle, parse_float=_reject_float)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("invalid JSON: %s" % exc, "$") from None
-    return parse_document(doc)
+    with open(path, "rb") as handle:
+        return loads_network(handle.read())
 
 
 def _reject_float(text):

@@ -7,8 +7,10 @@ oriented enterprise -> investor, downstream first
 (`analysis._enterprise_components`, which also bounds each of `collat
 verify`'s minimality runs and decides `is_acyclic`): by then, investors
 outside a component always pay, so the optimum is the sum of the component
-optima.  A single enterprise is a star (`solve_star`; NEC 1 on the acyclic
-networks `solve_dag` takes).  In `solve` a cyclic component runs an exact
+optima (a cyclic component holding every edge runs on the network itself,
+any other on a sub-network of its enterprises' edges).  A single
+enterprise is a star (`solve_star`; NEC 1 on the acyclic networks
+`solve_dag` takes).  In `solve` a cyclic component runs an exact
 best-first (A*) search over resolved edge-sets (`_search`): the minimal
 collateral making an edge eliminable (`model.edge_need` on the bitmask
 cascade `model.cascade`) depends only on the *set* of resolved edges, so
@@ -140,7 +142,8 @@ def _solve_components(net, components, method, cyclic_solver):
     components in the given order, concatenated and labelled `method`.  A
     single enterprise is solved by `solve_star`.  A cyclic component's
     sub-network keeps only its own enterprises' edges, so outside investors
-    are plain investors, and goes to `cyclic_solver`, which also returns
+    are plain investors (a component holding every edge runs on `net`
+    itself), and goes to `cyclic_solver`, which also returns
     the component's star optima: the best-first search (`_search`, under
     `SEARCH_BUDGET`; its root bound) from `solve`, the exhaustive subset DP
     (`_subset_dp`, under `EXACT_GUARD`; `solve_star`) from the oracles."""
@@ -152,8 +155,10 @@ def _solve_components(net, components, method, cyclic_solver):
     for comp, cyclic in components:
         if cyclic:
             edge_ids = sorted(e for k in comp for e in net.out_edges[k])
-            sub = InvestmentNetwork(net.n, [net.edges[e] for e in edge_ids],
-                                    net.cost, net.rate, net.ids)
+            sub = net
+            if len(edge_ids) < len(net.edges):
+                sub = InvestmentNetwork(net.n, [net.edges[e] for e in edge_ids],
+                                        net.cost, net.rate, net.ids)
             local, local_order, optima = cyclic_solver(sub)
             star_optima.update(optima)
         else:  # a single enterprise: its star solution is the component's

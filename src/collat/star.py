@@ -12,14 +12,17 @@ dynamic-programming state and keeps the least cost per state: O(d * L)
 steps, where a layer holds L <= min(2^d, distinct suffix sums) states, at
 most X + 1 on integer inputs (pseudo-polynomial, as the inverse-knapsack
 reduction allows).  `STATE_GUARD` bounds L.  `solve_star` runs it on every
-player; each step is priced by `model.least_collateral` on the scaled
-integers (`_minimal_amount` is the Fraction reference), and `sigma` is the
-one sort into sigma order.  The form also holds when some players are
-already eliminated at no cost, since they only sit in every prefix: those
-who pay full come first, and swapping adjacent partial players into sigma
-order never costs more.  So `suffix_dp` over the others prices the
-cheapest completion, the network search's lower bound.  `brute_force_star`
-walks all d! orders and serves as the independent oracle.
+player: it scales the star to integers once, as `InvestmentNetwork` does
+(numerator times scale // denominator), and tests profitability on them;
+each step is priced by `model.least_collateral` on those integers
+(`_minimal_amount` is the Fraction reference), and `sigma` is the one sort
+into sigma order.  `StarInstance` checks signs on numerators.  The form
+also holds when some players are already eliminated at no cost, since they
+only sit in every prefix: those who pay full come first, and swapping
+adjacent partial players into sigma order never costs more.  So
+`suffix_dp` over the others prices the cheapest completion, the network
+search's lower bound.  `brute_force_star` walks all d! orders and serves as
+the independent oracle.
 """
 from __future__ import annotations
 
@@ -46,9 +49,9 @@ class StarInstance:
         object.__setattr__(self, "cost", as_money(cost))
         object.__setattr__(self, "rate", as_money(rate))
         for x in self.amounts:
-            if x <= 0:
+            if x.numerator <= 0:
                 raise ValueError("investment amounts must be positive")
-        if self.cost < 0 or self.rate <= 0:
+        if self.cost.numerator < 0 or self.rate.numerator <= 0:
             raise ValueError("cost must be nonnegative and rate positive")
 
     @property
@@ -180,17 +183,18 @@ def solve_star(star):
 
     Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
-    if not star.is_profitable():
-        raise ValueError("star instance is not profitable")
     d = star.size
     scale = math.lcm(star.cost.denominator, *(x.denominator for x in star.amounts))
-    amounts = [int(x * scale) for x in star.amounts]
-    cost = int(star.cost * scale)
+    amounts = [x.numerator * (scale // x.denominator) for x in star.amounts]
+    cost = star.cost.numerator * (scale // star.cost.denominator)
+    total = sum(amounts)
+    p, q = star.rate.numerator, star.rate.denominator
+    if (p + q) * (total - cost) < q * total:  # is_profitable, times q * scale
+        raise ValueError("star instance is not profitable")
     order = sigma(amounts)
     layer = suffix_dp(amounts, cost, star.rate, order)
     best, best_mask = min(layer.values(), key=lambda entry: (entry[0], -entry[1]))
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
-    total = sum(amounts)
     for m in range(len(full_set) + 1):  # the truncations, then A* itself
         head, c = full_set[:m], amounts[:]  # full players pay their amount
         t = 0  # the suffix sum of the partial players walked

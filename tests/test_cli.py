@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import hashlib
 import json
 import logging
@@ -458,3 +459,107 @@ class TestParser:
         _, unseeded, _ = run(capsys, "gen", "random", "--n", "5", "--d", "2")
         _, zero, _ = run(capsys, "gen", "random", "--n", "5", "--d", "2", "--seed", "0")
         assert unseeded == zero != seeded
+
+
+def _stdlib_text(path):
+    with open(path) as handle:
+        return json.dumps(json.load(handle), indent=2, sort_keys=True) + "\n"
+
+
+class TestWrittenBytes:
+    """Every report and generated document has the bytes of
+    `json.dumps(indent=2, sort_keys=True)` and a final newline."""
+
+    @pytest.mark.parametrize("command, feasible", [
+        ("check", True), ("check", False), ("solve", True), ("solve", False),
+        ("verify", True), ("verify", False),
+    ], ids=["check-solvable", "check-infeasible", "solve-solved", "solve-infeasible",
+            "verify-viable", "verify-not-viable"])
+    def test_reports(self, capsys, tmp_path, cycle_path, command, feasible):
+        # the spikeless two-cycle is infeasible; zero collaterals on the
+        # cycle family are not viable
+        path = cycle_path if feasible or command == "verify" else tmp_path / "two.json"
+        if path != cycle_path:
+            save_network(InvestmentNetwork(2, [(0, 1, 2), (1, 0, 2)], cost={0: 1, 1: 1},
+                                           rate={0: 1, 1: 1}, ids=["P", "Q"]), path)
+        argv = [command, str(path)]
+        if command == "verify":
+            c_path = tmp_path / "c.json"
+            main(["solve", cycle_path, "--out-file", str(c_path)])
+            if not feasible:
+                rows = json.loads(c_path.read_text())["collaterals"]
+                c_path.write_text(json.dumps({"collaterals": [dict(r, collateral="0") for r in rows]}))
+            argv.append(str(c_path))
+        out_path = tmp_path / "report.json"
+        code = main(argv + ["--out-file", str(out_path)])
+        assert code == (0 if feasible else 2)
+        assert out_path.read_text() == _stdlib_text(out_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "--k", "4"], ["random", "--n", "9", "--d", "3", "--seed", "2"],
+        ["random", "--n", "8", "--d", "3", "--acyclic", "--large-alpha"],
+        ["knapsack", "--xs", "3,5,7", "--t", "4"], ["fvs", "--edges", "a-b,b-c,c-a,c-d,d-c"],
+    ], ids=["cycle", "random", "random-acyclic-large-alpha", "knapsack", "fvs"])
+    def test_generated_documents(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "doc.json"
+        assert main(["gen"] + argv + ["--out-file", str(out_path)]) == 0
+        assert out_path.read_text() == _stdlib_text(out_path)
+
+
+class TestOneRead:
+    def test_each_op_opens_the_network_file_once(self, capsys, monkeypatch, cycle_path, tmp_path):
+        report_path = tmp_path / "sol.json"
+        assert main(["solve", cycle_path, "--out-file", str(report_path)]) == 0
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda file, *a, **k: opened.append(os.fspath(file)) or real_open(file, *a, **k))
+        for argv in (["solve", cycle_path], ["verify", cycle_path, str(report_path)]):
+            opened.clear()
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert opened.count(cycle_path) == 1
+
+
+_UNREADABLE = {
+    "utf-16-garbage": b"\xff\xfe\x00{",
+    "latin-1-id": (b'{"version": 1, "vertices": [{"id": "\xe9", "z": "1", "alpha": "2"}, {"id": "p"}],'
+                   b' "edges": [{"enterprise": "\xe9", "investor": "p", "amount": "2"}]}'),
+    "over-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+class TestUnreadableInput:
+    """Undecodable or too-deeply nested input is one `error:` line."""
+
+    @staticmethod
+    def _one_line_error(capsys, argv, out_path):
+        code, out, err = run(capsys, *argv, "--out-file", str(out_path))
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error: $: invalid JSON: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_network_file(self, capsys, tmp_path, cycle_path, command, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(_UNREADABLE[kind])
+        argv = [command, str(path)] + ([cycle_path] if command == "verify" else [])
+        self._one_line_error(capsys, argv, tmp_path / "out.json")
+
+    @pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+    def test_collateral_file(self, capsys, tmp_path, cycle_path, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(_UNREADABLE[kind].replace(b'"version": 1', b'"collaterals": []'))
+        self._one_line_error(capsys, ["verify", cycle_path, str(path)], tmp_path / "out.json")
+
+    @pytest.mark.parametrize("first", ["1", 1])
+    def test_collateral_true_after_one(self, capsys, tmp_path, cycle_path, first):
+        rows = [{"enterprise": "A", "investor": "a1", "collateral": first},
+                {"enterprise": "A", "investor": "a2", "collateral": True}]
+        c_path = tmp_path / "c.json"
+        c_path.write_text(json.dumps({"collaterals": rows}))
+        code, out, err = run(capsys, "verify", cycle_path, str(c_path))
+        assert (code, out) == (1, "")
+        assert err == "error: $.collaterals[1].collateral: expected a rational, got a boolean\n"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from collat import (
     solve_star,
     validate_network,
 )
+from collat import instances
 from collat.instances import NoSolutionError, dumps_document, parse_rational
 
 
@@ -340,3 +342,140 @@ class TestRandomNetwork:
             if net.edges:
                 assert is_large_alpha(net)
                 assert validate_network(net).ok
+
+
+def _writer_values():
+    # `_json_values`, plus what the writer must spell as json does: any
+    # character (surrogates and controls too), large and negative ints,
+    # NaN and the infinities, non-string keys, empty and nested containers
+    scalars = st.one_of(
+        _json_values(),
+        st.text(st.characters(exclude_categories=()), max_size=8),
+        st.integers(), st.integers(-10**40, 10**40),
+        st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    )
+    keys = st.one_of(st.text(st.characters(exclude_categories=()), max_size=6),
+                     st.integers(-5, 5), st.floats(), st.booleans(), st.none())
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=2).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(keys, inner, max_size=3)), max_leaves=12)
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _stdlib(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+class TestWriter:
+    """`dumps_document` writes the bytes of `json.dumps(indent=2,
+    sort_keys=True)` and a newline, errors included."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_writer_values())
+    def test_matches_the_stdlib(self, value):
+        # mixed str and int keys fail to sort in both
+        assert _outcome(dumps_document, value) == _outcome(_stdlib, value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [[[]]], "", "\x00\x1f\x7f é 😀 \ud800",
+        -10**30, float("nan"), float("-inf"), {1: "x", 2.5: "y"}, {None: 0}, {True: 1},
+    ], ids=repr)
+    def test_edge_values(self, value):
+        assert dumps_document(value) == _stdlib(value)
+
+    @pytest.mark.parametrize("value, message", [
+        (Fraction(1, 2), "Object of type Fraction is not JSON serializable"),
+        ({"a": [1, {2}]}, "Object of type set is not JSON serializable"),
+        ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+        ({"a": 1, 2: 3}, "'<' not supported between instances of 'int' and 'str'"),
+    ], ids=["fraction", "set", "tuple-key", "mixed-keys"])
+    def test_rejects_what_the_stdlib_rejects(self, value, message):
+        with pytest.raises(TypeError) as exc:
+            _stdlib(value)
+        assert str(exc.value) == message
+        with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
+            dumps_document(value)
+
+    @pytest.mark.parametrize("net", [
+        gen_cycle_family(4), gen_fvs_gadget([("a", "b"), ("b", "c"), ("c", "a")]),
+        gen_knapsack_star([3, 5, 7], 4).to_network(), random_network(9, 3, seed=5),
+        random_network(8, 3, acyclic=True, seed=2), random_network(7, 2, seed=1, large_alpha=True),
+    ], ids=["cycle", "fvs", "knapsack", "random", "acyclic", "large-alpha"])
+    def test_documents(self, net):
+        doc = serialize_network(net, {"generator": "test", "seed": None, "xs": [1, 2]})
+        assert dumps_document(doc) == _stdlib(doc)
+
+
+class TestRationalMemo:
+    """`parse_document` parses each distinct rational once, keyed only by a
+    `str` or `int`: `true` equals 1 and hashes alike, but is no rational."""
+
+    @staticmethod
+    def _doc(first):
+        return {
+            "version": 1,
+            "vertices": [{"id": "E", "z": first, "alpha": first}, {"id": "F", "z": first, "alpha": first},
+                         {"id": "p"}],
+            "edges": [{"enterprise": "E", "investor": "p", "amount": first},
+                      {"enterprise": "F", "investor": "p", "amount": first}],
+        }
+
+    @pytest.mark.parametrize("first", [1, "1"])
+    @pytest.mark.parametrize("later, path", [
+        (("vertices", 1, "z"), "$.vertices[1].z"),
+        (("vertices", 1, "alpha"), "$.vertices[1].alpha"),
+        (("edges", 1, "amount"), "$.edges[1].amount"),
+    ], ids=["z", "alpha", "amount"])
+    def test_true_after_one_is_a_document_error(self, first, later, path):
+        doc = self._doc(first)
+        assert parse_document(doc).edges[1].amount == 1
+        part, pos, field = later
+        doc[part][pos][field] = True
+        with pytest.raises(DocumentError) as exc:
+            parse_document(doc)
+        assert exc.value.path == path
+        assert str(exc.value) == "%s: expected a rational, got a boolean" % path
+
+    def test_each_distinct_value_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = instances.parse_rational
+        monkeypatch.setattr(instances, "parse_rational",
+                            lambda value, path="$": calls.append(value) or parse(value, path))
+        net = parse_document(self._doc("3/2"))
+        # "3/2" once, and the default 0 of p's z and alpha once
+        assert sorted(calls, key=str) == [0, "3/2"]
+        assert net.cost == (Fraction(3, 2), Fraction(3, 2), 0)
+
+
+class TestReadingBytes:
+    """A document is read as bytes: UTF-8, or UTF-16/32 by JSON's
+    detection, a UTF-8 BOM accepted; anything undecodable or nested too
+    deeply is one `DocumentError`."""
+
+    def test_encodings(self, tmp_path):
+        text = dumps_document(minimal_doc())
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.encode(), text.encode("utf-16"),
+                     text.encode("utf-32-le")):
+            path = tmp_path / "net.json"
+            path.write_bytes(data)
+            net = load_network(path)
+            assert net.ids == ("E", "p", "q")
+            assert net.edges == parse_document(minimal_doc()).edges
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe\x00{",
+        dumps_document(minimal_doc()).replace('"p"', '"\\u00e9"').encode().replace(b"\\u00e9", b"\xe9"),
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["utf-16-garbage", "latin-1-id", "over-deep"])
+    def test_undecodable_or_over_deep_is_a_document_error(self, tmp_path, data):
+        path = tmp_path / "net.json"
+        path.write_bytes(data)
+        with pytest.raises(DocumentError, match=r"^\$: invalid JSON: "):
+            load_network(path)

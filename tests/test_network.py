@@ -513,6 +513,19 @@ class TestStarOptimaFromTheSearch:
         with pytest.raises(TooLargeError, match="^enterprise hub: star with %d players" % (d + 1)):
             solve(net)
 
+    def test_a_component_holding_every_edge_runs_on_the_network(self, monkeypatch):
+        # the cycle family is one cyclic component with every edge; the
+        # spiked two-cycle below an upstream star is a strict part
+        seen = []
+        search = network._search
+        monkeypatch.setattr(network, "_search", lambda sub: seen.append(sub) or search(sub))
+        whole = gen_cycle_family(3)
+        assert solve(whole).total == 8
+        part = self._cycle_with_upstream_star()
+        assert solve(part).status is Status.SOLVED
+        assert seen[0] is whole
+        assert seen[1] is not part and len(seen[1].edges) == 4
+
 
 class TestExactTypes:
     """Every solver path returns Fractions.  The solvers work on integers

@@ -320,3 +320,40 @@ class TestBruteForceStar:
 
     def test_three_player(self):
         assert brute_force_star(StarInstance([3, 2, 1], 3, 1)).total == Fraction(5, 2)
+
+
+class TestIntegerScaling:
+    """`solve_star` scales a star to integers and tests profitability on
+    them; `StarInstance` checks signs on numerators."""
+
+    def test_profitability_on_integers_matches_the_fraction_formula(self):
+        rng = random.Random(61)
+        boundary = 0
+        for trial in range(400):
+            d = rng.randint(1, 5)
+            amounts = [Fraction(rng.randint(1, 20), rng.randint(1, 7)) for _ in range(d)]
+            total = sum(amounts, Fraction(0))
+            z = total * Fraction(rng.randint(0, 9), 10)
+            if trial % 4 == 0 and z:  # exactly profitable: (1+alpha)(X-Z) == X
+                alpha = z / (total - z)
+                boundary += 1
+            else:
+                alpha = Fraction(rng.randint(1, 30), rng.randint(1, 9))
+            star = StarInstance(amounts, z, alpha)
+            if star.is_profitable():
+                assert solve_star(star).total == brute_force_star(star).total
+            else:
+                with pytest.raises(ValueError, match="^star instance is not profitable$"):
+                    solve_star(star)
+        assert boundary > 50
+
+    @pytest.mark.parametrize("amounts, cost, rate, message", [
+        ([Fraction(1, 3), Fraction(-1, 3)], 1, 1, "investment amounts must be positive"),
+        ([Fraction(1, 3), 0], 1, 1, "investment amounts must be positive"),
+        ([1], Fraction(-1, 7), 1, "cost must be nonnegative and rate positive"),
+        ([1], 0, Fraction(0, 7), "cost must be nonnegative and rate positive"),
+        ([1], 0, Fraction(-2, 7), "cost must be nonnegative and rate positive"),
+    ])
+    def test_sign_checks(self, amounts, cost, rate, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            StarInstance(amounts, cost, rate)
