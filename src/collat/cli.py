@@ -39,13 +39,11 @@ import time
 from . import instances
 from .analysis import _minimal_along, iterated_elimination, solvability_check
 from .instances import DocumentError, format_rational
-from .model import CollateralMatrix, validate_network
+from .model import validate_network
 from .network import Status, TooLargeError, solve
 
 REPORT_VERSION = 1
 CSV_COLUMNS = ["enterprise", "investor", "amount", "collateral"]
-# a set that iterates in the order of its missing-field errors
-_COLLATERAL_KEYS = dict.fromkeys(("enterprise", "investor", "collateral")).keys()
 
 
 class ParameterError(Exception):
@@ -159,39 +157,9 @@ def cmd_solve(args, net):
     return 0, "solved", fields, human
 
 
-def _load_collaterals(net, path):
-    # float rejection happens per collateral value via `rational`; the
-    # document may carry unrelated float fields (e.g. a solve report's timing)
-    with open(path, "rb") as handle:
-        doc = instances.loads_json(handle.read())
-    rows = doc.get("collaterals") if isinstance(doc, dict) else None
-    if rows is None:
-        raise DocumentError("missing 'collaterals' list", "$")
-    if not isinstance(rows, list):
-        raise DocumentError("expected a list", "$.collaterals")
-    index = {vid: v for v, vid in enumerate(net.ids)}
-    rational = instances.rational_memo()
-    amounts = {}
-    path = "$.collaterals[%d]"
-    for pos, rec in enumerate(rows):
-        if not (isinstance(rec, dict) and _COLLATERAL_KEYS <= rec.keys()):
-            instances._check_keys(rec, None, _COLLATERAL_KEYS, path % pos)
-        k = instances._vertex(index, rec, "enterprise", path, pos)
-        i = instances._vertex(index, rec, "investor", path, pos)
-        edge = net.edge_index.get((k, i))
-        if edge is None:
-            raise DocumentError("collateral on a non-edge", path % pos)
-        if edge in amounts:
-            raise DocumentError("second collateral for the same edge", path % pos)
-        amount = rational(rec["collateral"], path, pos, "collateral")
-        if amount < 0:
-            raise DocumentError("collateral must be nonnegative", path % pos + ".collateral")
-        amounts[edge] = amount
-    return CollateralMatrix(net, amounts)
-
-
 def cmd_verify(args, net):
-    c = _load_collaterals(net, args.collaterals)
+    with open(args.collaterals, "rb") as handle:
+        c = instances.loads_collaterals(net, handle.read())
     order, stuck = iterated_elimination(net, c)
     fields = {"total": format_rational(c.total())}
     if stuck:

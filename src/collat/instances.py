@@ -9,8 +9,9 @@ file once and calls it), so the CLI digests and parses the same bytes.
 `loads_json` decodes them as `json.loads` does (UTF-8 with JSON's
 UTF-16/32 detection, a UTF-8 BOM accepted) and turns undecodable or
 too-deeply nested input into a `DocumentError`.  `parse_document` parses
-each distinct rational string once per document, and `dumps_document`
-writes a document directly, with the bytes of
+each distinct rational string once per document, and so does
+`loads_collaterals`, the parser of `collat verify`'s collateral document.
+`dumps_document` writes a document directly, with the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)` and a final newline.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
-from .model import InvestmentNetwork
+from .model import CollateralMatrix, InvestmentNetwork
 from .star import StarInstance
 
 SCHEMA_VERSION = 1
@@ -99,8 +100,10 @@ def _check_keys(obj, allowed, required, path):
             raise DocumentError("missing field %r" % key, path)
 
 
+# required keys iterate in document order: a set's order varies per process
 _VERTEX_KEYS = frozenset(("id", "z", "alpha"))
-_EDGE_KEYS = frozenset(("enterprise", "investor", "amount"))
+_EDGE_KEYS = dict.fromkeys(("enterprise", "investor", "amount")).keys()
+_COLLATERAL_KEYS = dict.fromkeys(("enterprise", "investor", "collateral")).keys()
 
 
 def parse_document(doc):
@@ -109,7 +112,7 @@ def parse_document(doc):
     A record's keys are checked as one set comparison, each distinct
     rational string is parsed once (`rational_memo`), and a JSONPath is
     worded only for an error."""
-    _check_keys(doc, {"version", "vertices", "edges", "meta"}, {"version", "vertices", "edges"}, "$")
+    _check_keys(doc, {"version", "vertices", "edges", "meta"}, ("version", "vertices", "edges"), "$")
     if doc["version"] != SCHEMA_VERSION:
         raise DocumentError("unsupported version %r" % (doc["version"],), "$.version")
     if not isinstance(doc["vertices"], list):
@@ -122,7 +125,7 @@ def parse_document(doc):
     path = "$.vertices[%d]"
     for pos, rec in enumerate(doc["vertices"]):
         if not (isinstance(rec, dict) and "id" in rec and rec.keys() <= _VERTEX_KEYS):
-            _check_keys(rec, _VERTEX_KEYS, {"id"}, path % pos)
+            _check_keys(rec, _VERTEX_KEYS, ("id",), path % pos)
         vid = rec["id"]
         if not isinstance(vid, (str, int)) or isinstance(vid, bool):
             raise DocumentError("vertex id must be a string or integer", path % pos + ".id")
@@ -148,6 +151,36 @@ def parse_document(doc):
         seen.add((k, i))
         edges.append((k, i, rational(rec["amount"], path, pos, "amount")))
     return InvestmentNetwork(len(ids), edges, cost=cost, rate=rate, ids=ids)
+
+
+def loads_collaterals(net, data):
+    """The `CollateralMatrix` on `net` of a collateral document's bytes.  Floats
+    are rejected per value: the document may hold others (a solve report's timing)."""
+    doc = loads_json(data)
+    rows = doc.get("collaterals") if isinstance(doc, dict) else None
+    if rows is None:
+        raise DocumentError("missing 'collaterals' list", "$")
+    if not isinstance(rows, list):
+        raise DocumentError("expected a list", "$.collaterals")
+    index = {vid: v for v, vid in enumerate(net.ids)}
+    rational = rational_memo()
+    amounts = {}
+    path = "$.collaterals[%d]"
+    for pos, rec in enumerate(rows):
+        if not (isinstance(rec, dict) and _COLLATERAL_KEYS <= rec.keys()):
+            _check_keys(rec, None, _COLLATERAL_KEYS, path % pos)
+        k = _vertex(index, rec, "enterprise", path, pos)
+        i = _vertex(index, rec, "investor", path, pos)
+        edge = net.edge_index.get((k, i))
+        if edge is None:
+            raise DocumentError("collateral on a non-edge", path % pos)
+        if edge in amounts:
+            raise DocumentError("second collateral for the same edge", path % pos)
+        amount = rational(rec["collateral"], path, pos, "collateral")
+        if amount < 0:
+            raise DocumentError("collateral must be nonnegative", path % pos + ".collateral")
+        amounts[edge] = amount
+    return CollateralMatrix(net, amounts)
 
 
 def _vertex(index, rec, field, path, pos):

@@ -8,7 +8,7 @@ own investments, which can cascade.
 
 `InvestmentNetwork` builds the one table every layer after the parser
 reads: it keeps Fractions it is given as they are, and scales the amounts
-and enterprise costs once, with integer arithmetic, to integers over a
+and enterprise costs once, with integer arithmetic (`scaled`), over a
 common denominator (`scaled_amounts`, `scaled_costs`, and per enterprise
 the `funding` rows); a component's sub-network goes through the same
 constructor.  `validate_network` checks profitability on those integers
@@ -105,13 +105,10 @@ class InvestmentNetwork:
         self.enterprise_set = frozenset(e.enterprise for e in self.edges)
         self.edge_index = {(e.enterprise, e.investor): idx for idx, e in enumerate(self.edges)}
         # the cascade's integers: every amount and enterprise cost times `scale`
-        amounts = [e.amount for e in self.edges]
-        costs = {k: self.cost[k] for k in sorted(self.enterprise_set)}
-        self.scale = scale = math.lcm(
-            *{x.denominator for x in amounts}, *{x.denominator for x in costs.values()}
-        )
-        self.scaled_amounts = tuple(x.numerator * (scale // x.denominator) for x in amounts)
-        self.scaled_costs = {k: x.numerator * (scale // x.denominator) for k, x in costs.items()}
+        m, firms = len(self.edges), sorted(self.enterprise_set)
+        self.scale, ints = scaled([e.amount for e in self.edges] + [self.cost[k] for k in firms])
+        self.scaled_amounts = tuple(ints[:m])
+        self.scaled_costs = dict(zip(firms, ints[m:]))
         self.funding = {
             k: tuple((1 << e, self.edges[e].investor, self.scaled_amounts[e])
                      for e in self.out_edges[k])
@@ -247,12 +244,21 @@ def validate_network(net):
     return ValidationReport(violations)
 
 
+def scaled(values):
+    """(scale, ints): the Fractions `values` times their least common denominator."""
+    scale = math.lcm(*{x.denominator for x in values})
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def profitable(total, cost, rate):
+    """(1 + alpha)(X - Z) >= X on integers of one scale: (p+q)(X - Z) >= qX."""
+    p, q = rate.numerator, rate.denominator
+    return (p + q) * (total - cost) >= q * total
+
+
 def is_profitable(net, k):
-    """(1 + alpha_k)(X_k - Z_k) >= X_k, on the scaled integers: with
-    alpha_k = p/q (q > 0), (p+q)(X - Z) >= qX."""
-    x_total = sum(amount for _, _, amount in net.funding[k])
-    p, q = net.rate[k].numerator, net.rate[k].denominator
-    return (p + q) * (x_total - net.scaled_costs[k]) >= q * x_total
+    """`profitable` on enterprise k's row of the scaled table."""
+    return profitable(sum(a for _, _, a in net.funding[k]), net.scaled_costs[k], net.rate[k])
 
 
 def cascade(net, cooperate_mask, within=None):

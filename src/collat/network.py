@@ -8,25 +8,25 @@ oriented enterprise -> investor, downstream first
 verify`'s minimality runs and decides `is_acyclic`): by then, investors
 outside a component always pay, so the optimum is the sum of the component
 optima (a cyclic component holding every edge runs on the network itself,
-any other on a sub-network of its enterprises' edges).  A single
-enterprise is a star (`solve_star`; NEC 1 on the acyclic networks
-`solve_dag` takes).  In `solve` a cyclic component runs an exact
-best-first (A*) search over resolved edge-sets (`_search`): the minimal
-collateral making an edge eliminable (`model.edge_need` on the bitmask
-cascade `model.cascade`) depends only on the *set* of resolved edges, so
-states are sets, not orders.  Each state jumps to its closure under
-zero-need eliminations (`model.eliminate` with zero collaterals), and a
-consistent lower bound (each star's no-default completion cost) steers the
-search, so it expands a small fraction of the 2^|E| sets; a tie rule picks
-among optimal matrices, and `SEARCH_BUDGET` bounds the work per component.
-The root bound sums each star's completion from nothing, which is the
-star's stand-alone optimum, so the search hands those back as the
-component's star optima (the NEC's denominator) and `solve_star` runs
-only on single-enterprise components.  `solve_exact` and
-`solve_large_alpha` take the whole network as one component and run the
-exhaustive subset dynamic program (`_subset_dp`, O(2^|E| |E|),
-`EXACT_GUARD` on |E|) instead, with star optima from `solve_star`: the
-oracles, so they check the root bound too.
+any other on a sub-network of its enterprises' edges).  `_check_stars`
+checks every star first.  A single enterprise is a star (`price_star` on
+the scaled table; NEC 1 on the acyclic networks `solve_dag` takes).  In
+`solve` a cyclic component runs an exact best-first (A*) search over
+resolved edge-sets (`_search`): the minimal collateral making an edge
+eliminable (`model.edge_need` on the bitmask cascade `model.cascade`)
+depends only on the *set* of resolved edges, so states are sets, not
+orders.  Each state jumps to its closure under zero-need eliminations
+(`model.eliminate` with zero collaterals), and a consistent lower bound
+(each star's no-default completion cost) steers the search, so it expands a
+small fraction of the 2^|E| sets; a tie rule picks among optimal matrices,
+and `SEARCH_BUDGET` bounds the work per component.  The root bound sums each
+star's completion from nothing, which is the star's stand-alone optimum, so
+the search hands those back as the component's star optima (the NEC's
+denominator) and `price_star` runs only on single-enterprise components.
+`solve_exact` and `solve_large_alpha` take the whole network as one
+component and run the exhaustive subset dynamic program (`_subset_dp`,
+O(2^|E| |E|), `EXACT_GUARD` on |E|) instead, with star optima from
+`price_star`: the oracles, so they check the root bound too.
 For integer inputs with alpha_k > Z_k every positive collateral of an
 optimal solution is full; both reach that optimum as they do any other,
 so no separate search runs.  `Solution.method` names the whole-network
@@ -55,7 +55,7 @@ from .model import (
     eliminate,
     is_profitable,
 )
-from .star import StarInstance, sigma, solve_star, suffix_dp
+from .star import StarInstance, price_star, sigma, suffix_dp, unscale
 
 log = logging.getLogger(__name__)
 
@@ -106,47 +106,43 @@ def is_acyclic(net):
     return not any(cyclic for _, cyclic in _enterprise_components(net))
 
 
-def _per_star_sums(net, c):
-    return {
-        k: sum((c[e] for e in net.out_edges[k]), Fraction(0))
-        for k in sorted(net.enterprise_set)
-    }
-
-
 def _star_solution(net, k):
-    """`solve_star` on enterprise k's star; its guard error names k."""
-    amounts = [net.edges[e].amount for e in net.out_edges[k]]
-    star = StarInstance(amounts, net.cost[k], net.rate[k])
+    """`price_star` on enterprise k's row of the scaled table; its guard
+    error names k."""
     try:
-        return solve_star(star)
+        priced = price_star([net.scaled_amounts[e] for e in net.out_edges[k]],
+                            net.scaled_costs[k], net.rate[k])
     except TooLargeError as exc:
         raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
+    return unscale(priced, net.scale)
 
 
 def _check_stars(net):
-    """The checks `StarInstance` makes, on the scaled funding table, for
-    every enterprise in index order before any component runs, so the same
-    enterprise trips them whichever route solves it.  Profitability is
-    checked where each star is priced: `solve_star`, or the search's root
-    bound."""
+    """The solver's one star check, on the scaled table before any
+    component runs: `StarInstance`'s sign checks, then `is_profitable`,
+    each over the enterprises in index order, with `solve_star`'s messages.
+    So an unprofitable enterprise raises before any component's guard
+    error (`collat` rejects it earlier, in `validate_network`)."""
     for k, funding in net.funding.items():
         if any(amount <= 0 for _, _, amount in funding):
             raise ValueError("investment amounts must be positive")
         if net.scaled_costs[k] < 0 or net.rate[k] <= 0:
             raise ValueError("cost must be nonnegative and rate positive")
+    if not all(is_profitable(net, k) for k in net.funding):
+        raise ValueError("star instance is not profitable")
 
 
 def _solve_components(net, components, method, cyclic_solver):
     """The one solver pass: `solvability_check` first (if infeasible, the
-    witness and method "none"), then the (enterprises, cyclic flag)
-    components in the given order, concatenated and labelled `method`.  A
-    single enterprise is solved by `solve_star`.  A cyclic component's
-    sub-network keeps only its own enterprises' edges, so outside investors
-    are plain investors (a component holding every edge runs on `net`
-    itself), and goes to `cyclic_solver`, which also returns
-    the component's star optima: the best-first search (`_search`, under
-    `SEARCH_BUDGET`; its root bound) from `solve`, the exhaustive subset DP
-    (`_subset_dp`, under `EXACT_GUARD`; `solve_star`) from the oracles."""
+    witness and method "none"), `_check_stars`, then the (enterprises,
+    cyclic flag) components in the given order, concatenated and labelled
+    `method`.  A single enterprise is priced by `_star_solution`.  A cyclic
+    component's sub-network keeps only its own enterprises' edges (`net`
+    itself if that is every edge), so outside investors are plain
+    investors, and goes to `cyclic_solver`, which also returns the star
+    optima: from `solve` the best-first search (`_search`, under
+    `SEARCH_BUDGET`; its root bound), from the oracles the subset DP
+    (`_subset_dp`, under `EXACT_GUARD`; `_star_solution`)."""
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
@@ -176,7 +172,8 @@ def _solve_components(net, components, method, cyclic_solver):
         collaterals=c,
         total=total,
         order=tuple(order),
-        star_totals=_per_star_sums(net, c),
+        star_totals={k: sum((c[e] for e in net.out_edges[k]), Fraction(0))
+                     for k in sorted(net.enterprise_set)},
         star_optima=star_optima,
         nec=Fraction(1) if denom == 0 else total / denom,
         method=method,
@@ -203,8 +200,8 @@ def _subset_dp(net):
     """Subset DP over resolved edge-sets of a solvable network: cost(S + e)
     relaxes over cost(S) + `edge_need` of e given S.  Every viable
     matrix admits an elimination order, so the DP minimum is the global
-    optimum.  The star optima come from `solve_star`, first: an oversized
-    star trips its guard, with its name, before the DP's own guard.
+    optimum.  The star optima come from `_star_solution`, first: an
+    oversized star trips its guard, with its name, before the DP's own.
     Returns (amounts by edge, elimination order, star optima)."""
     optima = {k: _star_solution(net, k).total for k in sorted(net.enterprise_set)}
     m = len(net.edges)
@@ -270,9 +267,8 @@ def _search(net):
     h(S + e) is at most e's no-default need, itself at most need_e(S + e):
     h is consistent, so the first full state taken from the queue is
     optimal.  The root bound h(empty) prices each whole star, so its terms
-    are the stand-alone star optima (each star first checked profitable,
-    and an oversized star trips its DP guard, with its name, before any
-    expansion).
+    are the stand-alone star optima (an oversized star trips its DP guard,
+    with its name, before any expansion).
 
     Ties: the queue yields the least bound, then the most resolved edges,
     then the least edge bitmask; a state keeps the first path to reach it
@@ -320,11 +316,8 @@ def _search(net):
             value = table[resolved] = Fraction(min(c for c, _ in layer.values()), net.scale)
         return value
 
-    optima = {}  # the root bound's terms: the stand-alone star optima
-    for k in sorted(star_mask):
-        if not is_profitable(net, k):
-            raise ValueError("star instance is not profitable")
-        optima[k] = completion(k, 0)
+    # the root bound's terms: the stand-alone star optima
+    optima = {k: completion(k, 0) for k in sorted(star_mask)}
     bound = sum(optima.values(), zero)
     # (bound, -resolved edges, raw mask, parent closed mask, edge, need)
     queue = [(bound, 0, 0, None, -1, zero)]

@@ -11,12 +11,12 @@ the players from the last in sigma to the first with that suffix sum as the
 dynamic-programming state and keeps the least cost per state: O(d * L)
 steps, where a layer holds L <= min(2^d, distinct suffix sums) states, at
 most X + 1 on integer inputs (pseudo-polynomial, as the inverse-knapsack
-reduction allows).  `STATE_GUARD` bounds L.  `solve_star` runs it on every
-player: it scales the star to integers once, as `InvestmentNetwork` does
-(numerator times scale // denominator), and tests profitability on them;
-each step is priced by `model.least_collateral` on those integers
-(`_minimal_amount` is the Fraction reference), and `sigma` is the one sort
-into sigma order.  `StarInstance` checks signs on numerators.  The form
+reduction allows).  `STATE_GUARD` bounds L.  `price_star` runs it on every
+player of a checked star, on integers of one scale (the network's table,
+or `solve_star`'s scaling by `model.scaled` of a `StarInstance`, which
+checks signs on numerators); each step is priced by
+`model.least_collateral` (`_minimal_amount` is the Fraction reference),
+and `sigma` is the one sort into sigma order.  The form
 also holds when some players are already eliminated at no cost, since they
 only sit in every prefix: those who pay full come first, and swapping
 adjacent partial players into sigma order never costs more.  So
@@ -26,13 +26,12 @@ the independent oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import InvestmentNetwork, TooLargeError, as_money, least_collateral
+from .model import InvestmentNetwork, TooLargeError, as_money, least_collateral, profitable, scaled
 
-STATE_GUARD = 1 << 15  # suffix-sum states in one layer of the solve_star DP
+STATE_GUARD = 1 << 15  # suffix-sum states in one layer of the star DP
 BRUTE_FORCE_GUARD = 9
 
 
@@ -129,7 +128,7 @@ def optimal_partial_for_set(star, full_set):
 
 
 def suffix_dp(amounts, cost, rate, players):
-    """The dynamic program of `solve_star` on integer `amounts` and `cost`
+    """The dynamic program of `price_star` on integer `amounts` and `cost`
     (one common scale): place `players`, a sub-sequence of sigma, while the
     players left out count as eliminated first at no cost (their amounts
     are in every prefix).  A full player adds its amount and leaves t
@@ -167,9 +166,10 @@ def suffix_dp(amounts, cost, rate, players):
     return layer
 
 
-def solve_star(star):
-    """Minimum-total viable collateral vector, by `suffix_dp` over all the
-    players, scaled to integers (see the module docstring).
+def price_star(amounts, cost, rate):
+    """A checked star's optimum on integers of one scale (`rate` is the
+    Fraction alpha): `suffix_dp` over all the players, then the tie step.
+    Returns (collaterals, total, order, full set) on that scale.
 
     Ties go to the lexicographically smallest full-set tuple.  Per state the
     DP breaks cost ties toward the larger full-set bitmask, player 0 the
@@ -183,16 +183,10 @@ def solve_star(star):
 
     Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
-    d = star.size
-    scale = math.lcm(star.cost.denominator, *(x.denominator for x in star.amounts))
-    amounts = [x.numerator * (scale // x.denominator) for x in star.amounts]
-    cost = star.cost.numerator * (scale // star.cost.denominator)
+    d = len(amounts)
     total = sum(amounts)
-    p, q = star.rate.numerator, star.rate.denominator
-    if (p + q) * (total - cost) < q * total:  # is_profitable, times q * scale
-        raise ValueError("star instance is not profitable")
     order = sigma(amounts)
-    layer = suffix_dp(amounts, cost, star.rate, order)
+    layer = suffix_dp(amounts, cost, rate, order)
     best, best_mask = min(layer.values(), key=lambda entry: (entry[0], -entry[1]))
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
     for m in range(len(full_set) + 1):  # the truncations, then A* itself
@@ -200,18 +194,30 @@ def solve_star(star):
         t = 0  # the suffix sum of the partial players walked
         for i in reversed(order):
             if i not in head:
-                c[i] = least_collateral(amounts[i], total - t, cost, star.rate)
+                c[i] = least_collateral(amounts[i], total - t, cost, rate)
                 t += amounts[i]
         if sum(c) == best:
             break
     else:
         raise AssertionError("the DP optimum is not the total of its full set")
-    return StarSolution(
-        collaterals=tuple(Fraction(v, scale) for v in c),
-        total=Fraction(best, scale),
-        order=tuple(head) + tuple(i for i in order if i not in head),
-        full_set=frozenset(head),
-    )
+    return c, best, tuple(head) + tuple(i for i in order if i not in head), frozenset(head)
+
+
+def unscale(priced, scale):
+    """A `price_star` result divided by `scale`, as a `StarSolution`."""
+    c, total, order, full_set = priced
+    c = tuple(Fraction(v, scale) for v in c)
+    return StarSolution(c, Fraction(total, scale), order, full_set)
+
+
+def solve_star(star):
+    """Minimum-total viable collateral vector: `price_star` on the star
+    scaled (`model.scaled`) and tested profitable (`model.profitable`)."""
+    scale, amounts = scaled((*star.amounts, star.cost))
+    cost = amounts.pop()
+    if not profitable(sum(amounts), cost, star.rate):
+        raise ValueError("star instance is not profitable")
+    return unscale(price_star(amounts, cost, star.rate), scale)
 
 
 def brute_force_star(star):

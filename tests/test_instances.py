@@ -1,7 +1,11 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +147,32 @@ class TestDocumentFormat:
         del doc["edges"][1]["amount"]
         with pytest.raises(DocumentError):
             parse_document(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "$: missing field 'version'"),
+        ({"version": 1}, "$: missing field 'vertices'"),
+        ({"version": 1, "vertices": [{"id": "E"}], "edges": [{"enterprise": "E"}]},
+         "$.edges[0]: missing field 'investor'"),
+    ], ids=["document", "vertices", "edge"])
+    def test_missing_fields_are_named_in_document_order_under_any_hash_seed(self, doc, message):
+        # set iteration order depends on PYTHONHASHSEED, which is fixed per
+        # process, so each seed needs a fresh interpreter
+        script = (
+            "import json, sys\n"
+            "from collat.instances import DocumentError, parse_document\n"
+            "try:\n"
+            "    parse_document(json.loads(sys.argv[1]))\n"
+            "except DocumentError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outputs = {
+            subprocess.run([sys.executable, "-c", script, json.dumps(doc)], capture_output=True,
+                           text=True, env=dict(env, PYTHONHASHSEED=str(seed)), check=True).stdout
+            for seed in (1, 2, 3)
+        }
+        assert outputs == {message + "\n"}
 
     def test_float_rejected_with_path(self):
         doc = minimal_doc()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 import time
@@ -425,7 +426,7 @@ class TestSearchAgainstExact:
 
 class TestStarOptimaFromTheSearch:
     """`solve` takes a cyclic component's star optima from the search's
-    root bound; `solve_star` runs only on single-enterprise components."""
+    root bound; `price_star` runs only on single-enterprise components."""
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(small_cyclic_networks())
@@ -449,28 +450,28 @@ class TestStarOptimaFromTheSearch:
         net = self._cycle_with_upstream_star()
         optima = {k: solve_star(star).total for k, star, _ in star_decomposition(net)}
         star_calls, dp_calls = [], []
-        suffix_dp = star_module.suffix_dp
+        suffix_dp, price_star = star_module.suffix_dp, star_module.price_star
 
-        def counted_solve_star(star):
-            star_calls.append(star)
-            return solve_star(star)
+        def counted_price_star(amounts, cost, rate):
+            star_calls.append(amounts)
+            return price_star(amounts, cost, rate)
 
         def counted_suffix_dp(amounts, cost, rate, players):
             dp_calls.append((amounts, tuple(players)))  # keeps `amounts` alive
             return suffix_dp(amounts, cost, rate, players)
 
-        monkeypatch.setattr(network, "solve_star", counted_solve_star)
+        monkeypatch.setattr(network, "price_star", counted_price_star)
         monkeypatch.setattr(network, "suffix_dp", counted_suffix_dp)
         monkeypatch.setattr(star_module, "suffix_dp", counted_suffix_dp)
         with caplog.at_level("INFO", logger="collat.network"):
             sol = solve(net)
         assert sol.status is Status.SOLVED and sol.method == "exact"
         assert sol.star_optima == optima
-        # one solve_star, for R alone
-        assert [star.amounts for star in star_calls] == [(2, 1)]
+        # one star pricing, for R alone (the network's scale is 1)
+        assert [tuple(amounts) for amounts in star_calls] == [(2, 1)]
         keys = [(id(amounts), players) for amounts, players in dp_calls]
         assert len(set(keys)) == len(keys)
-        # one full-star DP per star: R's in solve_star, P's and Q's at the root
+        # one full-star DP per star: R's in price_star, P's and Q's at the root
         assert sum(len(players) == len(amounts) for amounts, players in dp_calls) == 3
         entries = re.search(r"(\d+) bound entries", caplog.text)
         assert len(dp_calls) == 1 + int(entries.group(1))
@@ -525,6 +526,63 @@ class TestStarOptimaFromTheSearch:
         assert solve(part).status is Status.SOLVED
         assert seen[0] is whole
         assert seen[1] is not part and len(seen[1].edges) == 4
+
+
+class TestSingleEnterpriseRoute:
+    """A single-enterprise component is priced on the network's scaled
+    table, with no `StarInstance`; the stars are checked before any
+    component runs."""
+
+    def test_matches_solve_star_on_the_star_instance(self):
+        rng = random.Random(83)
+        rescaled = 0
+        for trial in range(80):
+            net = random_network(rng.randint(3, 9), rng.randint(1, 4), seed=rng.randrange(10**6))
+            if trial % 2:  # each star times its own p/q: the scale differs from the star's
+                r = {k: Fraction(rng.randint(1, 12), rng.randint(2, 12))
+                     for k in net.enterprise_set}
+                edges = [(e.enterprise, e.investor, e.amount * r[e.enterprise]) for e in net.edges]
+                cost = [z * r.get(k, 1) for k, z in enumerate(net.cost)]
+                net = InvestmentNetwork(net.n, edges, cost, net.rate)
+            for k, star, _ in star_decomposition(net):
+                ours, theirs = network._star_solution(net, k), solve_star(star)
+                rescaled += net.scale != math.lcm(star.cost.denominator,
+                                                  *(x.denominator for x in star.amounts))
+                assert ours.total == theirs.total and type(ours.total) is Fraction
+                assert ours.collaterals == theirs.collaterals
+                assert all(type(c) is Fraction for c in ours.collaterals)
+                assert ours.order == theirs.order and ours.full_set == theirs.full_set
+        assert rescaled > 50
+
+    @staticmethod
+    def _chain(amount=1, cost=2, rate=2):
+        # enterprise 0, funded by enterprise 1 and a spike, with its
+        # parameters and its amount from 1 set by the caller; 1 is funded by
+        # two spikes: two single-enterprise components
+        edges = [(0, 1, amount), (0, 2, 2), (1, 3, 1), (1, 4, 2)]
+        return InvestmentNetwork(5, edges, cost={0: cost, 1: 2}, rate={0: rate, 1: 2})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rate": 1}, "star instance is not profitable"),
+        ({"amount": 0}, "investment amounts must be positive"),
+        ({"rate": 0}, "cost must be nonnegative and rate positive"),
+        ({"cost": -1}, "cost must be nonnegative and rate positive"),
+    ])
+    def test_a_bad_single_enterprise_star_raises_the_star_checks(self, kwargs, message):
+        net = self._chain(**kwargs)
+        assert solvability_check(net).solvable and is_acyclic(net)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            solve(net)
+
+    def test_profitability_is_checked_before_any_component_runs(self):
+        # an oversized hub (its DP would trip the guard) downstream of an
+        # unprofitable enterprise: the check comes first
+        amounts = [2**i for i in range(STATE_GUARD.bit_length())]
+        edges = [(0, 2 + i, x) for i, x in enumerate(amounts)] + [(1, 0, 2), (1, 2, 1)]
+        net = InvestmentNetwork(len(amounts) + 2, edges, cost={0: 1, 1: 2}, rate={0: 1, 1: 1})
+        assert solvability_check(net).solvable and is_acyclic(net)
+        with pytest.raises(ValueError, match="^star instance is not profitable$"):
+            solve(net)
 
 
 class TestExactTypes:
