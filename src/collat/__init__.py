@@ -19,6 +19,7 @@ from .analysis import (
 )
 from .instances import (
     DocumentError,
+    RationalTooLongError,
     gen_cycle_family,
     gen_fvs_gadget,
     gen_knapsack_star,

@@ -8,7 +8,9 @@ matrix), `gen` (instance files).
 validate the network, let the command compute its fields, status and exit
 code, wrap them in the versioned envelope (`report_version`,
 `input_digest`, `command`, `status`, `timing_seconds`) and serialize the
-report as JSON, or as per-edge CSV for `solve --out csv`.  Every document,
+report as JSON, or as per-edge CSV for `solve --out csv`.  The records a
+report shares with the documents that read it back (edge references,
+`collaterals` rows) are built by `instances`.  Every document,
 `gen`'s included, is written by `_emit`: to `--out-file` (as UTF-8), or
 to stdout with a short human summary on stderr.
 
@@ -18,12 +20,12 @@ namespace and applies its own `-v`.
 
 Exit codes are uniform: 0 success / solvable / viable, 2 domain-negative
 verdict (infeasible, not viable), 1 operational error (I/O, parse,
-validation, invalid `gen` parameters, guard overrun, and usage errors such
-as a missing argument, a bad choice or an unknown subcommand).  An
-operational error is one `error:` line on stderr from `main`, and nothing
-is written; `--help` prints the usage and exits 0.  JSON reports carry
-exact "p/q" strings; the decimal renderings in human output are
-6-significant-digit hints only.
+validation, invalid `gen` parameters, guard overrun, a result too long to
+write, and usage errors such as a missing argument, a bad choice or an
+unknown subcommand).  An operational error is one `error:` line on stderr
+from `main`, and nothing is written; `--help` prints the usage and exits
+0.  JSON reports carry exact "p/q" strings; the decimal renderings in
+human output are 6-significant-digit hints only.
 """
 from __future__ import annotations
 
@@ -35,15 +37,15 @@ import io
 import logging
 import sys
 import time
+from decimal import Decimal
 
 from . import instances
 from .analysis import _minimal_along, iterated_elimination, solvability_check
-from .instances import DocumentError, format_rational
+from .instances import DocumentError, RationalTooLongError, format_rational
 from .model import validate_network
 from .network import Status, TooLargeError, solve
 
 REPORT_VERSION = 1
-CSV_COLUMNS = ["enterprise", "investor", "amount", "collateral"]
 
 
 class ParameterError(Exception):
@@ -60,12 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _decimal_hint(f):
-    return "%.6g" % float(f)
-
-
-def _edge_ref(net, edge):
-    e = net.edges[edge]
-    return {"enterprise": net.ids[e.enterprise], "investor": net.ids[e.investor]}
+    try:
+        return "%.6g" % float(f)
+    except OverflowError:  # beyond a float's range
+        return format(Decimal(f.numerator) / f.denominator, ".6g")
 
 
 def _by_id(net, values):
@@ -93,9 +93,9 @@ def _emit(args, text, human_lines):
 
 def _csv(report):
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([row[k] for k in CSV_COLUMNS] for row in report.get("collaterals", []))
+    writer = csv.DictWriter(buffer, instances.COLLATERAL_FIELDS)
+    writer.writeheader()
+    writer.writerows(report.get("collaterals", []))
     return buffer.getvalue()
 
 
@@ -137,14 +137,11 @@ def cmd_solve(args, net):
     if sol.status is Status.INFEASIBLE:
         fields.update(total="infinite", nec=None, witness=_witness_json(net, sol.witness))
         return 2, "infeasible", fields, ["status: infeasible", "NEC: undefined (no viable matrix)"]
-    refs = [_edge_ref(net, e) for e in range(len(net.edges))]
+    refs = instances.edge_refs(net)
     fields.update(
         total=format_rational(sol.total),
         nec=format_rational(sol.nec),
-        collaterals=[
-            dict(ref, amount=format_rational(e.amount), collateral=format_rational(c))
-            for ref, e, c in zip(refs, net.edges, sol.collaterals)
-        ],
+        collaterals=instances.collateral_rows(net, refs, sol.collaterals),
         elimination_order=[refs[e] for e in sol.order],
         star_totals=_by_id(net, sol.star_totals),
         star_optima=_by_id(net, sol.star_optima),
@@ -163,7 +160,8 @@ def cmd_verify(args, net):
     order, stuck = iterated_elimination(net, c)
     fields = {"total": format_rational(c.total())}
     if stuck:
-        fields.update(minimal=None, stuck_edges=[_edge_ref(net, e) for e in sorted(stuck)])
+        refs = instances.edge_refs(net)
+        fields.update(minimal=None, stuck_edges=[refs[e] for e in sorted(stuck)])
         return 2, "not-viable", fields, ["status: not-viable", "stuck edges: %d" % len(stuck)]
     fields["minimal"] = _minimal_along(net, c, order)
     return 0, "viable", fields, ["status: viable", "minimal: %s" % fields["minimal"]]
@@ -268,7 +266,7 @@ def main(argv=None):
         logging.basicConfig(format="%(message)s")
         logging.getLogger("collat").setLevel(logging.INFO if args.verbose else logging.WARNING)
         return args.func(args)
-    except (DocumentError, OSError, ParameterError, TooLargeError) as exc:
+    except (DocumentError, OSError, ParameterError, RationalTooLongError, TooLargeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -13,12 +13,20 @@ each distinct rational string once per document, and so does
 `loads_collaterals`, the parser of `collat verify`'s collateral document.
 `dumps_document` writes a document directly, with the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)` and a final newline.
+
+This module builds the records its parsers read back: `edge_refs` is the
+one spelling of an edge reference (network documents and reports) and
+`collateral_rows` builds a solve report's `collaterals` rows, which
+`loads_collaterals` reads.  A rational has at most `MAX_DIGITS` digits in
+its numerator and in its denominator, read (`parse_rational`) or written
+(`format_rational`).
 """
 from __future__ import annotations
 
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
@@ -26,6 +34,12 @@ from .model import CollateralMatrix, InvestmentNetwork
 from .star import StarInstance
 
 SCHEMA_VERSION = 1
+# a rational's numerator and denominator have at most this many digits:
+# Python's default int_max_str_digits, held fixed rather than read from the
+# interpreter's setting
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 class DocumentError(ValueError):
@@ -36,35 +50,78 @@ class DocumentError(ValueError):
         self.path = path
 
 
+class RationalTooLongError(ValueError):
+    """A rational with more than `MAX_DIGITS` digits in its numerator or
+    denominator: a document cannot hold it."""
+
+
 def format_rational(value):
-    """The value as "p/q", or as "p" if it is an integer."""
-    return str(value if type(value) is Fraction else Fraction(value))
+    """The value as "p/q", or as "p" if it is an integer: what
+    `parse_rational` reads back, so a longer value raises
+    `RationalTooLongError`, whatever the interpreter's int_max_str_digits."""
+    f = value if type(value) is Fraction else Fraction(value)
+    try:
+        text = str(f)
+    except ValueError:  # an int longer than the interpreter writes
+        text = None
+    if text is None or len(text) > MAX_DIGITS and _too_long(f):
+        raise RationalTooLongError("a rational of more than %d digits is too long to write"
+                                   % MAX_DIGITS)
+    return text
 
 
 def parse_rational(value, path="$"):
+    """The Fraction a document value stands for: an int, or a string read as
+    `Fraction` reads it, with at most `MAX_DIGITS` digits in its numerator
+    and in its denominator."""
     if isinstance(value, bool):
         raise DocumentError("expected a rational, got a boolean", path)
     if isinstance(value, int):
-        return Fraction(value)
+        return _bounded(Fraction(value), path)
     if isinstance(value, float):
         raise DocumentError(
             "float literals are not allowed; write an exact rational such as '1/2'", path
         )
     if isinstance(value, str):
-        # ASCII digits, or "p/q" in ASCII digits with q > 0, skip Fraction's
-        # string parser; everything else (signs, spaces, "_", decimals and
-        # exponents, other digits, zero denominators) goes through it
+        # ASCII digits, or "p/q" in ASCII digits with q > 0, of at most
+        # MAX_DIGITS each skip Fraction's string parser; everything else
+        # (signs, spaces, "_", decimals and exponents, other digits, zero
+        # denominators, long numbers) goes through it
         num, slash, den = value.partition("/")
         try:
-            if num.isascii() and num.isdigit():
+            if num.isascii() and num.isdigit() and len(num) <= MAX_DIGITS:
                 if not slash:
                     return Fraction(int(num))
-                if den.isascii() and den.isdigit() and den.strip("0"):
+                if den.isascii() and den.isdigit() and den.strip("0") and len(den) <= MAX_DIGITS:
                     return Fraction(int(num), int(den))
-            return Fraction(value)
+            f = _fraction(value)
         except (ValueError, ZeroDivisionError):
             raise DocumentError("cannot parse rational %r" % value, path) from None
+        return _bounded(f, path)
     raise DocumentError("expected a rational string or integer", path)
+
+
+def _fraction(text):
+    """`Fraction(text)`, an exponent beyond `MAX_DIGITS + len(text)` cut to
+    one past that: m * 10**e, m written in at most len(text) digits, has
+    more than |e| - len(text) digits unless m is 0, so the value is too
+    long before the cut iff it is after, and no longer power is built."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        bound, e = MAX_DIGITS + len(text), int(exponent.group(1))
+        if abs(e) > bound:
+            text = "%se%d" % (text[:exponent.start()], bound + 1 if e > 0 else -bound - 1)
+    return Fraction(text)
+
+
+def _bounded(f, path):
+    if _too_long(f):
+        raise DocumentError("rational has more than %d digits" % MAX_DIGITS, path)
+    return f
+
+
+def _too_long(f):
+    return abs(f.numerator) >= _TOO_LONG or f.denominator >= _TOO_LONG
 
 
 def rational_memo():
@@ -104,6 +161,8 @@ def _check_keys(obj, allowed, required, path):
 _VERTEX_KEYS = frozenset(("id", "z", "alpha"))
 _EDGE_KEYS = dict.fromkeys(("enterprise", "investor", "amount")).keys()
 _COLLATERAL_KEYS = dict.fromkeys(("enterprise", "investor", "collateral")).keys()
+# a solve report's `collaterals` row, in the order of `collat solve --out csv`'s columns
+COLLATERAL_FIELDS = ("enterprise", "investor", "amount", "collateral")
 
 
 def parse_document(doc):
@@ -183,6 +242,13 @@ def loads_collaterals(net, data):
     return CollateralMatrix(net, amounts)
 
 
+def collateral_rows(net, refs, collaterals):
+    """A solve report's `collaterals` rows, which `loads_collaterals` reads
+    back: each edge's reference (`edge_refs`) with its amount and collateral."""
+    return [dict(ref, amount=format_rational(e.amount), collateral=format_rational(c))
+            for ref, e, c in zip(refs, net.edges, collaterals)]
+
+
 def _vertex(index, rec, field, path, pos):
     """The vertex `rec[field]` names in `index` (id -> vertex): only a str or
     non-bool int does; `true` and `1.0` equal 1 as keys but are no ids.  An
@@ -206,18 +272,19 @@ def serialize_network(net, meta=None):
             }
             for v in range(net.n)
         ],
-        "edges": [
-            {
-                "enterprise": net.ids[e.enterprise],
-                "investor": net.ids[e.investor],
-                "amount": format_rational(e.amount),
-            }
-            for e in net.edges
-        ],
+        "edges": [dict(ref, amount=format_rational(e.amount))
+                  for ref, e in zip(edge_refs(net), net.edges)],
     }
     if meta is not None:
         doc["meta"] = meta
     return doc
+
+
+def edge_refs(net):
+    """Each edge's reference `{"enterprise": id, "investor": id}`, in edge
+    order: an edge's one spelling in network documents and reports."""
+    ids = net.ids
+    return [{"enterprise": ids[e.enterprise], "investor": ids[e.investor]} for e in net.edges]
 
 
 def dumps_document(doc):
@@ -293,10 +360,13 @@ def _key(key):
 def loads_json(data, parse_float=None):
     """`json.loads` of a document's bytes (UTF-8, or UTF-16/32 by JSON's
     detection; a UTF-8 BOM is accepted), with invalid, undecodable or
-    too-deeply nested input as a `DocumentError`."""
+    too-deeply nested input, or an integer literal longer than Python
+    reads, as a `DocumentError`."""
     try:
         return json.loads(data, parse_float=parse_float)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except DocumentError:  # parse_float's
+        raise
+    except (ValueError, RecursionError) as exc:  # an int literal over Python's digit limit too
         raise DocumentError("invalid JSON: %s" % exc, "$") from None
 
 

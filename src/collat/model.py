@@ -213,13 +213,21 @@ class ValidationReport:
 def validate_network(net):
     """Check structural invariants and per-enterprise profitability.
 
-    Profitability requires (1 + alpha_k)(X_k - Z_k) >= X_k for every
-    enterprise k (`is_profitable`, on the scaled integers; the Fractions
-    are formatted only for a violation's text); unprofitable enterprises
-    should be removed from the input rather than modeled.  Returns an
-    itemized report and never raises.
+    Ids must differ as strings: a report keys enterprises by `str(id)`, so
+    ids such as 1 and "1" would share an entry.  Profitability requires
+    (1 + alpha_k)(X_k - Z_k) >= X_k for every enterprise k
+    (`is_profitable`, on the scaled integers; the Fractions are formatted
+    only for a violation's text); unprofitable enterprises should be
+    removed from the input rather than modeled.  Returns an itemized report
+    and never raises.
     """
     violations = []
+    first = {}
+    for v, vid in enumerate(net.ids):
+        u = first.setdefault(str(vid), v)
+        if u != v:
+            violations.append("vertices %d and %d: ids %r and %r are equal as strings"
+                              % (u, v, net.ids[u], vid))
     seen = set()
     for idx, e in enumerate(net.edges):
         if net.scaled_amounts[idx] <= 0:
@@ -239,8 +247,11 @@ def validate_network(net):
             violations.append("enterprise %s: rate must be positive" % (k,))
         if not is_profitable(net, k):
             x_total = net.total_opportunities(k)
-            violations.append("enterprise %s: unprofitable ((1+%s)(%s-%s) < %s)"
-                              % (k, net.rate[k], x_total, net.cost[k], x_total))
+            try:
+                terms = "((1+%s)(%s-%s) < %s)" % (net.rate[k], x_total, net.cost[k], x_total)
+            except ValueError:  # a sum longer than Python writes an int
+                terms = "(its terms are too long to write)"
+            violations.append("enterprise %s: unprofitable %s" % (k, terms))
     return ValidationReport(violations)
 
 

@@ -4,16 +4,29 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import collat.analysis
-from collat import InvestmentNetwork, gen_cycle_family, load_network, save_network
+from collat import (
+    CollateralMatrix,
+    InvestmentNetwork,
+    Status,
+    gen_cycle_family,
+    iterated_elimination,
+    load_network,
+    random_network,
+    save_network,
+    solve,
+)
 from collat.cli import main
+from collat.instances import collateral_rows, dumps_document, edge_refs, loads_collaterals
 from collat.star import STATE_GUARD
 
 
@@ -563,3 +576,157 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "verify", cycle_path, str(c_path))
         assert (code, out) == (1, "")
         assert err == "error: $.collaterals[1].collateral: expected a rational, got a boolean\n"
+
+
+# the ids 1 and "1" are distinct values, but a report keys enterprises by
+# str(id): both stars' optima would share the key "1"
+_COLLIDING_IDS = {
+    "version": 1,
+    "vertices": [{"id": 1, "z": "4", "alpha": "2"}, {"id": "1", "z": "7", "alpha": "3"},
+                 {"id": "a"}, {"id": "b"}, {"id": "c"}, {"id": "d"}],
+    "edges": [{"enterprise": 1, "investor": "a", "amount": "3"},
+              {"enterprise": 1, "investor": "b", "amount": "3"},
+              {"enterprise": "1", "investor": "c", "amount": "5"},
+              {"enterprise": "1", "investor": "d", "amount": "5"}],
+}
+
+
+def _two_stars(a, b):
+    """Stars E and F, each two investors of amount `a` (`b`) and cost the same."""
+    return {
+        "version": 1,
+        "vertices": [{"id": "E", "z": a, "alpha": "3"}, {"id": "F", "z": b, "alpha": "3"},
+                     {"id": "a"}, {"id": "b"}, {"id": "c"}, {"id": "d"}],
+        "edges": [{"enterprise": "E", "investor": "a", "amount": a},
+                  {"enterprise": "E", "investor": "b", "amount": a},
+                  {"enterprise": "F", "investor": "c", "amount": b},
+                  {"enterprise": "F", "investor": "d", "amount": b}],
+    }
+
+
+# every value has at most 3,495 digits, but the total's denominator,
+# 3^5000 * 5^5000, has 5,881
+_LONG_RESULT = _two_stars("1/%d" % 3 ** 5000, "1/%d" % 5 ** 5000)
+
+
+class TestUnreportable:
+    """A network whose report would lose entries or hold a rational too long
+    to write is one `error:` line, and nothing is written."""
+
+    @staticmethod
+    def _one_line_error(capsys, tmp_path, argv, to_file, message):
+        target = tmp_path / "report.out"
+        code, out, err = run(capsys, *argv, *(["--out-file", str(target)] if to_file else []))
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    @pytest.mark.parametrize("command", ["check", "solve", "verify"])
+    def test_ids_equal_as_strings(self, capsys, tmp_path, command, to_file):
+        net_path, c_path = tmp_path / "net.json", tmp_path / "c.json"
+        net_path.write_text(json.dumps(_COLLIDING_IDS))
+        c_path.write_text(json.dumps({"collaterals": []}))
+        argv = [command, str(net_path)] + ([str(c_path)] if command == "verify" else [])
+        self._one_line_error(capsys, tmp_path, argv, to_file,
+                             "$: vertices 0 and 1: ids 1 and '1' are equal as strings")
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "--out", "csv"], ["verify"]],
+                             ids=["solve", "solve-csv", "verify"])
+    def test_result_too_long_to_write(self, capsys, tmp_path, argv, to_file):
+        net_path, c_path = tmp_path / "net.json", tmp_path / "c.json"
+        net_path.write_text(json.dumps(_LONG_RESULT))
+        assert run(capsys, "check", str(net_path))[0] == 0
+        # every collateral at its amount: viable, with the same long total
+        c_path.write_text(json.dumps({"collaterals": [
+            dict(e, collateral=e["amount"]) for e in _LONG_RESULT["edges"]]}))
+        command, *options = argv
+        argv = [command, str(net_path)] + ([str(c_path)] if command == "verify" else []) + options
+        self._one_line_error(capsys, tmp_path, argv, to_file,
+                             "a rational of more than 4300 digits is too long to write")
+
+    def test_result_beyond_a_float_is_written(self, capsys, tmp_path):
+        # the total 2e400 has no float for the stderr hint, but is written exactly
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(_two_stars("1e400", "1e400")))
+        code, out, err = run(capsys, "solve", str(net_path))
+        assert code == 0
+        assert json.loads(out)["total"] == str(2 * 10 ** 400)
+        assert "(~2.00000e+400)" in err
+
+    def test_unprofitable_with_terms_too_long_to_write(self, capsys, tmp_path):
+        # the total opportunity 1/3^5000 + 1/7^3000 has a 4,921-digit denominator
+        doc = _two_stars("1/%d" % 3 ** 5000, "1")
+        doc["edges"][1]["amount"] = "1/%d" % 7 ** 3000
+        doc["vertices"][0]["alpha"] = "1/1000"
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: $: enterprise 0: unprofitable (its terms are too long to write)\n"
+
+    def test_exponent_is_rejected_before_its_power_is_built(self, tmp_path):
+        # Fraction("1e100000000") builds a 100-million-digit integer
+        doc = _two_stars("1", "1")
+        doc["edges"][0]["amount"] = "1e100000000"
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "collat.cli", "check", str(path)],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: $.edges[0].amount: rational has more than 4300 digits\n"
+
+
+def _mixed_ids_net(seed):
+    """A seeded random network with int and string ids, its amounts and
+    costs rescaled by a random rational so that most values are "p/q"."""
+    rng = random.Random(seed)
+    base = random_network(rng.randint(2, 8), 3, acyclic=rng.random() < 0.5, seed=seed)
+    scale = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    ids = [rng.choice([v, "v%d" % v, "%d " % v, "é/%d" % v]) for v in range(base.n)]
+    edges = [(e.enterprise, e.investor, e.amount * scale) for e in base.edges]
+    return InvestmentNetwork(base.n, edges, cost=[z * scale for z in base.cost], rate=base.rate,
+                             ids=ids)
+
+
+class TestWrittenRowsReadBack:
+    """What `collat solve` writes, `collat verify` reads back: a report's
+    rows parse to the matrix they were built from, and each edge reference
+    names the edge it was built from."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_collateral_rows(self, seed):
+        net = _mixed_ids_net(seed)
+        rng = random.Random(seed)
+        refs = edge_refs(net)
+        for _ in range(5):
+            c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 6), rng.randint(1, 6))
+                                       for e in net.edges])
+            rows = collateral_rows(net, refs, c.amounts)
+            assert [Fraction(row["amount"]) for row in rows] == [e.amount for e in net.edges]
+            rng.shuffle(rows)  # a row names its edge by reference, not by position
+            assert loads_collaterals(net, dumps_document({"collaterals": rows}).encode()) == c
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_report_references(self, capsys, tmp_path, seed):
+        net = _mixed_ids_net(seed)
+        names = [(net.ids[e.enterprise], net.ids[e.investor]) for e in net.edges]
+        net_path, zeros_path = tmp_path / "net.json", tmp_path / "zeros.json"
+        save_network(net, net_path)
+        zeros_path.write_text(json.dumps({"collaterals": []}))
+        sol = solve(net)
+        code, out, _ = run(capsys, "solve", str(net_path))
+        assert code == (0 if sol.status is Status.SOLVED else 2)
+        if code == 0:
+            report = json.loads(out)
+            assert [(ref["enterprise"], ref["investor"]) for ref in report["elimination_order"]] \
+                == [names[e] for e in sol.order]
+            assert loads_collaterals(net, out.encode()) == CollateralMatrix(net, sol.collaterals)
+        _, stuck = iterated_elimination(net, CollateralMatrix.zeros(net))
+        code, out, _ = run(capsys, "verify", str(net_path), str(zeros_path))
+        assert code == (2 if stuck else 0)
+        if stuck:
+            assert [(ref["enterprise"], ref["investor"]) for ref in json.loads(out)["stuck_edges"]] \
+                == [names[e] for e in sorted(stuck)]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from collat import (
     DocumentError,
     InvestmentNetwork,
+    RationalTooLongError,
     gen_cycle_family,
     gen_fvs_gadget,
     gen_knapsack_star,
@@ -509,3 +510,66 @@ class TestReadingBytes:
         path.write_bytes(data)
         with pytest.raises(DocumentError, match=r"^\$: invalid JSON: "):
             load_network(path)
+
+
+class TestDigitBound:
+    """A rational has at most 4,300 digits in its numerator and in its
+    denominator (Python's default int_max_str_digits, held fixed); one with
+    more is a `DocumentError` at its field, decided from an exponent before
+    its power of ten is built, and `format_rational` writes none."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e4299", Fraction(10 ** 4299)), ("1e-4299", Fraction(1, 10 ** 4299)),
+        ("-2.5e4298", -25 * Fraction(10 ** 4297)), ("1" * 4300, Fraction(int("1" * 4300))),
+        ("3/" + "1" * 4300, Fraction(3, int("1" * 4300))),
+        ("0e100000000", 0), (" -0.0E-99999999 ", 0),
+    ], ids=["1e4299", "1e-4299", "-2.5e4298", "4300-digits", "4300-digit-denominator",
+            "zero-huge-exponent", "zero-huge-negative-exponent"])
+    def test_within_the_bound(self, text, value):
+        assert parse_rational(text, "$.x") == value
+
+    @pytest.mark.parametrize("value", [
+        "1e4300", "1e-4300", "0.1e4301", "-7e+4300", "1e100000000", "1e-100000000",
+        "1e99999999999999999999", "١e١٠٠٠٠٠٠٠",
+        10 ** 4300, -10 ** 4300,
+    ], ids=["1e4300", "1e-4300", "0.1e4301", "-7e+4300", "1e100000000", "1e-100000000",
+            "1e99999999999999999999", "arabic-indic-digits", "int", "negative-int"])
+    def test_beyond_the_bound_is_a_document_error(self, value):
+        with pytest.raises(DocumentError) as err:
+            parse_rational(value, "$.x")
+        assert str(err.value) == "$.x: rational has more than 4300 digits"
+
+    def test_a_bad_mantissa_is_still_a_syntax_error(self):
+        for text in ("1/2e99999999", "x1e99999999", "1e1__0000000"):
+            with pytest.raises(DocumentError, match="cannot parse rational"):
+                parse_rational(text, "$.x")
+
+    def test_an_amount_beyond_the_bound_names_its_field(self):
+        doc = minimal_doc()
+        doc["edges"][1]["amount"] = "1e5000"
+        with pytest.raises(DocumentError) as err:
+            parse_document(doc)
+        assert err.value.path == "$.edges[1].amount"
+
+    def test_integer_literal_longer_than_python_reads(self):
+        data = dumps_document(minimal_doc()).replace('"3"', "1" * 5000).encode()
+        with pytest.raises(DocumentError):
+            instances.loads_network(data)
+
+    def test_format_rational_writes_what_parse_rational_reads(self):
+        for value in (Fraction(10 ** 4300 - 1, 7), Fraction(-1, 10 ** 4300 - 1)):
+            assert parse_rational(instances.format_rational(value)) == value
+        for value in (Fraction(10 ** 4300, 7), Fraction(-1, 10 ** 4300), 10 ** 4300):
+            with pytest.raises(RationalTooLongError, match="more than 4300 digits"):
+                instances.format_rational(value)
+
+
+class TestIdsEqualAsStrings:
+    def test_parse_keeps_them_apart_and_validation_rejects_them(self):
+        doc = minimal_doc()
+        doc["vertices"][1]["id"] = doc["edges"][0]["investor"] = 7
+        doc["vertices"][2]["id"] = doc["edges"][1]["investor"] = "7"
+        net = parse_document(doc)
+        assert net.ids == ("E", 7, "7")
+        assert validate_network(net).violations == [
+            "vertices 1 and 2: ids 7 and '7' are equal as strings"]
