@@ -26,8 +26,7 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
 from .model import CollateralMatrix, InvestmentNetwork
@@ -39,7 +38,6 @@ SCHEMA_VERSION = 1
 # interpreter's setting
 MAX_DIGITS = 4300
 _TOO_LONG = 10 ** MAX_DIGITS
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 class DocumentError(ValueError):
@@ -73,7 +71,7 @@ def format_rational(value):
 def parse_rational(value, path="$"):
     """The Fraction a document value stands for: an int, or a string read as
     `Fraction` reads it, with at most `MAX_DIGITS` digits in its numerator
-    and in its denominator."""
+    and in its denominator, counted as `_fraction` counts them."""
     if isinstance(value, bool):
         raise DocumentError("expected a rational, got a boolean", path)
     if isinstance(value, int):
@@ -96,22 +94,65 @@ def parse_rational(value, path="$"):
                     return Fraction(int(num), int(den))
             f = _fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise DocumentError("cannot parse rational %r" % value, path) from None
+            quoted = repr(value) if len(value) <= 40 else "%r (%d characters)" % (
+                value[:32] + "...", len(value))
+            raise DocumentError("cannot parse rational %s" % quoted, path) from None
+        if f is None:
+            raise DocumentError("rational has more than %d digits" % MAX_DIGITS, path)
         return _bounded(f, path)
     raise DocumentError("expected a rational string or integer", path)
 
 
 def _fraction(text):
-    """`Fraction(text)`, an exponent beyond `MAX_DIGITS + len(text)` cut to
-    one past that: m * 10**e, m written in at most len(text) digits, has
-    more than |e| - len(text) digits unless m is 0, so the value is too
-    long before the cut iff it is after, and no longer power is built."""
-    exponent = _EXPONENT.search(text)
-    if exponent:
-        bound, e = MAX_DIGITS + len(text), int(exponent.group(1))
-        if abs(e) > bound:
-            text = "%se%d" % (text[:exponent.start()], bound + 1 if e > 0 else -bound - 1)
-    return Fraction(text)
+    """`Fraction(text)`, or None if it is too long, decided on digit counts
+    before any `int()` runs, so the interpreter's int_max_str_digits never
+    decides.  The syntax is Fraction's own pattern, so the interpreter's
+    `Fraction` and this read the same strings.  Too long: a numerator or a
+    denominator of more than `MAX_DIGITS` digits, leading zeros aside; a
+    decimal whose mantissa (its digits, both sides of the point, without
+    leading and trailing zeros) has more; or a decimal m * 10**e (m that
+    mantissa) whose numerator, len(m) + e digits for e >= 0, has more, or
+    whose denominator, above 10**(-e - len(m)) for e < 0, does.  The last
+    two are decided from the exponent without building the number.
+    Raises ValueError or ZeroDivisionError where `Fraction` does."""
+    match = _RATIONAL_FORMAT.match(text)
+    if match is None:
+        raise ValueError("invalid literal for Fraction")
+    num, den = _digits(match.group("num")).lstrip("0"), match.group("denom")
+    sign = -1 if match.group("sign") == "-" else 1
+    if den:
+        den = _digits(den).lstrip("0")
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS:
+            return None
+        return Fraction(sign * int(num or "0"), int(den))
+    decimal = _digits(match.group("decimal") or "")
+    mantissa = (num + decimal).lstrip("0")
+    m = mantissa.rstrip("0")
+    if not m:
+        return Fraction(0)
+    exp = match.group("exp") or "0"
+    e = _digits(exp.lstrip("+-")).lstrip("0")
+    # an exponent of more than 20 digits is beyond any text's length
+    e = int(e or "0") if len(e) <= 20 else 10 ** 20
+    e = (-e if exp[0] == "-" else e) + len(mantissa) - len(m) - len(decimal)
+    if len(m) > MAX_DIGITS or len(m) + e > MAX_DIGITS or -e - len(m) >= MAX_DIGITS:
+        return None
+    if e >= 0:
+        return Fraction(sign * int(m) * 10 ** e)
+    return Fraction(sign * int(m), 10 ** -e)
+
+
+def _digits(run):
+    """A digit run of Fraction's pattern (any decimal digits, "_" between
+    them) as ASCII digits."""
+    run = run.replace("_", "")
+    if not run.isascii():
+        run = "".join(str(int(c)) for c in run)
+    if run and not run.isdigit():  # "d": Python 3.11's pattern takes it as a decimal
+        raise ValueError("invalid literal for Fraction")
+    return run
 
 
 def _bounded(f, path):

@@ -55,7 +55,7 @@ from .model import (
     eliminate,
     is_profitable,
 )
-from .star import StarInstance, price_star, sigma, suffix_dp, unscale
+from .star import StarInstance, cheapest, price_star, sigma, suffix_dp, unscale
 
 log = logging.getLogger(__name__)
 
@@ -165,15 +165,17 @@ def _solve_components(net, components, method, cyclic_solver):
             amounts[edge_ids[pos]] = local[pos]
             order.append(edge_ids[pos])
     c = CollateralMatrix(net, amounts)
-    total = c.total()
+    # every edge lies in one enterprise's out_edges: the star totals sum to c's
+    star_totals = {k: sum((c[e] for e in net.out_edges[k]), Fraction(0))
+                   for k in sorted(net.enterprise_set)}
+    total = sum(star_totals.values(), Fraction(0))
     denom = sum(star_optima.values(), Fraction(0))
     return Solution(
         status=Status.SOLVED,
         collaterals=c,
         total=total,
         order=tuple(order),
-        star_totals={k: sum((c[e] for e in net.out_edges[k]), Fraction(0))
-                     for k in sorted(net.enterprise_set)},
+        star_totals=star_totals,
         star_optima=star_optima,
         nec=Fraction(1) if denom == 0 else total / denom,
         method=method,
@@ -301,7 +303,8 @@ def _search(net):
     def completion(k, resolved):
         """Least cost of resolving the edges of star k outside the bitmask
         `resolved` with no investor defaulting: `suffix_dp` over them, the
-        resolved ones counting as eliminated first at no cost."""
+        resolved ones counting as eliminated first at no cost; its
+        `cheapest` integer pair becomes one Fraction per table entry."""
         nonlocal entries
         amounts, order, table = stars[k]
         value = table.get(resolved)
@@ -313,7 +316,8 @@ def _search(net):
                 layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players)
             except TooLargeError as exc:
                 raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
-            value = table[resolved] = Fraction(min(c for c, _ in layer.values()), net.scale)
+            num, den, _ = cheapest(layer)
+            value = table[resolved] = Fraction(num, den * net.scale)
         return value
 
     # the root bound's terms: the stand-alone star optima

@@ -16,7 +16,14 @@ player of a checked star, on integers of one scale (the network's table,
 or `solve_star`'s scaling by `model.scaled` of a `StarInstance`, which
 checks signs on numerators); each step is priced by
 `model.least_collateral` (`_minimal_amount` is the Fraction reference),
-and `sigma` is the one sort into sigma order.  The form
+and `sigma` is the one sort into sigma order.  A state's cost is an
+exact, unreduced integer pair (num, den), compared by cross-multiplying:
+the formula is linear in the amount, so `least_collateral(1, X - t, Z,
+alpha)` prices a unit once per distinct suffix sum t (`_unit_price`), a
+partial step multiplies that pair in, and den is the product of the
+reduced unit denominators along the state's path, each at most q * X for
+alpha = p/q.  No Fraction is built inside the DP; `price_star` builds
+them only for the vector and total it returns.  The form
 also holds when some players are already eliminated at no cost, since they
 only sit in every prefix: those who pay full come first, and swapping
 adjacent partial players into sigma order never costs more.  So
@@ -127,6 +134,15 @@ def optimal_partial_for_set(star, full_set):
     return tuple(c)
 
 
+def _unit_price(raised, cost, rate):
+    """`least_collateral(1, raised, cost, rate)`, the price per unit of
+    amount with the prefix `raised`, as an integer pair (num, den) in lowest
+    terms.  The formula is linear in the amount, so an amount a costs
+    a * num / den."""
+    price = least_collateral(1, raised, cost, rate)
+    return price.numerator, price.denominator
+
+
 def suffix_dp(amounts, cost, rate, players):
     """The dynamic program of `price_star` on integer `amounts` and `cost`
     (one common scale): place `players`, a sub-sequence of sigma, while the
@@ -135,35 +151,60 @@ def suffix_dp(amounts, cost, rate, players):
     alone; a partial player adds `least_collateral` with the prefix X - t
     raised, and moves t up by its amount.
 
-    Returns the last layer, suffix sum t -> (least cost, full-set bitmask
-    with player 0 the most significant bit); per state, cost ties go to the
-    larger bitmask.  Raises TooLargeError when a layer exceeds
+    A cost is an exact, unreduced integer pair (num, den), den > 0: a full
+    step adds a * den to num, a partial step multiplies in the unit price
+    of its t (`_unit_price`, once per distinct t), and two costs compare by
+    cross-multiplying, so the loop builds no Fraction.  A state's den is
+    the product of the reduced unit denominators along its path, each at
+    most q * X for alpha = p/q.
+
+    Returns the last layer, suffix sum t -> (cost num, cost den, full-set
+    bitmask with player 0 the most significant bit); per state, cost ties
+    go to the larger bitmask.  Raises TooLargeError when a layer exceeds
     `STATE_GUARD` states.
     """
     d = len(amounts)
-    total = sum(amounts)
-    layer = {0: (0, 0)}  # t -> (least cost, full-set bitmask)
-
-    def offer(key, price, mask):
-        cur = nxt.get(key)
-        if cur is None:
-            if len(nxt) == STATE_GUARD:
-                raise TooLargeError(
-                    "star with %d players: DP layer %d reached %d states; the guard is %d"
-                    % (d, step + 1, STATE_GUARD + 1, STATE_GUARD)
-                )
-        elif price > cur[0] or price == cur[0] and mask < cur[1]:
-            return
-        nxt[key] = (price, mask)
+    total, units = sum(amounts), {}  # t -> unit price at the prefix X - t
+    layer = {0: (0, 1, 0)}  # t -> (cost num, cost den, full-set bitmask)
 
     for step, i in enumerate(reversed(players)):
         a, bit = amounts[i], 1 << (d - 1 - i)
         nxt = {}
-        for t, (price, mask) in layer.items():
-            offer(t, price + a, mask | bit)
-            offer(t + a, price + least_collateral(a, total - t, cost, rate), mask)
+        for t, (num, den, mask) in layer.items():
+            # full: pays a, t stays
+            cur, price = nxt.get(t), num + a * den
+            if cur is None or (lhs := price * cur[1]) < (rhs := cur[0] * den) or (
+                    lhs == rhs and mask | bit >= cur[2]):
+                nxt[t] = (price, den, mask | bit)
+            # partial: pays a * un / ud, t moves up by a
+            unit = units.get(t)
+            if unit is None:
+                unit = units[t] = _unit_price(total - t, cost, rate)
+            un, ud = unit
+            cur, price, pden = nxt.get(t + a), num * ud + a * un * den, den * ud
+            if cur is None or (lhs := price * cur[1]) < (rhs := cur[0] * pden) or (
+                    lhs == rhs and mask >= cur[2]):
+                nxt[t + a] = (price, pden, mask)
+        if len(nxt) > STATE_GUARD:
+            raise TooLargeError(
+                "star with %d players: DP layer %d reached %d states; the guard is %d"
+                % (d, step + 1, STATE_GUARD + 1, STATE_GUARD)
+            )
         layer = nxt
     return layer
+
+
+def cheapest(layer):
+    """The least-cost entry (num, den, mask) of a `suffix_dp` layer; cost
+    ties go to the larger mask, as in the DP."""
+    best = None
+    for entry in layer.values():
+        if best is not None:
+            lhs, rhs = entry[0] * best[1], best[0] * entry[1]
+            if lhs > rhs or lhs == rhs and entry[2] < best[2]:
+                continue
+        best = entry
+    return best
 
 
 def price_star(amounts, cost, rate):
@@ -179,28 +220,38 @@ def price_star(amounts, cost, rate):
     in A*, and L can only be smaller if it stops there: L is a truncation
     A* & [0, m) for some m in A*.  So the first such truncation, shortest
     first, that is optimal is the answer, else A* itself.  Each truncation
-    is priced with `least_collateral` on the same integers as the DP.
+    is priced on integer pairs with `_unit_price`, as in the DP; only the
+    answer's collaterals and total are built as Fractions.
 
     Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
     d = len(amounts)
-    total = sum(amounts)
     order = sigma(amounts)
-    layer = suffix_dp(amounts, cost, rate, order)
-    best, best_mask = min(layer.values(), key=lambda entry: (entry[0], -entry[1]))
+    best_num, best_den, best_mask = cheapest(suffix_dp(amounts, cost, rate, order))
+    total, units = sum(amounts), {}  # t -> unit price at the prefix X - t
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
     for m in range(len(full_set) + 1):  # the truncations, then A* itself
-        head, c = full_set[:m], amounts[:]  # full players pay their amount
+        head, partial = full_set[:m], []
+        num, den = sum(amounts[i] for i in head), 1  # full players pay their amount
         t = 0  # the suffix sum of the partial players walked
         for i in reversed(order):
             if i not in head:
-                c[i] = least_collateral(amounts[i], total - t, cost, rate)
+                unit = units.get(t)
+                if unit is None:
+                    unit = units[t] = _unit_price(total - t, cost, rate)
+                un, ud = unit
+                partial.append((i, amounts[i] * un, ud))
+                num, den = num * ud + amounts[i] * un * den, den * ud
                 t += amounts[i]
-        if sum(c) == best:
+        if num * best_den == best_num * den:
             break
     else:
         raise AssertionError("the DP optimum is not the total of its full set")
-    return c, best, tuple(head) + tuple(i for i in order if i not in head), frozenset(head)
+    c = amounts[:]
+    for i, num, den in partial:
+        c[i] = Fraction(num, den)
+    order = tuple(head) + tuple(i for i in order if i not in head)
+    return c, Fraction(best_num, best_den), order, frozenset(head)
 
 
 def unscale(priced, scale):

@@ -9,7 +9,9 @@ positive collateral (`reference_is_minimal`), without the prefix seeding
 of `is_minimal`; star optima come from pricing every one of the 2^d full
 sets with `optimal_partial_for_set` (the Fraction reference formula),
 which `solve_star` does not call: it prices with `model.least_collateral`
-on scaled integers.
+on scaled integers.  `fraction_suffix_dp` is the star DP with every cost a
+Fraction, the reference each state of `star.suffix_dp`'s integer-pair
+costs is checked against.
 """
 from fractions import Fraction
 
@@ -23,7 +25,8 @@ from collat import (
     optimal_partial_for_set,
     sigma_for_set,
 )
-from collat.model import eliminate
+from collat.model import TooLargeError, eliminate, least_collateral
+from collat.star import STATE_GUARD
 
 ENUMERATE_GUARD = 25
 
@@ -124,3 +127,33 @@ def enumerate_star(star):
         order=sigma_for_set(star, full_set),
         full_set=frozenset(full_set),
     )
+
+
+def fraction_suffix_dp(amounts, cost, rate, players):
+    """`star.suffix_dp` with each state's cost a Fraction (or an int) summed
+    step by step: suffix sum t -> (least cost, full-set bitmask), cost ties
+    to the larger bitmask."""
+    d = len(amounts)
+    total = sum(amounts)
+    layer = {0: (0, 0)}  # t -> (least cost, full-set bitmask)
+
+    def offer(key, price, mask):
+        cur = nxt.get(key)
+        if cur is None:
+            if len(nxt) == STATE_GUARD:
+                raise TooLargeError(
+                    "star with %d players: DP layer %d reached %d states; the guard is %d"
+                    % (d, step + 1, STATE_GUARD + 1, STATE_GUARD)
+                )
+        elif price > cur[0] or price == cur[0] and mask < cur[1]:
+            return
+        nxt[key] = (price, mask)
+
+    for step, i in enumerate(reversed(players)):
+        a, bit = amounts[i], 1 << (d - 1 - i)
+        nxt = {}
+        for t, (price, mask) in layer.items():
+            offer(t, price + a, mask | bit)
+            offer(t + a, price + least_collateral(a, total - t, cost, rate), mask)
+        layer = nxt
+    return layer

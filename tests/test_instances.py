@@ -539,6 +539,46 @@ class TestDigitBound:
             parse_rational(value, "$.x")
         assert str(err.value) == "$.x: rational has more than 4300 digits"
 
+    @pytest.fixture(params=[4300, 0], ids=["default-limit", "no-limit"])
+    def int_limit(self, request):
+        """The interpreter's int_max_str_digits at its default, then lifted;
+        restored after the test."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        yield request.param
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("text, value", [
+        ("0" * 4300 + "1", 1),
+        ("-" + "0" * 5000 + "12", -12),
+        ("0" * 5000 + "3/" + "0" * 5000 + "7", Fraction(3, 7)),
+        ("1." + "0" * 5000, 1),
+        ("1" + "0" * 5000 + "e-5000", 1),
+        ("0." + "0" * 4298 + "1", Fraction(1, 10 ** 4299)),
+        ("1e" + "0" * 5000 + "7", 10 ** 7),
+    ], ids=["leading-zeros", "signed-leading-zeros", "leading-zeros-both-sides",
+            "decimal-trailing-zeros", "mantissa-trailing-zeros", "4299-decimals",
+            "exponent-leading-zeros"])
+    def test_significant_digits_decide_whatever_the_int_limit(self, int_limit, text, value):
+        assert parse_rational(text, "$.x") == value
+
+    @pytest.mark.parametrize("text", [
+        "1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1" * 4301 + "/" + "1" * 4301,
+        "0." + "0" * 4300 + "1", "1" * 4301 + "e-4301", "1e" + "1" * 4301,
+    ], ids=["numerator", "negative", "denominator", "both", "4301-decimals",
+            "long-mantissa", "long-exponent"])
+    def test_too_many_significant_digits_whatever_the_int_limit(self, int_limit, text):
+        with pytest.raises(DocumentError) as err:
+            parse_rational(text, "$.x")
+        assert str(err.value) == "$.x: rational has more than 4300 digits"
+
+    def test_a_syntax_error_quotes_a_short_prefix(self, int_limit):
+        text = "1" * 4301 + "x"
+        with pytest.raises(DocumentError) as err:
+            parse_rational(text, "$.x")
+        assert str(err.value) == "$.x: cannot parse rational %r (4302 characters)" % (
+            "1" * 32 + "...")
+
     def test_a_bad_mantissa_is_still_a_syntax_error(self):
         for text in ("1/2e99999999", "x1e99999999", "1e1__0000000"):
             with pytest.raises(DocumentError, match="cannot parse rational"):

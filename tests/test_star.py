@@ -15,8 +15,15 @@ from collat import (
     optimal_partial_for_set,
     solve_star,
 )
-from collat.star import STATE_GUARD
-from helpers import assert_minimal, assert_valid_elimination_order, enumerate_star
+from collat import star as star_module
+from collat.model import scaled
+from collat.star import STATE_GUARD, cheapest, sigma, suffix_dp
+from helpers import (
+    assert_minimal,
+    assert_valid_elimination_order,
+    enumerate_star,
+    fraction_suffix_dp,
+)
 
 
 def random_star(rng, max_players=7):
@@ -245,6 +252,77 @@ class TestAgainstEnumeration:
             star = family_star(rng, family, d)
             assert star.is_profitable() and star.size <= 12
             assert solve_star(star) == enumerate_star(star), star
+
+
+def scaled_star(star):
+    """A star's amounts and cost as integers of one scale, as it is priced."""
+    _, ints = scaled((*star.amounts, star.cost))
+    return ints[:-1], ints[-1]
+
+
+class TestIntegerPairDP:
+    """`suffix_dp` keeps each cost as an unreduced integer pair; state by
+    state it matches `fraction_suffix_dp`, the DP on Fraction costs."""
+
+    PRIMES = (1009, 7919, 104729, 1299709, 15485863)
+
+    def _stars(self, rng):
+        for family in ("rational", "ties", "large-alpha", "knapsack"):
+            for _ in range(40):
+                star = family_star(rng, family, rng.randint(1, 10))
+                yield star
+                # the same star on another scale
+                r = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+                yield StarInstance([x * r for x in star.amounts], star.cost * r, star.rate)
+        for _ in range(40):  # large coprime denominators
+            d = rng.randint(1, 9)
+            amounts = [Fraction(rng.randint(1, 10 ** 6), rng.choice(self.PRIMES)) for _ in range(d)]
+            total = sum(amounts, Fraction(0))
+            z = total * Fraction(rng.randint(0, 9), 10)
+            alpha = (z / (total - z) if z else 0) + Fraction(rng.randint(1, 8), rng.choice(self.PRIMES))
+            yield StarInstance(amounts, z, alpha)
+
+    def test_every_state_matches_the_fraction_dp(self):
+        rng = random.Random("integer-pair-dp")
+        stars = 0
+        for star in self._stars(rng):
+            assert star.is_profitable()
+            amounts, cost = scaled_star(star)
+            order = sigma(amounts)
+            # all of sigma (`price_star`), then sub-sequences (the search's completions)
+            for players in [order] + [[i for i in order if rng.random() < 0.6] for _ in range(3)]:
+                got = suffix_dp(amounts, cost, star.rate, players)
+                want = fraction_suffix_dp(amounts, cost, star.rate, players)
+                assert [(t, Fraction(num, den), mask) for t, (num, den, mask) in got.items()] == [
+                    (t, price, mask) for t, (price, mask) in want.items()], star
+                num, den, mask = cheapest(got)
+                assert (Fraction(num, den), -mask) == min((price, -mask) for price, mask in want.values())
+            stars += 1
+        assert stars == 360
+
+    def test_one_unit_price_per_suffix_sum_and_no_fraction_in_a_state(self, monkeypatch):
+        calls, least_collateral = [], star_module.least_collateral
+
+        def counted(a, raised, cost, rate):
+            calls.append((a, raised))
+            return least_collateral(a, raised, cost, rate)
+
+        monkeypatch.setattr(star_module, "least_collateral", counted)
+        star = family_star(random.Random(7), "rational", 10)
+        amounts, cost = scaled_star(star)
+        layer = suffix_dp(amounts, cost, star.rate, sigma(amounts))
+        assert calls and all(a == 1 for a, _ in calls)
+        assert len(set(calls)) == len(calls)
+        assert all(type(v) is int for entry in layer.values() for v in entry)
+
+    def test_widest_denominators(self):
+        # 200 players of 1-3, alpha = 5/7 and Z = 150: most steps are
+        # partial, so the unreduced pairs grow the most
+        rng = random.Random(200)
+        star = StarInstance([rng.randint(1, 3) for _ in range(200)], 150, Fraction(5, 7))
+        amounts, cost = scaled_star(star)
+        want = fraction_suffix_dp(amounts, cost, star.rate, sigma(amounts))
+        assert solve_star(star).total == min(price for price, _ in want.values())
 
 
 class TestStateGuard:
