@@ -1,8 +1,12 @@
 """Instance generators and the JSON network document format.
 
 Documents carry rationals as "p/q" (or integer) strings; float literals are
-rejected so exactness can never be silently lost.  Generators embed their
-parameters in the document metadata so reports are self-describing.
+rejected so exactness can never be silently lost.  This module owns the
+grammar of a rational string (`_RATIONAL`, ASCII only, the same on every
+Python): surrounding whitespace, an optional sign, then "p", "p/q" with no
+space around the "/", or a decimal with an optional exponent; `Fraction`'s
+own string parser is never used.  Generators embed their parameters in the
+document metadata so reports are self-describing.
 
 A document is read as bytes (`loads_network`; `load_network` reads the
 file once and calls it), so the CLI digests and parses the same bytes.
@@ -19,14 +23,17 @@ one spelling of an edge reference (network documents and reports) and
 `collateral_rows` builds a solve report's `collaterals` rows, which
 `loads_collaterals` reads.  A rational has at most `MAX_DIGITS` digits in
 its numerator and in its denominator, read (`parse_rational`) or written
-(`format_rational`).
+(`format_rational`); one within that bound that the interpreter's
+int_max_str_digits setting forbids is an error naming the setting.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
-from fractions import _RATIONAL_FORMAT, Fraction
+import re
+import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
 from .model import CollateralMatrix, InvestmentNetwork
@@ -38,6 +45,16 @@ SCHEMA_VERSION = 1
 # interpreter's setting
 MAX_DIGITS = 4300
 _TOO_LONG = 10 ** MAX_DIGITS
+# the grammar of a rational string (see the module docstring)
+_RATIONAL = re.compile(r"""
+    \s*(?P<sign>[-+]?)
+    (?=\.?\d)                            # a digit first, or a point and a digit
+    (?P<num>\d*)
+    (?:/(?P<den>0*[1-9]\d*)              # a denominator is not zero
+     | (?:\.(?P<decimal>\d*))?(?:[eE](?P<exp>[-+]?\d+))?
+    )\s*\Z""", re.VERBOSE | re.ASCII)
+# `int` reads a digit string this long under any int_max_str_digits setting
+_FAST_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 class DocumentError(ValueError):
@@ -56,22 +73,23 @@ class RationalTooLongError(ValueError):
 def format_rational(value):
     """The value as "p/q", or as "p" if it is an integer: what
     `parse_rational` reads back, so a longer value raises
-    `RationalTooLongError`, whatever the interpreter's int_max_str_digits."""
+    `RationalTooLongError`, as does one the interpreter's
+    int_max_str_digits keeps `str` from writing (naming that setting)."""
     f = value if type(value) is Fraction else Fraction(value)
     try:
         text = str(f)
     except ValueError:  # an int longer than the interpreter writes
         text = None
     if text is None or len(text) > MAX_DIGITS and _too_long(f):
-        raise RationalTooLongError("a rational of more than %d digits is too long to write"
-                                   % MAX_DIGITS)
+        raise RationalTooLongError("a rational of more than %s is too long to write"
+                                   % _bound(_too_long(f)))
     return text
 
 
 def parse_rational(value, path="$"):
-    """The Fraction a document value stands for: an int, or a string read as
-    `Fraction` reads it, with at most `MAX_DIGITS` digits in its numerator
-    and in its denominator, counted as `_fraction` counts them."""
+    """The Fraction a document value stands for: an int, or a string of
+    the grammar `_RATIONAL`, with at most `MAX_DIGITS` digits in its
+    numerator and in its denominator, counted as `_fraction` counts them."""
     if isinstance(value, bool):
         raise DocumentError("expected a rational, got a boolean", path)
     if isinstance(value, int):
@@ -81,78 +99,65 @@ def parse_rational(value, path="$"):
             "float literals are not allowed; write an exact rational such as '1/2'", path
         )
     if isinstance(value, str):
-        # ASCII digits, or "p/q" in ASCII digits with q > 0, of at most
-        # MAX_DIGITS each skip Fraction's string parser; everything else
-        # (signs, spaces, "_", decimals and exponents, other digits, zero
-        # denominators, long numbers) goes through it
+        # "p" and "p/q" in ASCII digits with q > 0, the forms `format_rational`
+        # writes, skip the pattern if `int` reads them under any digit limit
         num, slash, den = value.partition("/")
-        try:
-            if num.isascii() and num.isdigit() and len(num) <= MAX_DIGITS:
-                if not slash:
-                    return Fraction(int(num))
-                if den.isascii() and den.isdigit() and den.strip("0") and len(den) <= MAX_DIGITS:
-                    return Fraction(int(num), int(den))
-            f = _fraction(value)
-        except (ValueError, ZeroDivisionError):
+        if num.isascii() and num.isdigit() and len(num) <= _FAST_DIGITS:
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and den.strip("0") and len(den) <= _FAST_DIGITS:
+                return Fraction(int(num), int(den))
+        match = _RATIONAL.match(value)
+        if match is None:
             quoted = repr(value) if len(value) <= 40 else "%r (%d characters)" % (
                 value[:32] + "...", len(value))
-            raise DocumentError("cannot parse rational %s" % quoted, path) from None
-        if f is None:
-            raise DocumentError("rational has more than %d digits" % MAX_DIGITS, path)
-        return _bounded(f, path)
+            raise DocumentError("cannot parse rational %s" % quoted, path)
+        return _bounded(_fraction(match, path), path)
     raise DocumentError("expected a rational string or integer", path)
 
 
-def _fraction(text):
-    """`Fraction(text)`, or None if it is too long, decided on digit counts
-    before any `int()` runs, so the interpreter's int_max_str_digits never
-    decides.  The syntax is Fraction's own pattern, so the interpreter's
-    `Fraction` and this read the same strings.  Too long: a numerator or a
-    denominator of more than `MAX_DIGITS` digits, leading zeros aside; a
-    decimal whose mantissa (its digits, both sides of the point, without
-    leading and trailing zeros) has more; or a decimal m * 10**e (m that
-    mantissa) whose numerator, len(m) + e digits for e >= 0, has more, or
-    whose denominator, above 10**(-e - len(m)) for e < 0, does.  The last
-    two are decided from the exponent without building the number.
-    Raises ValueError or ZeroDivisionError where `Fraction` does."""
-    match = _RATIONAL_FORMAT.match(text)
-    if match is None:
-        raise ValueError("invalid literal for Fraction")
-    num, den = _digits(match.group("num")).lstrip("0"), match.group("denom")
-    sign = -1 if match.group("sign") == "-" else 1
-    if den:
-        den = _digits(den).lstrip("0")
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS:
-            return None
-        return Fraction(sign * int(num or "0"), int(den))
-    decimal = _digits(match.group("decimal") or "")
-    mantissa = (num + decimal).lstrip("0")
-    m = mantissa.rstrip("0")
-    if not m:
-        return Fraction(0)
-    exp = match.group("exp") or "0"
-    e = _digits(exp.lstrip("+-")).lstrip("0")
-    # an exponent of more than 20 digits is beyond any text's length
-    e = int(e or "0") if len(e) <= 20 else 10 ** 20
-    e = (-e if exp[0] == "-" else e) + len(mantissa) - len(m) - len(decimal)
-    if len(m) > MAX_DIGITS or len(m) + e > MAX_DIGITS or -e - len(m) >= MAX_DIGITS:
-        return None
-    if e >= 0:
-        return Fraction(sign * int(m) * 10 ** e)
-    return Fraction(sign * int(m), 10 ** -e)
+def _fraction(match, path):
+    """The Fraction of a `_RATIONAL` match, or a `DocumentError` at `path`
+    if it is too long or `int` cannot read a digit string under the
+    interpreter's int_max_str_digits, decided on digit counts before any
+    `int()` runs.  Too long: a numerator or denominator of more than
+    `MAX_DIGITS` digits, leading zeros aside; a decimal whose mantissa m
+    (its digits without leading and trailing zeros) has more; or a decimal
+    m * 10**e whose numerator, len(m) + e digits for e >= 0, has more, or
+    whose denominator, above 10**(-e - len(m)) for e < 0, does, decided
+    without building it."""
+    num, den = match["num"].lstrip("0"), match["den"]
+    if den is not None:
+        den = den.lstrip("0")
+        longest = max(len(num), len(den))
+    else:
+        decimal = match["decimal"] or ""
+        mantissa = (num + decimal).lstrip("0")
+        num = mantissa.rstrip("0")
+        if not num:
+            return Fraction(0)
+        exp = match["exp"] or "0"
+        e = exp.lstrip("+-").lstrip("0")
+        # an exponent of more than 20 digits is beyond any text's length
+        e = int(e or "0") if len(e) <= 20 else 10 ** 20
+        e = (-e if exp[0] == "-" else e) + len(mantissa) - len(num) - len(decimal)
+        too_long = len(num) + e > MAX_DIGITS or -e - len(num) >= MAX_DIGITS
+        longest = MAX_DIGITS + 1 if too_long else len(num)
+    limit = sys.get_int_max_str_digits() or MAX_DIGITS
+    if longest > min(limit, MAX_DIGITS):
+        raise DocumentError("rational has more than %s" % _bound(longest > MAX_DIGITS), path)
+    num = int(match["sign"] + (num or "0"))
+    if den is not None:
+        return Fraction(num, int(den))
+    return Fraction(num * 10 ** e) if e >= 0 else Fraction(num, 10 ** -e)
 
 
-def _digits(run):
-    """A digit run of Fraction's pattern (any decimal digits, "_" between
-    them) as ASCII digits."""
-    run = run.replace("_", "")
-    if not run.isascii():
-        run = "".join(str(int(c)) for c in run)
-    if run and not run.isdigit():  # "d": Python 3.11's pattern takes it as a decimal
-        raise ValueError("invalid literal for Fraction")
-    return run
+def _bound(beyond_max):
+    """The digit bound broken: `MAX_DIGITS`, or else the interpreter's
+    int_max_str_digits, named."""
+    if beyond_max:
+        return "%d digits" % MAX_DIGITS
+    return "%d digits (the interpreter's int_max_str_digits)" % sys.get_int_max_str_digits()
 
 
 def _bounded(f, path):

@@ -8,9 +8,12 @@ oriented enterprise -> investor, downstream first
 verify`'s minimality runs and decides `is_acyclic`): by then, investors
 outside a component always pay, so the optimum is the sum of the component
 optima (a cyclic component holding every edge runs on the network itself,
-any other on a sub-network of its enterprises' edges).  `_check_stars`
-checks every star first.  A single enterprise is a star (`price_star` on
-the scaled table; NEC 1 on the acyclic networks `solve_dag` takes).  In
+any other on a sub-network of its enterprises' edges).  Before any
+component runs, a solvable network must pass `validate_network` (else a
+ValueError joins its violations), so every entry point rejects what
+`collat check` rejects, in its words.  A single enterprise is a star
+(`price_star` on the scaled table; NEC 1 on the acyclic networks
+`solve_dag` takes).  In
 `solve` a cyclic component runs an exact best-first (A*) search over
 resolved edge-sets (`_search`): the minimal collateral making an edge
 eliminable (`model.edge_need` on the bitmask cascade `model.cascade`)
@@ -53,7 +56,7 @@ from .model import (
     cascade,
     edge_need,
     eliminate,
-    is_profitable,
+    validate_network,
 )
 from .star import StarInstance, cheapest, price_star, sigma, suffix_dp, unscale
 
@@ -117,24 +120,10 @@ def _star_solution(net, k):
     return unscale(priced, net.scale)
 
 
-def _check_stars(net):
-    """The solver's one star check, on the scaled table before any
-    component runs: `StarInstance`'s sign checks, then `is_profitable`,
-    each over the enterprises in index order, with `solve_star`'s messages.
-    So an unprofitable enterprise raises before any component's guard
-    error (`collat` rejects it earlier, in `validate_network`)."""
-    for k, funding in net.funding.items():
-        if any(amount <= 0 for _, _, amount in funding):
-            raise ValueError("investment amounts must be positive")
-        if net.scaled_costs[k] < 0 or net.rate[k] <= 0:
-            raise ValueError("cost must be nonnegative and rate positive")
-    if not all(is_profitable(net, k) for k in net.funding):
-        raise ValueError("star instance is not profitable")
-
-
 def _solve_components(net, components, method, cyclic_solver):
     """The one solver pass: `solvability_check` first (if infeasible, the
-    witness and method "none"), `_check_stars`, then the (enterprises,
+    witness and method "none"), then `validate_network` (a ValueError
+    joining its violations with "; " if any), then the (enterprises,
     cyclic flag) components in the given order, concatenated and labelled
     `method`.  A single enterprise is priced by `_star_solution`.  A cyclic
     component's sub-network keeps only its own enterprises' edges (`net`
@@ -146,7 +135,9 @@ def _solve_components(net, components, method, cyclic_solver):
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
-    _check_stars(net)
+    violations = validate_network(net).violations
+    if violations:
+        raise ValueError("; ".join(violations))
     star_optima, amounts, order = {}, {}, []
     for comp, cyclic in components:
         if cyclic:

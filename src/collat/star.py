@@ -65,8 +65,9 @@ class StarInstance:
         return len(self.amounts)
 
     def is_profitable(self):
-        total = sum(self.amounts, Fraction(0))
-        return (1 + self.rate) * (total - self.cost) >= total
+        """`model.profitable` on the star scaled by `model.scaled`."""
+        _, ints = scaled((*self.amounts, self.cost))
+        return profitable(sum(ints[:-1]), ints[-1], self.rate)
 
     def to_network(self):
         """Embed as an InvestmentNetwork: enterprise vertex 0, investors 1..d."""

@@ -16,6 +16,8 @@ from collat import (
     random_network,
     solvability_check,
     solve,
+    solve_star,
+    star_decomposition,
     zero_collateral_condition,
 )
 from collat.model import eliminate
@@ -48,6 +50,15 @@ def chained(a, b, rng):
     return InvestmentNetwork(net.n, edges, cost=net.cost, rate=net.rate)
 
 
+def bilateral(net):
+    """The bilateral scheme: each star of `star_decomposition` priced on its
+    own (`solve_star`), its vector placed on that star's edges."""
+    amounts = {}
+    for _, star, edge_ids in star_decomposition(net):
+        amounts.update(zip(edge_ids, solve_star(star).collaterals))
+    return CollateralMatrix(net, amounts)
+
+
 def component_edges(net, e):
     """The edges into the vertices that edge e's enterprise k reaches and
     that reach k, following edges from enterprise to investor (k's
@@ -76,26 +87,29 @@ class TestIteratedElimination:
         assert resolved == []
         assert stuck == net.all_edges()
 
-    def test_star_decomposition_collaterals_stick_on_cycle_family(self):
-        # the per-star optima (full collaterals to each pair of unit spikes)
-        # leave the heavy spikes and the cycle edges stuck
-        net = gen_cycle_family(5)
-        amounts = {}
-        for e, edge in enumerate(net.edges):
-            if edge.amount == 1 and edge.investor not in net.enterprise_set:
-                amounts[e] = 1
-        # one more unit collateral per enterprise: its incoming cycle edge
-        for e, edge in enumerate(net.edges):
-            if edge.investor in net.enterprise_set:
-                amounts[e] = 1
-        c = CollateralMatrix(net, amounts)
-        assert c.total() == 6
-        resolved, stuck = iterated_elimination(net, c)
-        heavy_spikes = {
-            e for e, edge in enumerate(net.edges) if edge.amount == net.rate[0] / 2
-        }
+    @pytest.mark.parametrize("k", [3, 5, 7, 12])
+    def test_star_decomposition_collaterals_stick_on_cycle_family(self, k):
+        # the per-star optima total 6, but leave the heavy spikes and the
+        # cycle edges stuck; the network optimum is k + 5
+        net = gen_cycle_family(k)
+        c = bilateral(net)
+        assert c.total() == 6 and solve(net).total == k + 5
+        _, stuck = iterated_elimination(net, c)
+        heavy_spikes = {e for e, edge in enumerate(net.edges) if edge.amount == k}
         assert stuck  # not viable: the decomposition sum never stabilizes a cycle
         assert heavy_spikes <= stuck
+        assert not is_viable(net, c)
+
+    def test_star_decomposition_collaterals_are_optimal_on_acyclic_networks(self):
+        # without a cycle the bilateral scheme is viable and costs no more
+        # than the network optimum
+        rng = random.Random(29)
+        for _ in range(60):
+            net = random_network(rng.randint(3, 9), rng.randint(1, 4), acyclic=True,
+                                 seed=rng.randrange(10**6))
+            c = bilateral(net)
+            assert is_viable(net, c)
+            assert c.total() == solve(net).total
 
     def test_scan_order_does_not_change_stuck_set(self):
         # elimination sweeps in edge index order, so the same network with

@@ -241,21 +241,26 @@ class TestDocumentFormat:
         with pytest.raises(DocumentError):
             parse_document(doc)
 
-    # "²".isdigit() is true, but int("²") raises: the fast path for ASCII
-    # digits must leave it to Fraction's parser
     @pytest.mark.parametrize("text", [
-        "7", "007", "5/2", "10/4", "-3/4", "+3", " 3 ", " 5/2", "1_000", "2.5", "1e3", "\u0663",
+        "7", "007", "5/2", "10/4", "-3/4", "+3", " 3 ", " 5/2", "2.5", "1e3",
     ])
     def test_rational_string_is_read_as_fraction_reads_it(self, text):
-        try:
-            expected = Fraction(text)
-        except ValueError:  # "1_000" before Python 3.11
-            with pytest.raises(DocumentError):
-                parse_rational(text, "$.x")
-            return
         value = parse_rational(text, "$.x")
-        assert type(value) is Fraction and value == expected
+        assert type(value) is Fraction and value == Fraction(text)
 
+    # each of these is read by `Fraction` on some Python: "1_000" from 3.11,
+    # " 1 / 2 " from 3.12, and the digits of any script; the document
+    # grammar is ASCII digits with no "_" and no space around the "/"
+    @pytest.mark.parametrize("text", ["1_000", " 1 / 2 ", "\u0663", "١e١٠٠٠٠٠٠٠"],
+                             ids=["underscore", "spaced-slash", "arabic-indic-digit",
+                                  "arabic-indic-digits"])
+    def test_outside_the_grammar_on_every_python(self, text):
+        with pytest.raises(DocumentError) as err:
+            parse_rational(text, "$.x")
+        assert str(err.value) == "$.x: cannot parse rational %r" % text
+
+    # "²".isdigit() is true, but it is no ASCII digit: the fast path must
+    # leave it to the grammar, which rejects it
     @pytest.mark.parametrize("text", ["0/0", "1/0", "3/-4", "\u00b2", "", "/", "3/"])
     def test_rational_string_fraction_rejects_is_a_document_error(self, text):
         with pytest.raises((ValueError, ZeroDivisionError)):
@@ -530,19 +535,19 @@ class TestDigitBound:
 
     @pytest.mark.parametrize("value", [
         "1e4300", "1e-4300", "0.1e4301", "-7e+4300", "1e100000000", "1e-100000000",
-        "1e99999999999999999999", "١e١٠٠٠٠٠٠٠",
+        "1e99999999999999999999",
         10 ** 4300, -10 ** 4300,
     ], ids=["1e4300", "1e-4300", "0.1e4301", "-7e+4300", "1e100000000", "1e-100000000",
-            "1e99999999999999999999", "arabic-indic-digits", "int", "negative-int"])
+            "1e99999999999999999999", "int", "negative-int"])
     def test_beyond_the_bound_is_a_document_error(self, value):
         with pytest.raises(DocumentError) as err:
             parse_rational(value, "$.x")
         assert str(err.value) == "$.x: rational has more than 4300 digits"
 
-    @pytest.fixture(params=[4300, 0], ids=["default-limit", "no-limit"])
+    @pytest.fixture(params=[4300, 0, 640], ids=["default-limit", "no-limit", "lowest-limit"])
     def int_limit(self, request):
-        """The interpreter's int_max_str_digits at its default, then lifted;
-        restored after the test."""
+        """The interpreter's int_max_str_digits at its default, lifted, then
+        at the lowest value Python allows; restored after the test."""
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(request.param)
         yield request.param
@@ -578,6 +583,21 @@ class TestDigitBound:
             parse_rational(text, "$.x")
         assert str(err.value) == "$.x: cannot parse rational %r (4302 characters)" % (
             "1" * 32 + "...")
+
+    @pytest.mark.parametrize("int_limit", [640], indirect=True)
+    def test_a_value_the_int_limit_forbids_names_it_when_read(self, int_limit):
+        # 1,000 digits are within the document's bound, not the interpreter's
+        with pytest.raises(DocumentError) as err:
+            parse_rational("1" * 1000, "$.x")
+        assert str(err.value) == (
+            "$.x: rational has more than 640 digits (the interpreter's int_max_str_digits)")
+
+    @pytest.mark.parametrize("int_limit", [640], indirect=True)
+    def test_a_value_the_int_limit_forbids_names_it_when_written(self, int_limit):
+        with pytest.raises(RationalTooLongError) as err:
+            instances.format_rational(Fraction(10 ** 1000))
+        assert str(err.value) == ("a rational of more than 640 digits (the interpreter's "
+                                  "int_max_str_digits) is too long to write")
 
     def test_a_bad_mantissa_is_still_a_syntax_error(self):
         for text in ("1/2e99999999", "x1e99999999", "1e1__0000000"):

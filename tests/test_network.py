@@ -484,16 +484,19 @@ class TestStarOptimaFromTheSearch:
         return InvestmentNetwork(4, edges, cost={0: cost, 1: 2}, rate={0: rate, 1: 2})
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"rate": 1}, "star instance is not profitable"),
-        ({"amount": 0}, "investment amounts must be positive"),
-        ({"amount": -1}, "investment amounts must be positive"),
-        ({"rate": 0}, "cost must be nonnegative and rate positive"),
-        ({"cost": -1}, "cost must be nonnegative and rate positive"),
+        ({"rate": 1}, "enterprise 0: unprofitable ((1+1)(3-2) < 3)"),
+        ({"amount": 0}, "edge 0 (0 -> 1): non-positive edge weight; "
+                        "enterprise 0: unprofitable ((1+2)(2-2) < 2)"),
+        ({"amount": -1}, "edge 0 (0 -> 1): non-positive edge weight; "
+                         "enterprise 0: unprofitable ((1+2)(1-2) < 1)"),
+        ({"rate": 0}, "enterprise 0: rate must be positive; "
+                      "enterprise 0: unprofitable ((1+0)(3-2) < 3)"),
+        ({"cost": -1}, "enterprise 0: negative cost"),
     ])
     def test_a_bad_star_in_a_cycle_raises_the_star_checks(self, kwargs, message):
         net = self._spiked(**kwargs)
         assert solvability_check(net).solvable and not is_acyclic(net)
-        with pytest.raises(ValueError, match="^%s$" % message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             solve(net)
 
     def test_an_oversized_star_in_a_cycle_names_its_enterprise(self, monkeypatch):
@@ -530,7 +533,7 @@ class TestStarOptimaFromTheSearch:
 
 class TestSingleEnterpriseRoute:
     """A single-enterprise component is priced on the network's scaled
-    table, with no `StarInstance`; the stars are checked before any
+    table, with no `StarInstance`; the network is validated before any
     component runs."""
 
     def test_matches_solve_star_on_the_star_instance(self):
@@ -563,15 +566,17 @@ class TestSingleEnterpriseRoute:
         return InvestmentNetwork(5, edges, cost={0: cost, 1: 2}, rate={0: rate, 1: 2})
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"rate": 1}, "star instance is not profitable"),
-        ({"amount": 0}, "investment amounts must be positive"),
-        ({"rate": 0}, "cost must be nonnegative and rate positive"),
-        ({"cost": -1}, "cost must be nonnegative and rate positive"),
+        ({"rate": 1}, "enterprise 0: unprofitable ((1+1)(3-2) < 3)"),
+        ({"amount": 0}, "edge 0 (0 -> 1): non-positive edge weight; "
+                        "enterprise 0: unprofitable ((1+2)(2-2) < 2)"),
+        ({"rate": 0}, "enterprise 0: rate must be positive; "
+                      "enterprise 0: unprofitable ((1+0)(3-2) < 3)"),
+        ({"cost": -1}, "enterprise 0: negative cost"),
     ])
     def test_a_bad_single_enterprise_star_raises_the_star_checks(self, kwargs, message):
         net = self._chain(**kwargs)
         assert solvability_check(net).solvable and is_acyclic(net)
-        with pytest.raises(ValueError, match="^%s$" % message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             solve(net)
 
     def test_profitability_is_checked_before_any_component_runs(self):
@@ -581,8 +586,32 @@ class TestSingleEnterpriseRoute:
         edges = [(0, 2 + i, x) for i, x in enumerate(amounts)] + [(1, 0, 2), (1, 2, 1)]
         net = InvestmentNetwork(len(amounts) + 2, edges, cost={0: 1, 1: 2}, rate={0: 1, 1: 1})
         assert solvability_check(net).solvable and is_acyclic(net)
-        with pytest.raises(ValueError, match="^star instance is not profitable$"):
+        message = "enterprise 1: unprofitable ((1+1)(3-2) < 3)"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             solve(net)
+
+
+class TestInvalidNetworks:
+    """Past the solvability gate, every entry point rejects what
+    `validate_network` (and so `collat check`) rejects, in its words."""
+
+    @pytest.mark.parametrize("solver", [solve, solve_exact, solve_dag, solve_large_alpha])
+    @pytest.mark.parametrize("edges, ids, message", [
+        ([(0, 1, 2), (0, 2, 2), (0, 0, 1)], None, "edge 2: self-edge at vertex 0"),
+        ([(0, 1, 2), (0, 2, 2), (0, 1, 2)], None, "duplicate edge (0, 1)"),
+        ([(0, 1, 2), (0, 3, 2)], None, "edge 1: endpoint out of range"),
+        ([(0, 1, 2), (0, 2, 2)], [0, 1, "1"],
+         "vertices 1 and 2: ids 1 and '1' are equal as strings"),
+    ], ids=["self-edge", "duplicate-edge", "investor-out-of-range", "ids-equal-as-strings"])
+    def test_a_solver_raises_the_violation(self, solver, edges, ids, message):
+        net = InvestmentNetwork(3, edges, cost={0: 1}, rate={0: 2}, ids=ids)
+        assert solvability_check(net).solvable and is_large_alpha(net)
+        assert validate_network(net).violations == [message]
+        if solver is solve_dag and not is_acyclic(net):
+            # a self-edge is a cycle, and solve_dag checks for one first
+            message = "network contains a directed cycle"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            solver(net)
 
 
 class TestExactTypes:
