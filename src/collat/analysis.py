@@ -15,7 +15,11 @@ indifferent between investing and defecting invests.  The components are
 `solve`'s (`_enterprise_components`): a collateral only moves the edges
 into its own component, as all upstream of it resolves without reading it.
 `collat verify` hands its IESDS run's viable order to the per-collateral
-runs (`_minimal_along`), so it runs the first elimination once.
+runs (`_minimal_along`), so it runs the first elimination once.  Per
+component, `_minimal_along` also computes once the cascade of the edges
+its runs start resolved outside it, and hands it to each run as
+`eliminate`'s `within`; as `eliminate` sweeps only the open edges, a run
+costs in proportion to the edges into its component, not to the network.
 Solvability is a secured-vertex closure on the same scaled funding table
 (`InvestmentNetwork.funding`).
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import eliminate
+from .model import cascade, eliminate
 
 
 def iterated_elimination(net, c):
@@ -98,19 +102,28 @@ def _minimal_along(net, c, order):
       final set R of the run at 0 from the empty set.
     The prefix lies in R too and the closure is monotone, so the run
     reaches the same needs[e] without checking the edges it starts
-    resolved.  The components are computed once per call.
+    resolved.  The components are computed once per call, and so, for each
+    component holding a positive collateral, is the cascade of the edges
+    its runs start resolved outside it: that set lies in every such run's
+    start, so its cascade is `eliminate`'s `within`, and each run's first
+    cascade tests only the enterprises that default without the component.
     """
     settled = sum(1 << e for e in order)
-    open_edges = {}
+    relevant = {}  # enterprise -> the edges into its component
     for comp, _ in _enterprise_components(net):
         mask = sum(bit for k in comp for bit, _, _ in net.funding[k])
-        open_edges.update(dict.fromkeys(comp, mask))
+        relevant.update(dict.fromkeys(comp, mask))
+    outside = {}  # component's edges -> (start outside it, its cascade)
     prefix = 0
     for e in order:
         if c.amounts[e]:
+            mask = relevant[net.edges[e].enterprise]
+            if mask not in outside:
+                rest = settled & ~mask
+                outside[mask] = rest, cascade(net, rest)
+            rest, within = outside[mask]
             lowered = c.amounts[:e] + (0,) + c.amounts[e + 1:]
-            start = prefix | settled & ~open_edges[net.edges[e].enterprise]
-            if eliminate(net, lowered, start)[3].get(e, 0) != c.amounts[e]:
+            if eliminate(net, lowered, prefix | rest, within)[3].get(e, 0) != c.amounts[e]:
                 return False
         prefix |= 1 << e
     return True

@@ -282,7 +282,7 @@ def loads_collaterals(net, data):
         if edge in amounts:
             raise DocumentError("second collateral for the same edge", path % pos)
         amount = rational(rec["collateral"], path, pos, "collateral")
-        if amount < 0:
+        if amount.numerator < 0:
             raise DocumentError("collateral must be nonnegative", path % pos + ".collateral")
         amounts[edge] = amount
     return CollateralMatrix(net, amounts)

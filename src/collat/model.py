@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Money = Fraction
+_ZERO = Fraction(0)  # `edge_need`'s "nothing": one object, never rebuilt
 
 
 def as_money(value):
@@ -165,11 +166,12 @@ class CollateralMatrix:
             if len(values) != len(net.edges):
                 raise ValueError("collateral vector length must match edge count")
         out = []
-        for e, v in enumerate(values):
-            c = as_money(v)
-            if c < 0:
+        for v, edge in zip(values, net.edges):
+            c, x = as_money(v), edge.amount
+            if c.numerator < 0:
                 raise ValueError("collateral amounts must be nonnegative")
-            out.append(min(c, net.edges[e].amount))
+            # min(c, x), exact on numerators and denominators
+            out.append(x if c.numerator * x.denominator > x.numerator * c.denominator else c)
         self.amounts = tuple(out)
 
     @classmethod
@@ -364,7 +366,7 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
             raised += amount
     need = least_collateral(net.scaled_amounts[edge], raised, net.scaled_costs[k], net.rate[k])
     if type(need) is int:  # nothing or the whole amount
-        return e.amount if need else Fraction(0)
+        return e.amount if need else _ZERO
     return need / net.scale
 
 
@@ -377,41 +379,61 @@ def eliminate(net, c, resolved=0, within=None):
     c_e -- the tie rule: exact indifference resolves to investing -- until
     a sweep resolves nothing.  The result is a monotone closure: the final
     set depends on neither the sweep order nor the edge list's order.
+    Each sweep walks a list of the open edges only: the first is read off
+    the bits outside `resolved`, each later one is the last sweep's
+    unresolved edges (its `needs`, kept in index order), so a run costs
+    in proportion to its open edges, not to the network.  The comparison
+    with c_e is exact on numerators and denominators (c_e may be an int).
     The defaulted mask is kept along the way; only an edge into a defaulted
     enterprise k can change it, and then the cascade reruns over those
     enterprises alone -- unless the rescue test fails: if the edges of
     `resolved | e` into k raise less than Z_k even counting every investor,
     solvent or not, k defaults whatever the others do.  Adding e then
     changes the funding of k alone, which is in both fixed points, so the
-    cascade is unchanged and the mask is kept without a rerun.
+    cascade is unchanged and the mask is kept without a rerun.  The test
+    reads a pledged sum per enterprise (the scaled amounts of its resolved
+    edges, summed when first read and then kept up to date), so it is
+    `pledged[k] + x_e >= Z_k` in O(1).
 
     Returns (order, resolved mask, defaulted mask, needs), where `needs`
     maps each still-unresolved edge to its need at the final set
     (None if its investor would default).
     """
     defaulted = cascade(net, resolved, within)
+    edges, funding, costs, amounts = net.edges, net.funding, net.scaled_costs, net.scaled_amounts
+    sweep = []
+    rest = ((1 << len(edges)) - 1) & ~resolved
+    while rest:
+        low = rest & -rest
+        sweep.append(low.bit_length() - 1)
+        rest ^= low
+    pledged = {}
     order = []
     while True:
-        before = len(order)
         needs = {}
-        for e in range(len(net.edges)):
+        for e in sweep:
             bit = 1 << e
-            if resolved & bit:
-                continue
             cmask, dmask = resolved | bit, defaulted
-            k = net.edges[e].enterprise
-            if defaulted >> k & 1 and sum(  # the rescue test
-                amount for b, _, amount in net.funding[k] if cmask & b
-            ) >= net.scaled_costs[k]:
-                dmask = cascade(net, cmask, defaulted)
+            k = edges[e].enterprise
+            if defaulted >> k & 1:
+                pledge = pledged.get(k)
+                if pledge is None:
+                    pledge = pledged[k] = sum(a for b, _, a in funding[k] if resolved & b)
+                if pledge + amounts[e] >= costs[k]:  # the rescue test
+                    dmask = cascade(net, cmask, defaulted)
             need = edge_need(net, cmask, dmask, e)
-            if need is not None and need <= c[e]:
-                resolved, defaulted = cmask, dmask
-                order.append(e)
-            else:
-                needs[e] = need
-        if len(order) == before:
+            if need is not None:
+                ce = c[e]
+                if need.numerator * ce.denominator <= ce.numerator * need.denominator:
+                    resolved, defaulted = cmask, dmask
+                    order.append(e)
+                    if k in pledged:
+                        pledged[k] += amounts[e]
+                    continue
+            needs[e] = need
+        if len(needs) == len(sweep):
             return order, resolved, defaulted, needs
+        sweep = list(needs)
 
 
 def enterprise_return(net, invest, edge):

@@ -131,7 +131,11 @@ def _solve_components(net, components, method, cyclic_solver):
     investors, and goes to `cyclic_solver`, which also returns the star
     optima: from `solve` the best-first search (`_search`, under
     `SEARCH_BUDGET`; its root bound), from the oracles the subset DP
-    (`_subset_dp`, under `EXACT_GUARD`; `_star_solution`)."""
+    (`_subset_dp`, under `EXACT_GUARD`; `_star_solution`).  An investor
+    out of range fails `validate_network` before `solvability_check`,
+    whose closure shifts a mask by each investor."""
+    if not all(0 <= e.investor < net.n for e in net.edges):
+        raise ValueError("; ".join(validate_network(net).violations))
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")

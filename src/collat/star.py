@@ -124,14 +124,14 @@ def sigma_for_set(star, full_set):
 def optimal_partial_for_set(star, full_set):
     """Collateral vector with full collaterals on `full_set` and the
     per-order minimal amounts (`_minimal_amount`) for everyone else,
-    processed in sigma order after it.  The reference pricing of a full set.
+    processed in sigma order after it: `minimal_vector_for_order` on
+    `sigma_for_set`, with the full players' amounts in place of theirs.
+    The reference pricing of a full set.
     """
     full_set = frozenset(full_set)
-    c = list(star.amounts)  # full players pay their amount
-    prefix = sum((c[i] for i in full_set), Fraction(0))
-    for i in sigma_for_set(star, full_set)[len(full_set):]:
-        prefix += star.amounts[i]
-        c[i] = _minimal_amount(star, i, prefix)
+    c = list(minimal_vector_for_order(star, sigma_for_set(star, full_set)))
+    for i in full_set:
+        c[i] = star.amounts[i]
     return tuple(c)
 
 

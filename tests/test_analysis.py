@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import collat.analysis
+import collat.model
 from collat import (
     CollateralMatrix,
     InvestmentNetwork,
@@ -20,7 +21,7 @@ from collat import (
     star_decomposition,
     zero_collateral_condition,
 )
-from collat.model import eliminate
+from collat.model import cascade, eliminate
 from helpers import reference_is_minimal, unique_all_cooperate
 
 
@@ -238,7 +239,7 @@ class TestMinimality:
     def test_runs_start_with_the_irrelevant_edges_resolved(self, monkeypatch):
         # each run at 0 starts from the viable order's prefix plus every edge
         # not into the lowered edge's enterprise component, and from no
-        # other edge
+        # other edge; its `within` is the cascade of those outside edges
         runs = []
         real = collat.analysis.eliminate
         monkeypatch.setattr(collat.analysis, "eliminate",
@@ -256,15 +257,58 @@ class TestMinimality:
             runs.clear()
             assert is_minimal(net, c)
             order = real(net, c)[0]
-            for lowered, (start,) in runs[1:]:
+            for lowered, (start, within) in runs[1:]:
                 (e,) = [f for f in range(len(net.edges)) if lowered[f] != c[f]]
                 relevant = component_edges(net, e)
                 prefix = set(order[:order.index(e)])
                 starts = {f for f in range(len(net.edges)) if start >> f & 1}
                 assert starts == prefix & relevant | set(range(len(net.edges))) - relevant
+                assert within == cascade(net, start & ~sum(1 << f for f in relevant))
                 checked += 1
                 skipped += len(set(range(len(net.edges))) - relevant - prefix)
         assert checked > 60 and skipped > 500
+
+    def test_runs_cost_in_proportion_to_the_lowered_component(self, monkeypatch):
+        # on a 113-edge DAG each component is one star: the plain cascade
+        # runs once per component with a positive collateral (its runs get
+        # it as `within`), and every need priced is of an edge into the
+        # lowered edge's component
+        net = random_network(40, 6, acyclic=True, seed=4)
+        assert len(net.edges) == 113
+        c = solve(net).collaterals
+        order, stuck = iterated_elimination(net, c)
+        assert not stuck
+        positive = [e for e in order if c[e]]
+        components = {frozenset(component_edges(net, e)) for e in positive}
+        assert len(positive) > len(components) > 1
+        plain = []
+        lowered, priced = [], []
+        real_cascade, real_need = collat.model.cascade, collat.model.edge_need
+        real_eliminate = collat.analysis.eliminate
+
+        def counting_cascade(net, cooperate_mask, within=None):
+            if within is None:
+                plain.append(cooperate_mask)
+            return real_cascade(net, cooperate_mask, within)
+
+        def recording_eliminate(net, amounts, *args):
+            (e,) = [f for f in range(len(net.edges)) if amounts[f] != c[f]]
+            lowered.append(e)
+            return real_eliminate(net, amounts, *args)
+
+        def recording_need(net, cmask, dmask, edge):
+            priced.append((lowered[-1], edge))
+            return real_need(net, cmask, dmask, edge)
+
+        monkeypatch.setattr(collat.model, "cascade", counting_cascade)
+        monkeypatch.setattr(collat.analysis, "cascade", counting_cascade)
+        monkeypatch.setattr(collat.analysis, "eliminate", recording_eliminate)
+        monkeypatch.setattr(collat.model, "edge_need", recording_need)
+        assert collat.analysis._minimal_along(net, c, order)
+        monkeypatch.undo()
+        assert lowered == positive
+        assert 0 < len(plain) <= len(components)
+        assert priced and all(edge in component_edges(net, e) for e, edge in priced)
 
 
 class TestSolvability:

@@ -613,6 +613,15 @@ class TestInvalidNetworks:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             solver(net)
 
+    @pytest.mark.parametrize("solver", [solve, solve_exact, solve_dag, solve_large_alpha])
+    def test_a_negative_investor_is_rejected_before_the_gate(self, solver):
+        # the solvability closure shifts a mask by each investor, where a
+        # negative id would raise "negative shift count", naming no rule
+        net = InvestmentNetwork(3, [(0, 1, 2), (0, -1, 2)], cost={0: 1}, rate={0: 2})
+        assert validate_network(net).violations == ["edge 1: endpoint out of range"]
+        with pytest.raises(ValueError, match="^edge 1: endpoint out of range$"):
+            solver(net)
+
 
 class TestExactTypes:
     """Every solver path returns Fractions.  The solvers work on integers

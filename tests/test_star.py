@@ -122,6 +122,18 @@ class TestOptimalPartialForSet:
                 by_order[i] = star.amounts[i]
             assert optimal_partial_for_set(star, full) == tuple(by_order)
 
+    def test_bounded_by_the_brute_force_optimum(self):
+        # no full set prices below the least total over all d! orders, and
+        # the optimum's own full set prices at it
+        rng = random.Random(29)
+        for trial in range(60):
+            star = random_star(rng, max_players=6)
+            bf = brute_force_star(star)
+            for mask in range(1 << star.size):
+                full = {i for i in range(star.size) if mask >> i & 1}
+                assert sum(optimal_partial_for_set(star, full)) >= bf.total, (trial, full)
+            assert sum(optimal_partial_for_set(star, bf.full_set)) == bf.total, trial
+
 
 class TestSolveStar:
     def test_three_player_optimum(self):
