@@ -16,7 +16,8 @@ too-deeply nested input into a `DocumentError`.  `parse_document` parses
 each distinct rational string once per document, and so does
 `loads_collaterals`, the parser of `collat verify`'s collateral document.
 `dumps_document` writes a document directly, with the bytes of
-`json.dumps(doc, indent=2, sort_keys=True)` and a final newline.
+`json.dumps(doc, indent=2, sort_keys=True)` and a final newline; a str or
+int member goes out with its key or separator, with no call of its own.
 
 This module builds the records its parsers read back: `edge_refs` is the
 one spelling of an edge reference (network documents and reports) and
@@ -346,28 +347,43 @@ def dumps_document(doc):
 
 def _write(value, indent, out):
     """Write `value` as `json.dumps(indent=2, sort_keys=True)` does, at the
-    nesting whose line break and indentation is `indent`."""
+    nesting whose line break and indentation is `indent`.  A str or int
+    member of a list or dict goes out in one call with its separator and
+    key; any other member recurses."""
     if isinstance(value, str):
         out(_encode_string(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out("[]")
             return
-        inner, sep = indent + "  ", "["
+        inner = indent + "  "
+        head = "[" + inner
         for item in value:
-            out(sep + inner)
-            _write(item, inner, out)
-            sep = ","
+            if type(item) is str:
+                out(head + _encode_string(item))
+            elif type(item) is int:
+                out(head + int.__repr__(item))
+            else:
+                out(head)
+                _write(item, inner, out)
+            head = "," + inner
         out(indent + "]")
     elif isinstance(value, dict):
         if not value:
             out("{}")
             return
-        inner, sep = indent + "  ", "{"
+        inner = indent + "  "
+        sep = "{" + inner
         for key, item in sorted(value.items()):
-            out(sep + inner + _encode_string(key if isinstance(key, str) else _key(key)) + ": ")
-            _write(item, inner, out)
-            sep = ","
+            head = sep + _encode_string(key if isinstance(key, str) else _key(key)) + ": "
+            if type(item) is str:
+                out(head + _encode_string(item))
+            elif type(item) is int:
+                out(head + int.__repr__(item))
+            else:
+                out(head)
+                _write(item, inner, out)
+            sep = "," + inner
         out(indent + "}")
     else:
         text = _scalar(value)

@@ -12,7 +12,10 @@ and enterprise costs once, with integer arithmetic (`scaled`), over a
 common denominator (`scaled_amounts`, `scaled_costs`, and per enterprise
 the `funding` rows); a component's sub-network goes through the same
 constructor.  `validate_network` checks profitability on those integers
-(`is_profitable`).  `cascade` is the one cascade loop: bitmasks over
+(`is_profitable`), and `exact_sum` adds Fractions the same way: the
+numerators over their least common denominator, one Fraction per sum
+(the solvers' star totals, total and NEC denominator, and
+`CollateralMatrix.total`).  `cascade` is the one cascade loop: bitmasks over
 edges and vertices, on the scaled integers.  On them `least_collateral` is
 the solver's one least-collateral formula (`star._minimal_amount`: the
 Fraction reference) and `edge_need`, on top of the cascade, the least
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Money = Fraction
-_ZERO = Fraction(0)  # `edge_need`'s "nothing": one object, never rebuilt
+# one shared zero, never rebuilt: `edge_need`'s "nothing", a star's zero collateral
+ZERO = Fraction(0)
 
 
 def as_money(value):
@@ -97,6 +101,8 @@ class InvestmentNetwork:
         self.cost = self._per_vertex(cost)
         self.rate = self._per_vertex(rate)
         self.ids = tuple(ids) if ids is not None else tuple(range(n))
+        if len(self.ids) != n:
+            raise ValueError("ids length must equal n")
         self.out_edges = {k: [] for k in range(n)}
         for idx, e in enumerate(self.edges):
             out = self.out_edges.get(e.enterprise)
@@ -183,7 +189,7 @@ class CollateralMatrix:
         return cls(net, [e.amount for e in net.edges])
 
     def total(self):
-        return sum(self.amounts, Fraction(0))
+        return exact_sum(self.amounts)
 
     def replace(self, edge, amount):
         values = list(self.amounts)
@@ -261,6 +267,14 @@ def scaled(values):
     """(scale, ints): the Fractions `values` times their least common denominator."""
     scale = math.lcm(*{x.denominator for x in values})
     return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def exact_sum(values):
+    """`sum(values, Fraction(0))` as one Fraction: the numerators of
+    `values` (Fractions or ints, in a collection read twice) over their
+    least common denominator (`scaled`), added as integers."""
+    scale, ints = scaled(values)
+    return Fraction(sum(ints), scale)
 
 
 def profitable(total, cost, rate):
@@ -366,7 +380,7 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
             raised += amount
     need = least_collateral(net.scaled_amounts[edge], raised, net.scaled_costs[k], net.rate[k])
     if type(need) is int:  # nothing or the whole amount
-        return e.amount if need else _ZERO
+        return e.amount if need else ZERO
     return need / net.scale
 
 

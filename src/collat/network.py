@@ -13,7 +13,9 @@ component runs, a solvable network must pass `validate_network` (else a
 ValueError joins its violations), so every entry point rejects what
 `collat check` rejects, in its words.  A single enterprise is a star
 (`price_star` on the scaled table; NEC 1 on the acyclic networks
-`solve_dag` takes).  In
+`solve_dag` takes), whose collaterals and total come back with no
+Fraction built per zero or full value (`star.unscale`); the other sums
+of a result are `model.exact_sum`s.  In
 `solve` a cyclic component runs an exact best-first (A*) search over
 resolved edge-sets (`_search`): the minimal collateral making an edge
 eliminable (`model.edge_need` on the bitmask cascade `model.cascade`)
@@ -56,6 +58,7 @@ from .model import (
     cascade,
     edge_need,
     eliminate,
+    exact_sum,
     validate_network,
 )
 from .star import StarInstance, cheapest, price_star, sigma, suffix_dp, unscale
@@ -110,14 +113,16 @@ def is_acyclic(net):
 
 
 def _star_solution(net, k):
-    """`price_star` on enterprise k's row of the scaled table; its guard
-    error names k."""
+    """`price_star` on enterprise k's row of the scaled table, unscaled
+    onto its edges' own `amount` objects (`unscale`); its guard error
+    names k."""
+    edges = net.out_edges[k]
     try:
-        priced = price_star([net.scaled_amounts[e] for e in net.out_edges[k]],
+        priced = price_star([net.scaled_amounts[e] for e in edges],
                             net.scaled_costs[k], net.rate[k])
     except TooLargeError as exc:
         raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
-    return unscale(priced, net.scale)
+    return unscale(priced, net.scale, [net.edges[e].amount for e in edges])
 
 
 def _solve_components(net, components, method, cyclic_solver):
@@ -142,7 +147,7 @@ def _solve_components(net, components, method, cyclic_solver):
     violations = validate_network(net).violations
     if violations:
         raise ValueError("; ".join(violations))
-    star_optima, amounts, order = {}, {}, []
+    star_optima, star_totals, amounts, order = {}, {}, {}, []
     for comp, cyclic in components:
         if cyclic:
             edge_ids = sorted(e for k in comp for e in net.out_edges[k])
@@ -154,17 +159,19 @@ def _solve_components(net, components, method, cyclic_solver):
             star_optima.update(optima)
         else:  # a single enterprise: its star solution is the component's
             ssol = _star_solution(net, comp[0])
-            star_optima[comp[0]] = ssol.total
+            star_optima[comp[0]] = star_totals[comp[0]] = ssol.total
             edge_ids, local, local_order = net.out_edges[comp[0]], ssol.collaterals, ssol.order
         for pos in local_order:
             amounts[edge_ids[pos]] = local[pos]
             order.append(edge_ids[pos])
     c = CollateralMatrix(net, amounts)
-    # every edge lies in one enterprise's out_edges: the star totals sum to c's
-    star_totals = {k: sum((c[e] for e in net.out_edges[k]), Fraction(0))
+    # a cyclic component's enterprises sum their edges of c; every edge lies
+    # in one enterprise's out_edges, so the star totals sum to c's
+    star_totals = {k: star_totals[k] if k in star_totals
+                   else exact_sum([c[e] for e in net.out_edges[k]])
                    for k in sorted(net.enterprise_set)}
-    total = sum(star_totals.values(), Fraction(0))
-    denom = sum(star_optima.values(), Fraction(0))
+    total = exact_sum(star_totals.values())
+    denom = exact_sum(star_optima.values())
     return Solution(
         status=Status.SOLVED,
         collaterals=c,

@@ -23,7 +23,9 @@ alpha)` prices a unit once per distinct suffix sum t (`_unit_price`), a
 partial step multiplies that pair in, and den is the product of the
 reduced unit denominators along the state's path, each at most q * X for
 alpha = p/q.  No Fraction is built inside the DP; `price_star` builds
-them only for the vector and total it returns.  The form
+them only for the partial collaterals and the total it returns, and its
+tie step walks only the truncations the DP's last layer cannot rule
+out.  The form
 also holds when some players are already eliminated at no cost, since they
 only sit in every prefix: those who pay full come first, and swapping
 adjacent partial players into sigma order never costs more.  So
@@ -36,7 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import InvestmentNetwork, TooLargeError, as_money, least_collateral, profitable, scaled
+from .model import (
+    ZERO,
+    InvestmentNetwork,
+    TooLargeError,
+    as_money,
+    least_collateral,
+    profitable,
+    scaled,
+)
 
 STATE_GUARD = 1 << 15  # suffix-sum states in one layer of the star DP
 BRUTE_FORCE_GUARD = 9
@@ -220,20 +230,31 @@ def price_star(amounts, cost, rate):
     optimal tuple L differs from A*, the least index where they differ lies
     in A*, and L can only be smaller if it stops there: L is a truncation
     A* & [0, m) for some m in A*.  So the first such truncation, shortest
-    first, that is optimal is the answer, else A* itself.  Each truncation
-    is priced on integer pairs with `_unit_price`, as in the DP; only the
-    answer's collaterals and total are built as Fractions.
+    first, that is optimal is the answer, else A* itself.  A truncation
+    keeping the players `head` is one DP path to the last layer's state at
+    X - sum(head), so it costs at least that state's least cost: it is
+    walked only when that cost ties the optimum.  A walk prices on integer
+    pairs with `_unit_price`, as in the DP.  A collateral comes back as an
+    int when it is 0 or the player's whole amount; only a partial one, and
+    the total, are built as Fractions.
 
     Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
     d = len(amounts)
     order = sigma(amounts)
-    best_num, best_den, best_mask = cheapest(suffix_dp(amounts, cost, rate, order))
+    layer = suffix_dp(amounts, cost, rate, order)
+    best_num, best_den, best_mask = cheapest(layer)
     total, units = sum(amounts), {}  # t -> unit price at the prefix X - t
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
+    rest = total  # X - the sum of the head: the suffix sum its walk ends at
     for m in range(len(full_set) + 1):  # the truncations, then A* itself
+        if m:
+            rest -= amounts[full_set[m - 1]]
+        num, den, _ = layer[rest]
+        if num * best_den != best_num * den:
+            continue  # the walk is one DP path to this state: it costs no less
         head, partial = full_set[:m], []
-        num, den = sum(amounts[i] for i in head), 1  # full players pay their amount
+        num, den = total - rest, 1  # full players pay their amount
         t = 0  # the suffix sum of the partial players walked
         for i in reversed(order):
             if i not in head:
@@ -241,7 +262,7 @@ def price_star(amounts, cost, rate):
                 if unit is None:
                     unit = units[t] = _unit_price(total - t, cost, rate)
                 un, ud = unit
-                partial.append((i, amounts[i] * un, ud))
+                partial.append((i, un, ud))
                 num, den = num * ud + amounts[i] * un * den, den * ud
                 t += amounts[i]
         if num * best_den == best_num * den:
@@ -249,17 +270,29 @@ def price_star(amounts, cost, rate):
     else:
         raise AssertionError("the DP optimum is not the total of its full set")
     c = amounts[:]
-    for i, num, den in partial:
-        c[i] = Fraction(num, den)
+    for i, un, ud in partial:
+        if un != ud:  # a unit price of 1 leaves the amount in place
+            c[i] = Fraction(amounts[i] * un, ud) if un else 0
     order = tuple(head) + tuple(i for i in order if i not in head)
     return c, Fraction(best_num, best_den), order, frozenset(head)
 
 
-def unscale(priced, scale):
-    """A `price_star` result divided by `scale`, as a `StarSolution`."""
+def unscale(priced, scale, amounts):
+    """A `price_star` result divided by `scale`, as a `StarSolution`, with
+    no Fraction built per zero or full collateral: a zero is `model.ZERO`,
+    a full collateral the player's own object in the Fraction `amounts`,
+    and only a partial one (and the total) is divided, if `scale` is not 1."""
     c, total, order, full_set = priced
-    c = tuple(Fraction(v, scale) for v in c)
-    return StarSolution(c, Fraction(total, scale), order, full_set)
+    out = []
+    for v, x in zip(c, amounts):
+        if type(v) is int:  # 0 or the whole amount
+            v = x if v else ZERO
+        elif scale != 1:
+            v /= scale
+        out.append(v)
+    if scale != 1:
+        total /= scale
+    return StarSolution(tuple(out), total, order, full_set)
 
 
 def solve_star(star):
@@ -269,7 +302,7 @@ def solve_star(star):
     cost = amounts.pop()
     if not profitable(sum(amounts), cost, star.rate):
         raise ValueError("star instance is not profitable")
-    return unscale(price_star(amounts, cost, star.rate), scale)
+    return unscale(price_star(amounts, cost, star.rate), scale, star.amounts)
 
 
 def brute_force_star(star):

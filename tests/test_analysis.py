@@ -17,6 +17,7 @@ from collat import (
     random_network,
     solvability_check,
     solve,
+    solve_exact,
     solve_star,
     star_decomposition,
     zero_collateral_condition,
@@ -129,6 +130,30 @@ class TestIteratedElimination:
                 c = CollateralMatrix(permuted, [amounts[e] for e in perm])
                 _, stuck = iterated_elimination(permuted, c)
                 assert {perm[e] for e in stuck} == reference
+
+
+class TestBilateralContrast:
+    """The paper's contrast between acyclic and cyclic networks, on the
+    bilateral scheme (`bilateral`).  Its cyclic half, the cycle family
+    stuck at a total of 6 below the optimum k + 5, is
+    `TestIteratedElimination.test_star_decomposition_collaterals_stick_on_cycle_family`."""
+
+    def test_the_bilateral_scheme_is_the_optimum_on_acyclic_networks(self):
+        rng = random.Random("bilateral")
+        nets = exact = 0
+        while nets < 150:
+            net = random_network(rng.randint(3, 12), rng.randint(1, 5), acyclic=True,
+                                 seed=rng.randrange(10**6))
+            if not solvability_check(net).solvable:
+                continue
+            nets += 1
+            c, sol = bilateral(net), solve(net)
+            assert is_viable(net, c)
+            assert c == sol.collaterals and sol.nec == 1
+            if len(net.edges) <= 14:
+                exact += 1
+                assert c.total() == solve_exact(net).total
+        assert exact >= 100
 
 
 class TestViability:

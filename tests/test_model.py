@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collat import (
     Action,
@@ -60,6 +62,12 @@ class TestValidation:
     def test_enterprise_out_of_range_is_a_value_error(self, enterprise):
         with pytest.raises(ValueError, match=r"^edge 0: endpoint out of range$"):
             InvestmentNetwork(2, [(enterprise, 0, 1)])
+
+    @pytest.mark.parametrize("ids", [["E"], ["E", "a", "b", "c"]], ids=["short", "long"])
+    def test_ids_of_another_length_are_rejected(self, ids):
+        # a short list failed only when serialized; a long one lost ids
+        with pytest.raises(ValueError, match="^ids length must equal n$"):
+            InvestmentNetwork(3, [(0, 1, 2), (0, 2, 2)], cost={0: 1}, rate={0: 2}, ids=ids)
 
     @pytest.mark.parametrize("investor", [5, -1])
     def test_investor_out_of_range_is_a_violation(self, investor):
@@ -488,6 +496,23 @@ class TestCollateralMatrix:
         net = star_net([2, 1], 1, 1)
         with pytest.raises(TypeError):
             CollateralMatrix(net, [0.5, 0])
+
+
+class TestExactSum:
+    PRIMES = (1009, 7919, 104729, 1299709, 15485863, 2**61 - 1)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.one_of(
+        st.fractions(), st.integers(-10**6, 10**6), st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from(PRIMES)),
+    ), max_size=12))
+    @example([])
+    @example([Fraction(0), 0, Fraction(0)])
+    @example([Fraction(1, 1009), Fraction(-1, 1009)])
+    def test_matches_the_fraction_sum(self, values):
+        got = model.exact_sum(values)
+        assert type(got) is Fraction
+        assert got == sum(values, Fraction(0))
 
 
 class TestAsMoney:

@@ -591,6 +591,28 @@ class TestSingleEnterpriseRoute:
             solve(net)
 
 
+class TestStarCollateralObjects:
+    """`solve` builds no Fraction per zero or full collateral of a
+    single-enterprise component."""
+
+    def test_full_collaterals_are_the_amounts_and_the_zeros_one_object(self):
+        net = random_network(8, 4, acyclic=True, seed=7)
+        assert is_acyclic(net) and net.scale == 1
+        c = solve(net).collaterals
+        zeros = [v for v in c if v == 0]
+        full = [e for e, x in enumerate(net.edges) if c[e] == x.amount]
+        assert len(zeros) > 1 and len({id(v) for v in zeros}) == 1
+        assert full and all(c[e] is net.edges[e].amount for e in full)
+        assert any(0 < v < x.amount for v, x in zip(c, net.edges))  # a partial one too
+        # every amount and cost divided by 7: the matrix is c / 7, in Fractions
+        net7 = InvestmentNetwork(net.n, [(x.enterprise, x.investor, x.amount / 7) for x in net.edges],
+                                 cost=[z / 7 for z in net.cost], rate=net.rate)
+        assert net7.scale == 7
+        c7 = solve(net7).collaterals
+        assert c7.amounts == tuple(v / 7 for v in c)
+        assert all(type(v) is Fraction for v in c7)
+
+
 class TestInvalidNetworks:
     """Past the solvability gate, every entry point rejects what
     `validate_network` (and so `collat check`) rejects, in its words."""
