@@ -6,20 +6,25 @@ minimality, solvability of a network by collaterals, and the closed-form
 zero/full-collateral threshold conditions.
 
 IESDS (`iterated_elimination`) and the minimality test of a viable matrix
-(`is_minimal`: one elimination run under the matrix for its viable order,
-then one run per positive collateral with that collateral at 0, started
-from the edges resolved before it in that order and from every edge
-outside the lowered edge's enterprise component) are adapters over
-`model.eliminate`, which holds the tie rule: a player who is exactly
-indifferent between investing and defecting invests.  The components are
-`solve`'s (`_enterprise_components`): a collateral only moves the edges
-into its own component, as all upstream of it resolves without reading it.
-`collat verify` hands its IESDS run's viable order to the per-collateral
-runs (`_minimal_along`), so it runs the first elimination once.  Per
-component, `_minimal_along` also computes once the cascade of the edges
-its runs start resolved outside it, and hands it to each run as
-`eliminate`'s `within`; as `eliminate` sweeps only the open edges, a run
-costs in proportion to the edges into its component, not to the network.
+(`is_minimal`) are adapters over `model.eliminate`, which holds the tie
+rule: a player who is exactly indifferent between investing and defecting
+invests.  Minimality runs one elimination under the matrix for its viable
+order, then checks each positive collateral by enterprise component, as
+`solve` solves (`_enterprise_components`): a collateral only moves the
+edges into its own component, as all upstream of it resolves without
+reading it.  A single-enterprise acyclic component is a star: its
+collaterals are checked on the enterprise's row of the scaled table
+(`star.minimal_in_order`), with no elimination run or cascade, so an
+acyclic network is checked star by star.  A collateral into a cyclic
+component gets one run with that collateral at 0, started from the edges
+resolved before it in the viable order and from every edge outside its
+component.  `collat verify` hands its IESDS run's viable order to the
+per-component checks (`_minimal_along`), so it runs the first elimination
+once.  Per cyclic component, `_minimal_along` also computes once the
+cascade of the edges its runs start resolved outside it, and hands it to
+each run as `eliminate`'s `within`; as `eliminate` sweeps only the open
+edges, a run costs in proportion to the edges into its component, not to
+the network.
 Solvability is a secured-vertex closure on the same scaled funding table
 (`InvestmentNetwork.funding`).
 """
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import cascade, eliminate
+from .star import minimal_in_order
 
 
 def iterated_elimination(net, c):
@@ -73,7 +79,8 @@ def is_minimal(net, c):
     monotone, so it reaches the same R as a run from the empty set.  It
     also starts with the edges resolved under `c` outside e's enterprise
     component resolved: each either never reaches e's need or lies in R
-    (`_minimal_along` proves it).  A positive edge stuck under `c` makes
+    (`_minimal_along` proves it, and on a star runs that closure on the
+    star's row alone).  A positive edge stuck under `c` makes
     `c` not minimal (not viable, in fact): at 0 it resolves a smaller set,
     where its need is no lower than its need under `c`, which exceeds c_e.
     """
@@ -85,12 +92,29 @@ def is_minimal(net, c):
 
 def _minimal_along(net, c, order):
     """`is_minimal` given `order`, the order IESDS resolves under `c`, with
-    no positive collateral left stuck: one run per positive collateral e =
-    (k, i), at 0, started from the prefix resolved before it and from every
-    edge of `order` not into k's enterprise component (on a viable `c`, as
-    in `collat verify`: every edge outside that component).
+    no positive collateral left stuck, by enterprise component, as `solve`
+    solves.
 
-    The start is exact.  Write A for k's funding ancestry (k, its
+    A single-enterprise acyclic component {k} is checked as a star
+    (`star.minimal_in_order` on k's row of the scaled table): p_1..p_r,
+    the edges into k in `order`, in that order; p_j at 0 starts with
+    p_1..p_(j-1) raised and closes over the rest.  That is exact: it is
+    the run from the prefix and every edge outside {k} (below), since
+    - k's investors cannot have k in their funding ancestry (k would then
+      lie on a cycle), so their solvency reads only edges the run starts
+      with resolved: every investor of an edge in `order` stays solvent;
+    - an edge into k stuck under `c` stays stuck with a collateral
+      lowered, as the closure is monotone in `c` (on `is_minimal`'s
+      non-viable matrices such edges carry zero collateral);
+    - with every investor solvent, a need into k reads only the sum of the
+      resolved edges into k.
+    So an acyclic network runs no `eliminate` and no cascade here.
+
+    A cyclic component runs one `eliminate` per positive collateral e =
+    (k, i) into it, at 0, started from the prefix resolved before it and
+    from every edge of `order` not into k's enterprise component (on a
+    viable `c`, as in `collat verify`: every edge outside that component).
+    That start is exact too.  Write A for k's funding ancestry (k, its
     investors, theirs, ...; i's lies inside it).
     - e's need reads the edges into k and the solvency of k's investors
       and of i (`model.edge_need`), and a vertex's solvency reads the edges
@@ -102,28 +126,44 @@ def _minimal_along(net, c, order):
       final set R of the run at 0 from the empty set.
     The prefix lies in R too and the closure is monotone, so the run
     reaches the same needs[e] without checking the edges it starts
-    resolved.  The components are computed once per call, and so, for each
-    component holding a positive collateral, is the cascade of the edges
-    its runs start resolved outside it: that set lies in every such run's
-    start, so its cascade is `eliminate`'s `within`, and each run's first
-    cascade tests only the enterprises that default without the component.
+    resolved.  Per cyclic component, the cascade of the edges its runs
+    start resolved outside it is computed once: that set lies in every
+    such run's start, so its cascade is `eliminate`'s `within`, and each
+    run's first cascade tests only the enterprises that default without
+    the component.
     """
+    amounts = c.amounts
+    rows = {}  # acyclic enterprise -> its edges in `order`
+    relevant = {}  # enterprise of a cyclic component -> the edges into the component
+    for comp, cyclic in _enterprise_components(net):
+        if cyclic:
+            mask = sum(bit for k in comp for bit, _, _ in net.funding[k])
+            relevant.update(dict.fromkeys(comp, mask))
+        else:
+            rows[comp[0]] = []
+    for e in order:
+        row = rows.get(net.edges[e].enterprise)
+        if row is not None:
+            row.append(e)
+    for k, row in rows.items():
+        if any(amounts[e] for e in row) and not minimal_in_order(
+                [net.scaled_amounts[e] for e in row], net.scaled_costs[k], net.rate[k],
+                [amounts[e] for e in row], net.scale):
+            return False
+    if not relevant:
+        return True
     settled = sum(1 << e for e in order)
-    relevant = {}  # enterprise -> the edges into its component
-    for comp, _ in _enterprise_components(net):
-        mask = sum(bit for k in comp for bit, _, _ in net.funding[k])
-        relevant.update(dict.fromkeys(comp, mask))
     outside = {}  # component's edges -> (start outside it, its cascade)
     prefix = 0
     for e in order:
-        if c.amounts[e]:
-            mask = relevant[net.edges[e].enterprise]
+        mask = relevant.get(net.edges[e].enterprise)
+        if mask is not None and amounts[e]:
             if mask not in outside:
                 rest = settled & ~mask
                 outside[mask] = rest, cascade(net, rest)
             rest, within = outside[mask]
-            lowered = c.amounts[:e] + (0,) + c.amounts[e + 1:]
-            if eliminate(net, lowered, prefix | rest, within)[3].get(e, 0) != c.amounts[e]:
+            lowered = amounts[:e] + (0,) + amounts[e + 1:]
+            if eliminate(net, lowered, prefix | rest, within)[3].get(e, 0) != amounts[e]:
                 return False
         prefix |= 1 << e
     return True

@@ -37,7 +37,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
-from .model import CollateralMatrix, InvestmentNetwork
+from .model import ZERO, CollateralMatrix, InvestmentNetwork
 from .star import StarInstance
 
 SCHEMA_VERSION = 1
@@ -285,8 +285,11 @@ def loads_collaterals(net, data):
         amount = rational(rec["collateral"], path, pos, "collateral")
         if amount.numerator < 0:
             raise DocumentError("collateral must be nonnegative", path % pos + ".collateral")
+        x = net.edges[edge].amount  # min(amount, x), exact, as `CollateralMatrix` clamps
+        if amount.numerator * x.denominator > x.numerator * amount.denominator:
+            amount = x
         amounts[edge] = amount
-    return CollateralMatrix(net, amounts)
+    return CollateralMatrix.from_checked(net, [amounts.get(e, ZERO) for e in range(len(net.edges))])
 
 
 def collateral_rows(net, refs, collaterals):

@@ -21,8 +21,10 @@ the solver's one least-collateral formula (`star._minimal_amount`: the
 Fraction reference) and `edge_need`, on top of the cascade, the least
 collateral that makes an edge invest.  `eliminate` is the one elimination
 loop on top of both, and holds the tie rule (resolve iff solvent and c_e >=
-need): IESDS, `collat verify`'s minimality test and the search's free
-closure all run it.
+need): IESDS, `collat verify`'s minimality test on cyclic components and
+the search's free closure all run it.  A rescue of a defaulted enterprise
+k reruns the cascade only over the defaulted enterprises k reaches
+(`_rescue`).
 `best_response` (on a full cascade), `default_determination`,
 `enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
 definitional reference.
@@ -121,6 +123,7 @@ class InvestmentNetwork:
                      for e in self.out_edges[k])
             for k in self.scaled_costs
         }
+        self._investments = self._validation = None  # built on first use
 
     def _per_vertex(self, values):
         """n Fractions, one per vertex; a sequence of n Fractions is kept
@@ -135,6 +138,16 @@ class InvestmentNetwork:
         if len(out) != self.n:
             raise ValueError("per-vertex parameter length must equal n")
         return out
+
+    @property
+    def investments(self):
+        """Per investor vertex, (edge bit, enterprise) for each of its
+        edges, built on first use."""
+        if self._investments is None:
+            self._investments = {}
+            for idx, e in enumerate(self.edges):
+                self._investments.setdefault(e.investor, []).append((1 << idx, e.enterprise))
+        return self._investments
 
     def total_opportunities(self, k):
         """X_k: the sum of investment opportunities in enterprise k."""
@@ -179,6 +192,15 @@ class CollateralMatrix:
             # min(c, x), exact on numerators and denominators
             out.append(x if c.numerator * x.denominator > x.numerator * c.denominator else c)
         self.amounts = tuple(out)
+
+    @classmethod
+    def from_checked(cls, net, amounts):
+        """The matrix of `amounts`, one exact, nonnegative Fraction per edge
+        no larger than the edge's amount, kept as they are: the solvers'
+        results and a parsed collateral document are already checked."""
+        c = cls.__new__(cls)
+        c.net, c.amounts = net, tuple(amounts)
+        return c
 
     @classmethod
     def zeros(cls, net):
@@ -227,8 +249,11 @@ def validate_network(net):
     (`is_profitable`, on the scaled integers; the Fractions are formatted
     only for a violation's text); unprofitable enterprises should be
     removed from the input rather than modeled.  Returns an itemized report
-    and never raises.
+    and never raises.  The report is kept on `net` (a network is not
+    changed after it is built), so each network is checked once.
     """
+    if net._validation is not None:
+        return net._validation
     violations = []
     first = {}
     for v, vid in enumerate(net.ids):
@@ -260,7 +285,8 @@ def validate_network(net):
             except ValueError:  # a sum longer than Python writes an int
                 terms = "(its terms are too long to write)"
             violations.append("enterprise %s: unprofitable %s" % (k, terms))
-    return ValidationReport(violations)
+    net._validation = report = ValidationReport(violations)
+    return report
 
 
 def scaled(values):
@@ -399,15 +425,16 @@ def eliminate(net, c, resolved=0, within=None):
     in proportion to its open edges, not to the network.  The comparison
     with c_e is exact on numerators and denominators (c_e may be an int).
     The defaulted mask is kept along the way; only an edge into a defaulted
-    enterprise k can change it, and then the cascade reruns over those
-    enterprises alone -- unless the rescue test fails: if the edges of
-    `resolved | e` into k raise less than Z_k even counting every investor,
-    solvent or not, k defaults whatever the others do.  Adding e then
-    changes the funding of k alone, which is in both fixed points, so the
-    cascade is unchanged and the mask is kept without a rerun.  The test
-    reads a pledged sum per enterprise (the scaled amounts of its resolved
-    edges, summed when first read and then kept up to date), so it is
-    `pledged[k] + x_e >= Z_k` in O(1).
+    enterprise k can change it, and then the cascade reruns over the
+    defaulted enterprises that k reaches through cooperating edges
+    (`_rescue`; the others stay defaulted) -- unless the rescue test fails:
+    if the edges of `resolved | e` into k raise less than Z_k even counting
+    every investor, solvent or not, k defaults whatever the others do.
+    Adding e then changes the funding of k alone, which is in both fixed
+    points, so the cascade is unchanged and the mask is kept without a
+    rerun.  The test reads a pledged sum per enterprise (the scaled amounts
+    of its resolved edges, summed when first read and then kept up to
+    date), so it is `pledged[k] + x_e >= Z_k` in O(1).
 
     Returns (order, resolved mask, defaulted mask, needs), where `needs`
     maps each still-unresolved edge to its need at the final set
@@ -434,7 +461,7 @@ def eliminate(net, c, resolved=0, within=None):
                 if pledge is None:
                     pledge = pledged[k] = sum(a for b, _, a in funding[k] if resolved & b)
                 if pledge + amounts[e] >= costs[k]:  # the rescue test
-                    dmask = cascade(net, cmask, defaulted)
+                    dmask = _rescue(net, cmask, defaulted, k)
             need = edge_need(net, cmask, dmask, e)
             if need is not None:
                 ce = c[e]
@@ -448,6 +475,30 @@ def eliminate(net, c, resolved=0, within=None):
         if len(needs) == len(sweep):
             return order, resolved, defaulted, needs
         sweep = list(needs)
+
+
+def _rescue(net, cooperate_mask, defaulted, k):
+    """`cascade(net, cooperate_mask)` when `defaulted` is the cascade of
+    `cooperate_mask` less one edge into the defaulted enterprise k: the
+    cascade reruns over C alone, the defaulted enterprises that k reaches
+    through cooperating edges (investor -> enterprise), k included.  No
+    enterprise of D - C, the rest of `defaulted`, has a cooperating
+    investor in C, so D - C defaults on its own as before (it is
+    dependency-closed), and C's part of the fixed point is the cascade over
+    C with the edges from investors in D - C taken out."""
+    reach, firms = 1 << k, [k]
+    investments = net.investments
+    for v in firms:  # grows as it is walked
+        for bit, j in investments.get(v, ()):
+            if cooperate_mask & bit and defaulted >> j & 1 and not reach >> j & 1:
+                reach |= 1 << j
+                firms.append(j)
+    rest = defaulted & ~reach
+    for j in firms:
+        for bit, investor, _ in net.funding[j]:
+            if rest >> investor & 1:
+                cooperate_mask &= ~bit
+    return cascade(net, cooperate_mask, reach) | rest
 
 
 def enterprise_return(net, invest, edge):

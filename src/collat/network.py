@@ -4,8 +4,8 @@ Every entry point is a labelled view of one pass (`_solve_components`):
 `solvability_check` first (if infeasible: the witness, method "none"),
 then the strongly connected components (SCCs) of the enterprises, edges
 oriented enterprise -> investor, downstream first
-(`analysis._enterprise_components`, which also bounds each of `collat
-verify`'s minimality runs and decides `is_acyclic`): by then, investors
+(`analysis._enterprise_components`, which also splits `collat verify`'s
+minimality test and decides `is_acyclic`): by then, investors
 outside a component always pay, so the optimum is the sum of the component
 optima (a cyclic component holding every edge runs on the network itself,
 any other on a sub-network of its enterprises' edges).  Before any
@@ -31,7 +31,10 @@ denominator) and `price_star` runs only on single-enterprise components.
 `solve_exact` and `solve_large_alpha` take the whole network as one
 component and run the exhaustive subset dynamic program (`_subset_dp`,
 O(2^|E| |E|), `EXACT_GUARD` on |E|) instead, with star optima from
-`price_star`: the oracles, so they check the root bound too.
+`price_star`: the oracles, so they check the root bound too.  The DP
+starts each set's cascade from its first parent's and keeps costs as
+integer pairs on the scaled table.  A result's `CollateralMatrix` is
+built once, from the solver's checked values (`from_checked`).
 For integer inputs with alpha_k > Z_k every positive collateral of an
 optimal solution is full; both reach that optimum as they do any other,
 so no separate search runs.  `Solution.method` names the whole-network
@@ -56,9 +59,9 @@ from .model import (
     InvestmentNetwork,
     TooLargeError,
     cascade,
-    edge_need,
     eliminate,
     exact_sum,
+    least_collateral,
     validate_network,
 )
 from .star import StarInstance, cheapest, price_star, sigma, suffix_dp, unscale
@@ -164,7 +167,7 @@ def _solve_components(net, components, method, cyclic_solver):
         for pos in local_order:
             amounts[edge_ids[pos]] = local[pos]
             order.append(edge_ids[pos])
-    c = CollateralMatrix(net, amounts)
+    c = CollateralMatrix.from_checked(net, [amounts[e] for e in range(len(net.edges))])
     # a cyclic component's enterprises sum their edges of c; every edge lies
     # in one enterprise's out_edges, so the star totals sum to c's
     star_totals = {k: star_totals[k] if k in star_totals
@@ -202,10 +205,15 @@ def _component_names(net):
 
 def _subset_dp(net):
     """Subset DP over resolved edge-sets of a solvable network: cost(S + e)
-    relaxes over cost(S) + `edge_need` of e given S.  Every viable
-    matrix admits an elimination order, so the DP minimum is the global
-    optimum.  The star optima come from `_star_solution`, first: an
-    oversized star trips its guard, with its name, before the DP's own.
+    relaxes over cost(S) + `edge_need` of e given S, inline: none if e's
+    investor defaults, else `least_collateral` on the scaled table.  Every
+    viable matrix admits an elimination order, so the DP minimum is the
+    global optimum.  A set's cascade starts from the cascade of the parent
+    that first reaches it (`within`: the cascade is antitone), and a cost
+    is an unreduced integer pair (num, den), compared by cross-multiplying;
+    only the returned amounts become Fractions.  The star optima come from
+    `_star_solution`, first: an oversized star trips its guard, with its
+    name, before the DP's own.
     Returns (amounts by edge, elimination order, star optima)."""
     optima = {k: _star_solution(net, k).total for k in sorted(net.enterprise_set)}
     m = len(net.edges)
@@ -214,30 +222,41 @@ def _subset_dp(net):
             "exact solver guard is |E| <= %d; enterprises {%s} have %d edges"
             % (EXACT_GUARD, _component_names(net), m)
         )
-    cascade_memo = {}
+    edges, funding, costs = net.edges, net.funding, net.scaled_costs
     size = 1 << m
-    cost = [None] * size
-    cost[0] = Fraction(0)
+    cost = [None] * size  # edge-set -> least cost as an unreduced pair (num, den)
+    cost[0] = (0, 1)
     parent = [-1] * size
+    defaulted = [None] * size  # edge-set -> its cascade, from the parent that first reaches it
+    defaulted[0] = cascade(net, 0)
     for s_mask in range(size):
         base = cost[s_mask]
         if base is None:
             continue
+        num, den = base
+        dmask = defaulted[s_mask]
         for e in range(m):
             bit = 1 << e
             if s_mask & bit:
                 continue
             cmask = s_mask | bit
-            dmask = cascade_memo.get(cmask)
-            if dmask is None:
-                dmask = cascade_memo[cmask] = cascade(net, cmask)
-            need = edge_need(net, cmask, dmask, e)
-            if need is None:
+            child = defaulted[cmask]
+            if child is None:
+                child = defaulted[cmask] = cascade(net, cmask, dmask)
+            edge = edges[e]
+            if child >> edge.investor & 1:
                 continue
-            new_cost = base + need
+            k = edge.enterprise
+            raised = 0
+            for b, investor, a in funding[k]:
+                if cmask & b and not child >> investor & 1:
+                    raised += a
+            need = least_collateral(net.scaled_amounts[e], raised, costs[k], net.rate[k])
+            nn, nd = need.numerator, need.denominator
+            new = num * nd + nn * den, den * nd
             cur = cost[cmask]
-            if cur is None or new_cost < cur:
-                cost[cmask] = new_cost
+            if cur is None or new[0] * cur[1] < cur[0] * new[1]:
+                cost[cmask] = new
                 parent[cmask] = e
 
     full = size - 1
@@ -248,7 +267,8 @@ def _subset_dp(net):
     while s_mask:
         e = parent[s_mask]
         prev = s_mask ^ (1 << e)
-        amounts[e] = cost[s_mask] - cost[prev]
+        (n1, d1), (n0, d0) = cost[s_mask], cost[prev]
+        amounts[e] = Fraction(n1 * d0 - n0 * d1, d1 * d0 * net.scale)
         order.append(e)
         s_mask = prev
     order.reverse()

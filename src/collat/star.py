@@ -32,6 +32,10 @@ adjacent partial players into sigma order never costs more.  So
 `suffix_dp` over the others prices the cheapest completion, the network
 search's lower bound.  `brute_force_star` walks all d! orders and serves as
 the independent oracle.
+
+`minimal_in_order` tests a star's collaterals for minimality on a row of
+the scaled table, also priced by `model.least_collateral`; `collat verify`
+checks each single-enterprise acyclic component with it.
 """
 from __future__ import annotations
 
@@ -275,6 +279,45 @@ def price_star(amounts, cost, rate):
             c[i] = Fraction(amounts[i] * un, ud) if un else 0
     order = tuple(head) + tuple(i for i in order if i not in head)
     return c, Fraction(best_num, best_den), order, frozenset(head)
+
+
+def minimal_in_order(amounts, cost, rate, collaterals, scale):
+    """True iff no positive collateral of a star can be lowered: `amounts`
+    are the scaled amounts of the players that resolve, in the order they
+    resolve, and `collaterals` their (unscaled) collaterals.
+
+    Player j at 0 starts with the players before it raised and closes over
+    the later ones: a player joins once `least_collateral` at the sum with
+    it, divided by `scale`, is at most its collateral, and adds its amount,
+    until none joins (a monotone closure).  j's collateral is minimal iff
+    its need at that sum equals it.  Compared on numerators and
+    denominators.
+    """
+    def need(a, raised):
+        value = least_collateral(a, raised + a, cost, rate)
+        return value.numerator, value.denominator * scale
+
+    prefix = 0
+    for j, (a, c) in enumerate(zip(amounts, collaterals)):
+        if c:
+            raised, rest = prefix, list(range(j + 1, len(amounts)))
+            while rest:
+                left = []
+                for f in rest:
+                    num, den = need(amounts[f], raised)
+                    cf = collaterals[f]
+                    if num * cf.denominator <= cf.numerator * den:
+                        raised += amounts[f]
+                    else:
+                        left.append(f)
+                if len(left) == len(rest):
+                    break
+                rest = left
+            num, den = need(a, raised)
+            if num * c.denominator != c.numerator * den:
+                return False
+        prefix += a
+    return True
 
 
 def unscale(priced, scale, amounts):

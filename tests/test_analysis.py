@@ -262,7 +262,8 @@ class TestMinimality:
         assert is_minimal(net, c) and reference_is_minimal(net, c)
 
     def test_runs_start_with_the_irrelevant_edges_resolved(self, monkeypatch):
-        # each run at 0 starts from the viable order's prefix plus every edge
+        # each run at 0 (one per positive collateral into a cyclic
+        # component) starts from the viable order's prefix plus every edge
         # not into the lowered edge's enterprise component, and from no
         # other edge; its `within` is the cascade of those outside edges
         runs = []
@@ -273,9 +274,9 @@ class TestMinimality:
         checked = skipped = 0
         for trial in range(30):
             net = disjoint_union(
-                random_network(rng.randint(4, 9), 3, acyclic=True, seed=rng.randint(0, 10**6)),
-                random_network(rng.randint(4, 9), 3, acyclic=trial % 2 == 0,
-                               seed=rng.randint(0, 10**6)))
+                random_network(rng.randint(6, 12), 4, acyclic=trial % 2 == 0,
+                               seed=rng.randint(0, 10**6)),
+                random_network(rng.randint(4, 9), 4, seed=rng.randint(0, 10**6)))
             c = solve(net).collaterals
             if c is None:
                 continue
@@ -293,47 +294,75 @@ class TestMinimality:
                 skipped += len(set(range(len(net.edges))) - relevant - prefix)
         assert checked > 60 and skipped > 500
 
-    def test_runs_cost_in_proportion_to_the_lowered_component(self, monkeypatch):
-        # on a 113-edge DAG each component is one star: the plain cascade
-        # runs once per component with a positive collateral (its runs get
-        # it as `within`), and every need priced is of an edge into the
-        # lowered edge's component
+    def test_an_acyclic_network_is_checked_star_by_star(self, monkeypatch):
+        # on a 113-edge DAG each component is one star: each star with a
+        # positive collateral is checked once on its row, and no
+        # elimination run, cascade or `edge_need` is needed
         net = random_network(40, 6, acyclic=True, seed=4)
         assert len(net.edges) == 113
         c = solve(net).collaterals
         order, stuck = iterated_elimination(net, c)
         assert not stuck
-        positive = [e for e in order if c[e]]
-        components = {frozenset(component_edges(net, e)) for e in positive}
-        assert len(positive) > len(components) > 1
-        plain = []
-        lowered, priced = [], []
-        real_cascade, real_need = collat.model.cascade, collat.model.edge_need
-        real_eliminate = collat.analysis.eliminate
+        stars = {net.edges[e].enterprise for e in order if c[e]}
+        assert len(stars) > 1
+        calls, rows = [], []
 
-        def counting_cascade(net, cooperate_mask, within=None):
-            if within is None:
-                plain.append(cooperate_mask)
-            return real_cascade(net, cooperate_mask, within)
+        def record(name):
+            return lambda *args: calls.append(name)
 
-        def recording_eliminate(net, amounts, *args):
-            (e,) = [f for f in range(len(net.edges)) if amounts[f] != c[f]]
-            lowered.append(e)
-            return real_eliminate(net, amounts, *args)
-
-        def recording_need(net, cmask, dmask, edge):
-            priced.append((lowered[-1], edge))
-            return real_need(net, cmask, dmask, edge)
-
-        monkeypatch.setattr(collat.model, "cascade", counting_cascade)
-        monkeypatch.setattr(collat.analysis, "cascade", counting_cascade)
-        monkeypatch.setattr(collat.analysis, "eliminate", recording_eliminate)
-        monkeypatch.setattr(collat.model, "edge_need", recording_need)
+        real = collat.analysis.minimal_in_order
+        monkeypatch.setattr(collat.analysis, "eliminate", record("eliminate"))
+        monkeypatch.setattr(collat.analysis, "cascade", record("cascade"))
+        monkeypatch.setattr(collat.model, "cascade", record("cascade"))
+        monkeypatch.setattr(collat.model, "edge_need", record("edge_need"))
+        monkeypatch.setattr(collat.analysis, "minimal_in_order",
+                            lambda amounts, *args: rows.append(amounts) or real(amounts, *args))
         assert collat.analysis._minimal_along(net, c, order)
         monkeypatch.undo()
-        assert lowered == positive
-        assert 0 < len(plain) <= len(components)
-        assert priced and all(edge in component_edges(net, e) for e, edge in priced)
+        assert calls == [] and len(rows) == len(stars)
+
+    def test_the_star_path_matches_the_reference(self):
+        # acyclic, split and chained nets under minimal, raised, lowered and
+        # random matrices, and each of those with its stuck edges set to 0:
+        # a non-viable matrix whose stuck edges, some into stars, carry no
+        # collateral reaches `_minimal_along` too
+        rng = random.Random(79)
+        verdicts, stuck_cases = [], 0
+        for trial in range(60):
+            seeds = [rng.randint(0, 10**6) for _ in range(2)]
+            if trial % 3 == 0:
+                net = random_network(rng.randint(6, 14), rng.randint(2, 5), acyclic=True,
+                                     seed=seeds[0])
+            elif trial % 3 == 1:
+                net = disjoint_union(
+                    random_network(rng.randint(3, 8), 3, acyclic=True, seed=seeds[0]),
+                    random_network(rng.randint(3, 8), 3, seed=seeds[1]))
+            else:
+                net = chained(random_network(rng.randint(3, 7), 3, acyclic=True, seed=seeds[0]),
+                              random_network(rng.randint(3, 7), 3, acyclic=trial % 2 == 0,
+                                             seed=seeds[1]), rng)
+            stars = {comp[0] for comp, cyclic in collat.analysis._enterprise_components(net)
+                     if not cyclic}
+            matrices = list(self._matrices(net, rng))
+            c = solve(net).collaterals
+            if c is not None:
+                positive = [e for e in range(len(net.edges)) if c[e]]
+                if positive:
+                    e = rng.choice(positive)
+                    matrices.append(c.replace(e, c[e] / 2))
+            for c in matrices:
+                zeroed = c
+                for e in eliminate(net, c)[3]:
+                    zeroed = zeroed.replace(e, 0)
+                for m in (c, zeroed) if zeroed != c else (c,):
+                    order, _, _, stuck = eliminate(net, m)
+                    if any(m[e] for e in stuck):
+                        continue
+                    expected = reference_is_minimal(net, m)
+                    assert collat.analysis._minimal_along(net, m, order) == expected, (trial, m)
+                    verdicts.append(expected)
+                    stuck_cases += any(net.edges[e].enterprise in stars for e in stuck)
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 200 and stuck_cases > 150
 
 
 class TestSolvability:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import collat.analysis
+import collat.model
 from collat import (
     CollateralMatrix,
     InvestmentNetwork,
@@ -230,6 +231,16 @@ class TestSolve:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: enterprise hub: star with")
         assert not target.exists()
+
+    def test_one_validation_per_solve(self, capsys, monkeypatch, cycle_path):
+        # `_report` validates the network; the solver reads the same report
+        built = []
+        report = collat.model.ValidationReport
+        monkeypatch.setattr(collat.model, "ValidationReport",
+                            lambda violations: built.append(violations) or report(violations))
+        code, out, _ = run(capsys, "solve", cycle_path)
+        assert (code, json.loads(out)["status"]) == (0, "solved")
+        assert built == [[]]
 
     def test_out_file(self, capsys, cycle_path, tmp_path):
         target = tmp_path / "report.json"

@@ -428,6 +428,26 @@ class TestEliminate:
         for c, result in runs:
             self._check(net, c, 0, result)
 
+    def test_a_rescue_reruns_over_what_it_reaches(self, monkeypatch):
+        # A = 0 and B = 1 default, and so does F = 2, where A invests.  A's
+        # second edge rescues it: the rerun tests A and F, which A reaches,
+        # and leaves B defaulted untested; B's second edge then reruns over
+        # B alone
+        edges = [(0, 3, 2), (0, 4, 2), (2, 0, 2), (2, 5, 2), (1, 6, 2), (1, 7, 2)]
+        net = InvestmentNetwork(8, edges, cost={0: 3, 1: 3, 2: 3}, rate={0: 10, 1: 10, 2: 10})
+        assert validate_network(net).ok
+        tested = []
+        plain_cascade = model.cascade
+        monkeypatch.setattr(model, "cascade", lambda net, cmask, within=None: tested.append(
+            within) or plain_cascade(net, cmask, within))
+        c = CollateralMatrix.full(net)
+        result = eliminate(net, c, 0b1100)
+        monkeypatch.undo()
+        assert plain_cascade(net, 0b1100) == 0b111
+        assert tested == [None, 0b101, 0b010]
+        assert result[2] == 0
+        self._check(net, c, 0b1100, result)
+
 
 class TestLeastCollateral:
     """`least_collateral` on scaled integers against the Fraction reference
