@@ -6,25 +6,27 @@ minimality, solvability of a network by collaterals, and the closed-form
 zero/full-collateral threshold conditions.
 
 IESDS (`iterated_elimination`) and the minimality test of a viable matrix
-(`is_minimal`) are adapters over `model.eliminate`, which holds the tie
-rule: a player who is exactly indifferent between investing and defecting
-invests.  Minimality runs one elimination under the matrix for its viable
-order, then checks each positive collateral by enterprise component, as
-`solve` solves (`_enterprise_components`): a collateral only moves the
-edges into its own component, as all upstream of it resolves without
-reading it.  A single-enterprise acyclic component is a star: its
-collaterals are checked on the enterprise's row of the scaled table
-(`star.minimal_in_order`), with no elimination run or cascade, so an
-acyclic network is checked star by star.  A collateral into a cyclic
+(`is_minimal`) work by enterprise component, as `solve` solves
+(`_enterprise_components`, computed once per network and kept on it), and
+keep the tie rule of `model.eliminate`: a player who is exactly
+indifferent between investing and defecting invests.  IESDS closes each
+star (single-enterprise component) that reaches no cyclic component on its
+own row of the scaled table, downstream first (`star.close_star`, on
+integers, with no cascade), and runs one `eliminate` over the rest,
+started from the edges the stars resolved.  Minimality takes IESDS's
+viable order and checks each positive collateral by component: a
+collateral only moves the edges into its own component, as all upstream
+of it resolves without reading it.  A star's collaterals are checked on
+its row (`star.minimal_in_order`), with no elimination run or cascade, so
+an acyclic network is checked star by star.  A collateral into a cyclic
 component gets one run with that collateral at 0, started from the edges
 resolved before it in the viable order and from every edge outside its
 component.  `collat verify` hands its IESDS run's viable order to the
-per-component checks (`_minimal_along`), so it runs the first elimination
-once.  Per cyclic component, `_minimal_along` also computes once the
-cascade of the edges its runs start resolved outside it, and hands it to
-each run as `eliminate`'s `within`; as `eliminate` sweeps only the open
-edges, a run costs in proportion to the edges into its component, not to
-the network.
+per-component checks (`_minimal_along`), so it runs IESDS once.  Per
+cyclic component, `_minimal_along` also computes once the cascade of the
+edges its runs start resolved outside it, and hands it to each run as
+`eliminate`'s `within`; as `eliminate` sweeps only the open edges, a run
+costs in proportion to the edges into its component, not to the network.
 Solvability is a secured-vertex closure on the same scaled funding table
 (`InvestmentNetwork.funding`).
 """
@@ -34,21 +36,50 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import cascade, eliminate
-from .star import minimal_in_order
+from .star import close_star, minimal_in_order
 
 
 def iterated_elimination(net, c):
-    """Greedy IESDS over edges: `model.eliminate` from the empty set.
+    """Greedy IESDS over edges, by enterprise component, downstream first
+    (`_enterprise_components`): the closure of `model.eliminate` from the
+    empty set.
 
     An edge resolves once its player -- with the resolved edges
     cooperating, everything else defecting, and the default cascade
-    applied -- is solvent and weakly prefers to invest.  Returns (resolved
-    order, stuck edges).  The final stuck set does not depend on the scan
-    order (monotone closure): `eliminate` sweeps in edge index order, and a
-    network with its edge list permuted leaves the same edges stuck.
+    applied -- is solvent and weakly prefers to invest.  A star (a
+    single-enterprise component) that reaches no cyclic component closes
+    on its own row of the scaled table (`star.close_star`, on integers): its
+    investors are settled downstream, so a defaulted one's edge stays stuck,
+    each other edge's need reads only the capital its resolved edges raise,
+    and the star's enterprise defaults iff that capital ends below its
+    cost.  The rest (cyclic components and what is upstream of them) runs
+    one `eliminate`, started from the edges the stars resolved.  Returns
+    (resolved order, stuck edges): the stars' sweeps in component order,
+    then `eliminate`'s in edge index order.  The stuck set does not depend
+    on the scan order (monotone closure): a network with its edge list
+    permuted leaves the same edges stuck.
     """
-    order, _, _, needs = eliminate(net, c)
-    return order, frozenset(needs)
+    amounts, scaled_amounts, costs = c.amounts, net.scaled_amounts, net.scaled_costs
+    order, resolved, defaulted, tangled = [], 0, 0, 0
+    for comp, cyclic in _enterprise_components(net):
+        k = comp[0]
+        if cyclic or tangled and any(tangled >> i & 1 for _, i, _ in net.funding[k]):
+            tangled |= sum(1 << v for v in comp)
+            continue
+        edges = net.out_edges[k]
+        if defaulted:
+            edges = [e for e, (_, i, _) in zip(edges, net.funding[k]) if not defaulted >> i & 1]
+        joined, raised = close_star([scaled_amounts[e] for e in edges], costs[k], net.rate[k],
+                                    [amounts[e] for e in edges], net.scale)
+        for p in joined:
+            order.append(edges[p])
+            resolved |= 1 << edges[p]
+        if raised < costs[k]:
+            defaulted |= 1 << k
+    if tangled:
+        rest, _, _, needs = eliminate(net, c, resolved)
+        return order + rest, frozenset(needs)
+    return order, frozenset(e for e in range(len(net.edges)) if not resolved >> e & 1)
 
 
 def is_viable(net, c):
@@ -72,11 +103,12 @@ def is_minimal(net, c):
     set, so its least value over the run is the one at R, and `c` is
     minimal iff every positive c_e equals it.
 
-    One run under `c` gives the viable order (`collat verify` takes it from
-    the IESDS run it has already made, see `_minimal_along`).  The edges
-    resolved before e in it resolve with c_e at 0 as well (their needs
-    ignore c_e), so e's run starts from that prefix: the closure is
-    monotone, so it reaches the same R as a run from the empty set.  It
+    IESDS under `c` (`iterated_elimination`) gives the viable order
+    (`collat verify` hands over the run it has already made, see
+    `_minimal_along`).  The edges resolved before e in it resolve with c_e
+    at 0 as well (their needs ignore c_e), so e's run starts from that
+    prefix: the closure is monotone, so it reaches the same R as a run
+    from the empty set.  It
     also starts with the edges resolved under `c` outside e's enterprise
     component resolved: each either never reaches e's need or lies in R
     (`_minimal_along` proves it, and on a star runs that closure on the
@@ -84,7 +116,7 @@ def is_minimal(net, c):
     `c` not minimal (not viable, in fact): at 0 it resolves a smaller set,
     where its need is no lower than its need under `c`, which exceeds c_e.
     """
-    order, _, _, stuck = eliminate(net, c)
+    order, stuck = iterated_elimination(net, c)
     if any(c.amounts[e] for e in stuck):
         return False
     return _minimal_along(net, c, order)
@@ -254,16 +286,18 @@ def _witness(net, secured_mask):
 
 def _enterprise_components(net):
     """Enterprise SCCs, downstream first (Tarjan emits a component only after
-    every component it reaches), each as (sorted enterprises, cyclic flag)."""
-    adjacency = {
-        k: [net.edges[e].investor for e in net.out_edges[k]
-            if net.edges[e].investor in net.enterprise_set]
-        for k in sorted(net.enterprise_set)
-    }
-    return [
-        (sorted(comp), len(comp) > 1 or any(k in adjacency[k] for k in comp))
-        for comp in _strongly_connected_components(adjacency)
-    ]
+    every component it reaches), each as (sorted enterprises, cyclic flag).
+    Computed once per network and kept on it (a network is not changed
+    after it is built)."""
+    if net._components is None:
+        firms = net.enterprise_set
+        adjacency = {k: [i for _, i, _ in net.funding[k] if i in firms] for k in sorted(firms)}
+        components = []
+        for comp in _strongly_connected_components(adjacency):
+            comp = sorted(comp)
+            components.append((comp, len(comp) > 1 or comp[0] in adjacency[comp[0]]))
+        net._components = tuple(components)
+    return net._components
 
 
 def _strongly_connected_components(adjacency):

@@ -16,13 +16,16 @@ constructor.  `validate_network` checks profitability on those integers
 numerators over their least common denominator, one Fraction per sum
 (the solvers' star totals, total and NEC denominator, and
 `CollateralMatrix.total`).  `cascade` is the one cascade loop: bitmasks over
-edges and vertices, on the scaled integers.  On them `least_collateral` is
-the solver's one least-collateral formula (`star._minimal_amount`: the
-Fraction reference) and `edge_need`, on top of the cascade, the least
+edges and vertices, on the scaled integers.  On them
+`least_collateral_pair` is the solver's one least-collateral formula, as
+an integer pair (`least_collateral` its value; `star._minimal_amount` the
+Fraction reference), and `edge_need`, on top of the cascade, the least
 collateral that makes an edge invest.  `eliminate` is the one elimination
 loop on top of both, and holds the tie rule (resolve iff solvent and c_e >=
-need): IESDS, `collat verify`'s minimality test on cyclic components and
-the search's free closure all run it.  A rescue of a defaulted enterprise
+need): IESDS on cyclic components and what is upstream of them (a star
+that reaches none closes on its own row, `star.close_star`), `collat
+verify`'s minimality test on cyclic components and the search's free
+closure run it.  A rescue of a defaulted enterprise
 k reruns the cascade only over the defaulted enterprises k reaches
 (`_rescue`).
 `best_response` (on a full cascade), `default_determination`,
@@ -123,7 +126,8 @@ class InvestmentNetwork:
                      for e in self.out_edges[k])
             for k in self.scaled_costs
         }
-        self._investments = self._validation = None  # built on first use
+        # built on first use; `_components` by `analysis._enterprise_components`
+        self._investments = self._validation = self._components = None
 
     def _per_vertex(self, values):
         """n Fractions, one per vertex; a sequence of n Fractions is kept
@@ -372,18 +376,26 @@ def default_determination(net, cooperate):
     )
 
 
-def least_collateral(a, raised, cost, rate):
+def least_collateral_pair(a, raised, cost, rate):
     """The solver's one least-collateral formula: a's worst-case shortfall
     a * clamp(1 - (1+alpha)(1 - Z/P), 0, 1), with P = `raised`, Z = `cost`
-    and alpha = `rate`, on integers of one scale (an int, or a Fraction)."""
+    and alpha = `rate`, on integers of one scale, as an unreduced integer
+    pair (num, den), den > 0.  den is 1 iff the value is 0 or a."""
     if raised <= cost:
-        return a
+        return a, 1
     # 1 - (1+p/q)(1 - Z/P) = (q P - (p+q)(P - Z)) / (q P)
     p, q = rate.numerator, rate.denominator
     num = q * raised - (p + q) * (raised - cost)
     if num <= 0:
-        return 0
-    return Fraction(a * num, q * raised)
+        return 0, 1
+    return a * num, q * raised  # q P >= 2, as q P = 1 gives num = -p
+
+
+def least_collateral(a, raised, cost, rate):
+    """`least_collateral_pair` as a number: 0 or a as an int, a partial
+    collateral as a Fraction."""
+    num, den = least_collateral_pair(a, raised, cost, rate)
+    return num if den == 1 else Fraction(num, den)
 
 
 def edge_need(net, cooperate_mask, defaulted_mask, edge):
@@ -392,9 +404,10 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
     `defaulted_mask = cascade(net, cooperate_mask)`.
 
     None if the investor defaults (the edge then pays 0 < x whatever the
-    collateral), else `least_collateral` on the scaled integers, with P the
-    enterprise's capital from its surviving cooperating investors (x if the
-    enterprise defaults: then P < Z).  Only the result is a Fraction.
+    collateral), else `least_collateral_pair` on the scaled integers, with
+    P the enterprise's capital from its surviving cooperating investors (x
+    if the enterprise defaults: then P < Z).  Only the result is a
+    Fraction, built once.
     """
     e = net.edges[edge]
     if defaulted_mask >> e.investor & 1:
@@ -404,10 +417,11 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
     for bit, investor, amount in net.funding[k]:
         if cooperate_mask & bit and not defaulted_mask >> investor & 1:
             raised += amount
-    need = least_collateral(net.scaled_amounts[edge], raised, net.scaled_costs[k], net.rate[k])
-    if type(need) is int:  # nothing or the whole amount
-        return e.amount if need else ZERO
-    return need / net.scale
+    num, den = least_collateral_pair(net.scaled_amounts[edge], raised, net.scaled_costs[k],
+                                     net.rate[k])
+    if den == 1:  # nothing or the whole amount
+        return e.amount if num else ZERO
+    return Fraction(num, den * net.scale)
 
 
 def eliminate(net, c, resolved=0, within=None):

@@ -4,8 +4,9 @@ Every entry point is a labelled view of one pass (`_solve_components`):
 `solvability_check` first (if infeasible: the witness, method "none"),
 then the strongly connected components (SCCs) of the enterprises, edges
 oriented enterprise -> investor, downstream first
-(`analysis._enterprise_components`, which also splits `collat verify`'s
-minimality test and decides `is_acyclic`): by then, investors
+(`analysis._enterprise_components`, kept on the network, which also
+splits `collat verify`'s IESDS and minimality test and decides
+`is_acyclic`): by then, investors
 outside a component always pay, so the optimum is the sum of the component
 optima (a cyclic component holding every edge runs on the network itself,
 any other on a sub-network of its enterprises' edges).  Before any

@@ -33,12 +33,17 @@ adjacent partial players into sigma order never costs more.  So
 search's lower bound.  `brute_force_star` walks all d! orders and serves as
 the independent oracle.
 
-`minimal_in_order` tests a star's collaterals for minimality on a row of
-the scaled table, also priced by `model.least_collateral`; `collat verify`
-checks each single-enterprise acyclic component with it.
+`close_star` is the elimination closure of a star whose investors are
+settled, on a row of the scaled table: a player joins once its need
+(`model.least_collateral_pair`, compared on integers) is at most its
+collateral.  IESDS closes each star that reaches no cyclic component with
+it, and `minimal_in_order`, which tests a star's collaterals for
+minimality, closes over the later players with each one at 0; `collat
+verify` checks each single-enterprise acyclic component with it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +53,7 @@ from .model import (
     TooLargeError,
     as_money,
     least_collateral,
+    least_collateral_pair,
     profitable,
     scaled,
 )
@@ -281,42 +287,62 @@ def price_star(amounts, cost, rate):
     return c, Fraction(best_num, best_den), order, frozenset(head)
 
 
+def close_star(amounts, cost, rate, collaterals, scale, raised=0, start=0, failed=None):
+    """The closure of a star's players `start`, `start` + 1, ... from the
+    capital `raised`, on a row of the scaled table (`amounts`, `cost`;
+    `collaterals` unscaled): sweep them in that order, repeated until none
+    joins.  A player joins once its need, `least_collateral_pair` at the
+    sum with it divided by `scale`, is at most its collateral, and adds its
+    amount (a monotone closure).  Compared on integers.  `failed`, if given,
+    holds per player the most capital it has been seen not to join at (-1
+    if none), read and kept up to date: the need is antitone in the
+    capital, so the player does not join at that much or less.  Returns
+    (the players that joined, in the order they joined, the capital
+    raised)."""
+    joined, rest = [], range(start, len(amounts))
+    while rest:
+        left = []
+        for f in rest:
+            if failed is not None and raised <= failed[f]:
+                left.append(f)
+                continue
+            a, cf = amounts[f], collaterals[f]
+            num, den = least_collateral_pair(a, raised + a, cost, rate)
+            if num * cf.denominator <= cf.numerator * den * scale:
+                raised += a
+                joined.append(f)
+            else:
+                if failed is not None:
+                    failed[f] = raised
+                left.append(f)
+        if len(left) == len(rest):
+            break
+        rest = left
+    return joined, raised
+
+
 def minimal_in_order(amounts, cost, rate, collaterals, scale):
     """True iff no positive collateral of a star can be lowered: `amounts`
     are the scaled amounts of the players that resolve, in the order they
     resolve, and `collaterals` their (unscaled) collaterals.
 
     Player j at 0 starts with the players before it raised and closes over
-    the later ones: a player joins once `least_collateral` at the sum with
-    it, divided by `scale`, is at most its collateral, and adds its amount,
-    until none joins (a monotone closure).  j's collateral is minimal iff
-    its need at that sum equals it.  Compared on numerators and
-    denominators.
+    the later ones (`close_star`).  j's collateral is minimal iff its need
+    at that sum equals it, compared on integers.  The players are checked
+    last first and share what `close_star` learns of who fails to join: a
+    later check starts from less capital, so a player that failed once is
+    priced again only if the players that join lift the capital above it.
     """
-    def need(a, raised):
-        value = least_collateral(a, raised + a, cost, rate)
-        return value.numerator, value.denominator * scale
-
-    prefix = 0
-    for j, (a, c) in enumerate(zip(amounts, collaterals)):
+    prefixes = list(itertools.accumulate(amounts, initial=0))
+    failed = [-1] * len(amounts)
+    for j in reversed(range(len(amounts))):
+        c = collaterals[j]
         if c:
-            raised, rest = prefix, list(range(j + 1, len(amounts)))
-            while rest:
-                left = []
-                for f in rest:
-                    num, den = need(amounts[f], raised)
-                    cf = collaterals[f]
-                    if num * cf.denominator <= cf.numerator * den:
-                        raised += amounts[f]
-                    else:
-                        left.append(f)
-                if len(left) == len(rest):
-                    break
-                rest = left
-            num, den = need(a, raised)
-            if num * c.denominator != c.numerator * den:
+            a = amounts[j]
+            _, raised = close_star(amounts, cost, rate, collaterals, scale, prefixes[j], j + 1, failed)
+            num, den = least_collateral_pair(a, raised + a, cost, rate)
+            if num * c.denominator != c.numerator * den * scale:
                 return False
-        prefix += a
     return True
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the solver code paths they are used to check:
 equilibria are found by exhaustive enumeration of all pure profiles, and
 elimination orders are re-validated position by position from the raw
-best-response predicate; 0/full optima come from IESDS on every 0/full
-matrix; minimality comes from one elimination run from the empty set per
+best-response predicate; IESDS is one elimination run from the empty set
+(`reference_iesds`), with no star-by-star closure; 0/full optima come from
+IESDS on every 0/full matrix; minimality comes from one elimination run from the empty set per
 positive collateral (`reference_is_minimal`), without the prefix seeding
 of `is_minimal`; star optima come from pricing every one of the 2^d full
 sets with `optimal_partial_for_set` (the Fraction reference formula),
@@ -88,6 +89,13 @@ def assert_minimal(net, c, is_viable):
             continue
         reduced = c.replace(e, amount - eps)
         assert not is_viable(net, reduced), "coordinate %d is reducible" % e
+
+
+def reference_iesds(net, c):
+    """IESDS as one elimination run from the empty set, with no
+    decomposition: the stuck edges, each mapped to its need at the final
+    set (None if its investor defaults)."""
+    return eliminate(net, c)[3]
 
 
 def reference_is_minimal(net, c):

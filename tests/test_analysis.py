@@ -22,8 +22,11 @@ from collat import (
     star_decomposition,
     zero_collateral_condition,
 )
+from collat.cli import main as cli_main
+from collat.instances import save_network
 from collat.model import cascade, eliminate
-from helpers import reference_is_minimal, unique_all_cooperate
+from collat.network import solve_dag
+from helpers import reference_iesds, reference_is_minimal, unique_all_cooperate
 
 
 def star_net(amounts, z, alpha):
@@ -39,17 +42,44 @@ def disjoint_union(a, b):
     return InvestmentNetwork(a.n + b.n, edges, cost=a.cost + b.cost, rate=a.rate + b.rate)
 
 
-def chained(a, b, rng):
+def chained(a, b, rng, investors=None):
     """`a` upstream of `b`: their disjoint union plus one to three edges by
-    which enterprises of `a` invest in enterprises of `b`.  An enterprise
-    only raises more, so each stays profitable."""
+    which enterprises of `a` (of `investors`, if given) invest in
+    enterprises of `b`.  An enterprise only raises more, so each stays
+    profitable."""
     net = disjoint_union(a, b)
     edges = [(e.enterprise, e.investor, e.amount) for e in net.edges]
-    if a.enterprise_set and b.enterprise_set:
-        links = {(rng.choice(sorted(b.enterprise_set)) + a.n, rng.choice(sorted(a.enterprise_set)))
+    investors = sorted(a.enterprise_set if investors is None else investors)
+    if investors and b.enterprise_set:
+        links = {(rng.choice(sorted(b.enterprise_set)) + a.n, rng.choice(investors))
                  for _ in range(rng.randint(1, 3))}
         edges += [(k, i, rng.randint(1, 9)) for k, i in sorted(links)]
     return InvestmentNetwork(net.n, edges, cost=net.cost, rate=net.rate)
+
+
+def mixed(rng):
+    """Stars on both sides of a random, usually cyclic, net: an acyclic net
+    `down` whose enterprises invest in those of the random net (`chained`),
+    whose enterprises invest in those of an acyclic net `up`.  Returns the
+    network and the vertices of `down` and of the middle net."""
+    down, middle, up = (random_network(rng.randint(3, 7), 3, acyclic=acyclic,
+                                       seed=rng.randint(0, 10**6))
+                        for acyclic in (True, False, True))
+    net = chained(chained(down, middle, rng), up, rng,
+                  [k + down.n for k in middle.enterprise_set])
+    return net, range(down.n), range(down.n, down.n + middle.n)
+
+
+def mixed_net():
+    """A 2-cycle A <-> B, each with a spike, between stars D and E, where D
+    invests in E and E in A, and a star U in which A invests; amounts in
+    halves (the network of CI's `mixed` document)."""
+    h = Fraction(1, 2)
+    a, b, d, e, u, a1, b1, d1, d2, e1, u1, u2 = range(12)
+    edges = [(d, d1, 3 * h), (d, d2, 5 * h), (e, d, 1), (e, e1, 2), (a, b, 1), (b, a, 1),
+             (a, a1, 2), (b, b1, 2), (a, e, 3 * h), (u, a, 1), (u, u1, 3), (u, u2, h)]
+    return InvestmentNetwork(12, edges, cost={a: 3, b: 2, d: 3, e: 5 * h, u: 5 * h},
+                             rate={a: 3, b: 2, d: Fraction(7, 2), e: 5, u: 2})
 
 
 def bilateral(net):
@@ -130,6 +160,112 @@ class TestIteratedElimination:
                 c = CollateralMatrix(permuted, [amounts[e] for e in perm])
                 _, stuck = iterated_elimination(permuted, c)
                 assert {perm[e] for e in stuck} == reference
+
+    @staticmethod
+    def _matrices(net, rng):
+        """A random matrix in quarters of the amounts, then, if the network
+        is solvable, `solve`'s minimal one, one collateral raised halfway
+        to its amount and one positive collateral halved."""
+        yield CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
+        c = solve(net).collaterals
+        if c is None:
+            return
+        yield c
+        below = [e for e in range(len(net.edges)) if c[e] < net.edges[e].amount]
+        if below:
+            e = rng.choice(below)
+            yield c.replace(e, (c[e] + net.edges[e].amount) / 2)
+        positive = [e for e in range(len(net.edges)) if c[e]]
+        if positive:
+            e = rng.choice(positive)
+            yield c.replace(e, c[e] / 2)
+
+    def test_matches_the_reference_and_replays(self):
+        # acyclic, cyclic and mixed nets: the stuck set is that of one
+        # elimination run from the empty set, and each edge of the order
+        # resolves at its prefix.  On mixed nets a star downstream of the
+        # cycle stays stuck and defaults, which leaves an edge into the
+        # middle net stuck with no need (its investor defaults)
+        rng = random.Random(83)
+        cases, kinds, defaulted_below = 0, set(), 0
+        for trial in range(60):
+            down = middle = range(0)
+            if trial % 3 == 0:
+                net = random_network(rng.randint(4, 14), rng.randint(2, 5), acyclic=True,
+                                     seed=rng.randint(0, 10**6))
+            elif trial % 3 == 1:
+                net = random_network(rng.randint(3, 8), 3, seed=rng.randint(0, 10**6))
+            else:
+                net, down, middle = mixed(rng)
+            matrices = list(self._matrices(net, rng))
+            if down:  # full collaterals but none into `down`'s stars
+                matrices.append(CollateralMatrix(
+                    net, [0 if e.enterprise in down else e.amount for e in net.edges]))
+            for c in matrices:
+                order, stuck = iterated_elimination(net, c)
+                reference = reference_iesds(net, c)
+                assert stuck == set(reference), (trial, c)
+                assert sorted(order) == sorted(net.all_edges() - stuck)
+                prefix = 0
+                for e in order:
+                    mask = prefix | 1 << e
+                    need = collat.model.edge_need(net, mask, cascade(net, mask), e)
+                    assert need is not None and need <= c[e], (trial, c, e)
+                    prefix = mask
+                kinds.add((trial % 3, bool(stuck)))
+                defaulted_below += any(reference[e] is None and net.edges[e].investor in down
+                                       and net.edges[e].enterprise in middle for e in stuck)
+                cases += 1
+        assert cases > 200 and len(kinds) == 6 and defaulted_below > 5
+
+    def test_stars_that_reach_no_cycle_run_no_elimination(self, monkeypatch, tmp_path):
+        # the 113-edge DAG is closed star by star: no elimination run,
+        # cascade or `edge_need`; the mixed net runs one `eliminate`, for
+        # the cycle and the star upstream of it
+        net = random_network(40, 6, acyclic=True, seed=4)
+        assert len(net.edges) == 113
+        c = solve(net).collaterals
+        calls = []
+
+        def record(name):
+            return lambda *args: calls.append(name)
+
+        monkeypatch.setattr(collat.analysis, "eliminate", record("eliminate"))
+        monkeypatch.setattr(collat.analysis, "cascade", record("cascade"))
+        monkeypatch.setattr(collat.model, "cascade", record("cascade"))
+        monkeypatch.setattr(collat.model, "edge_need", record("edge_need"))
+        order, stuck = iterated_elimination(net, c)
+        monkeypatch.undo()
+        assert calls == [] and not stuck and len(order) == 113
+
+        net = mixed_net()
+        sol = solve(net)
+        lowered = sol.collaterals.replace(0, sol.collaterals[0] / 2)
+        real = collat.analysis.eliminate
+        monkeypatch.setattr(collat.analysis, "eliminate",
+                            lambda *args: calls.append("eliminate") or real(*args))
+        for c, viable in ((sol.collaterals, True), (lowered, False)):
+            calls.clear()
+            _, stuck = iterated_elimination(net, c)
+            assert calls == ["eliminate"] and (not stuck) == viable
+        monkeypatch.undo()
+        assert stuck == set(reference_iesds(net, lowered)) and 2 in stuck  # (E, D)
+
+        # one decomposition per network: across `solve_dag`, and across a
+        # `collat verify` op of the mixed net
+        real = collat.analysis._strongly_connected_components
+        monkeypatch.setattr(collat.analysis, "_strongly_connected_components",
+                            lambda adjacency: calls.append("scc") or real(adjacency))
+        calls.clear()
+        solve_dag(random_network(40, 6, acyclic=True, seed=4))
+        assert calls == ["scc"]
+        save_network(net, tmp_path / "mixed.json")
+        assert cli_main(["solve", str(tmp_path / "mixed.json"),
+                         "--out-file", str(tmp_path / "solve.json")]) == 0
+        calls.clear()
+        assert cli_main(["verify", str(tmp_path / "mixed.json"), str(tmp_path / "solve.json"),
+                         "--out-file", str(tmp_path / "verify.json")]) == 0
+        assert calls == ["scc"]
 
 
 class TestBilateralContrast:
@@ -263,9 +399,10 @@ class TestMinimality:
 
     def test_runs_start_with_the_irrelevant_edges_resolved(self, monkeypatch):
         # each run at 0 (one per positive collateral into a cyclic
-        # component) starts from the viable order's prefix plus every edge
-        # not into the lowered edge's enterprise component, and from no
-        # other edge; its `within` is the cascade of those outside edges
+        # component; the first run is IESDS's own) starts from the prefix
+        # of IESDS's viable order plus every edge not into the lowered
+        # edge's enterprise component, and from no other edge; its
+        # `within` is the cascade of those outside edges
         runs = []
         real = collat.analysis.eliminate
         monkeypatch.setattr(collat.analysis, "eliminate",
@@ -280,9 +417,9 @@ class TestMinimality:
             c = solve(net).collaterals
             if c is None:
                 continue
+            order = iterated_elimination(net, c)[0]
             runs.clear()
             assert is_minimal(net, c)
-            order = real(net, c)[0]
             for lowered, (start, within) in runs[1:]:
                 (e,) = [f for f in range(len(net.edges)) if lowered[f] != c[f]]
                 relevant = component_edges(net, e)

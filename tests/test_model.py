@@ -20,7 +20,7 @@ from collat import (
     validate_network,
 )
 from collat import model
-from collat.model import cascade, eliminate, least_collateral
+from collat.model import cascade, eliminate, least_collateral, least_collateral_pair
 from collat.star import StarInstance, _minimal_amount
 
 
@@ -450,8 +450,9 @@ class TestEliminate:
 
 
 class TestLeastCollateral:
-    """`least_collateral` on scaled integers against the Fraction reference
-    `star._minimal_amount` (a player of amount a seeing the prefix P)."""
+    """`least_collateral` and its integer pair `least_collateral_pair` on
+    scaled integers against the Fraction reference `star._minimal_amount`
+    (a player of amount a seeing the prefix P)."""
 
     @staticmethod
     def _reference(a, raised, cost, rate):
@@ -477,8 +478,9 @@ class TestLeastCollateral:
             rate = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             cost = rng.randint(0, 40)
             got = least_collateral(a, raised, cost, rate)
-            assert got == self._reference(a, raised, cost, rate)
-            assert 0 <= got <= a
+            num, den = least_collateral_pair(a, raised, cost, rate)
+            assert got == Fraction(num, den) == self._reference(a, raised, cost, rate)
+            assert 0 <= got <= a and den > 0
 
 
 class TestNashEquilibrium:

@@ -337,6 +337,60 @@ class TestIntegerPairDP:
         assert solve_star(star).total == min(price for price, _ in want.values())
 
 
+class TestMinimalInOrder:
+    """`minimal_in_order` (checks the players last first and shares who
+    failed to join at which capital) against a fresh closure per positive
+    collateral from its prefix, priced by the Fraction reference
+    `_minimal_amount`."""
+
+    @staticmethod
+    def _closure(star, collaterals, players, raised):
+        """The players of `players` that join from the capital `raised`, in
+        the order they join, and the capital then raised."""
+        joined, changed = [], True
+        while changed:
+            changed = False
+            for f in players:
+                if f not in joined and star_module._minimal_amount(
+                        star, f, raised + star.amounts[f]) <= collaterals[f]:
+                    joined.append(f)
+                    raised += star.amounts[f]
+                    changed = True
+        return joined, raised
+
+    def test_matches_a_fresh_closure_per_collateral(self):
+        # collaterals are the needs along a random order, some raised, some
+        # full: a player that fails to join at one capital may join at a
+        # larger one in an earlier player's closure
+        rng = random.Random(89)
+        verdicts = []
+        for _ in range(3000):
+            star = random_star(rng, 6)
+            order = list(range(star.size))
+            rng.shuffle(order)
+            collaterals, prefix = [None] * star.size, Fraction(0)
+            for i in order:
+                prefix += star.amounts[i]
+                need = star_module._minimal_amount(star, i, prefix)
+                r = rng.random()
+                collaterals[i] = (star.amounts[i] if r < 0.2 else
+                                  min(need * rng.randint(2, 3) / 2, star.amounts[i]) if r < 0.3
+                                  else need)
+            row, _ = self._closure(star, collaterals, range(star.size), Fraction(0))
+            expected = all(
+                star_module._minimal_amount(star, j, raised + star.amounts[j]) == collaterals[j]
+                for pos, j in enumerate(row) if collaterals[j]
+                for raised in [self._closure(star, collaterals, row[pos + 1:],
+                                             sum((star.amounts[f] for f in row[:pos]),
+                                                 Fraction(0)))[1]])
+            scale, ints = scaled((*star.amounts, star.cost))
+            assert star_module.minimal_in_order(
+                [ints[j] for j in row], ints[-1], star.rate, [collaterals[j] for j in row],
+                scale) == expected, (star, collaterals)
+            verdicts.append(expected)
+        assert verdicts.count(True) > 500 and verdicts.count(False) > 500
+
+
 class TestStateGuard:
     def test_forty_player_knapsack_star(self):
         rng = random.Random(83)
