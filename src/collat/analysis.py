@@ -22,11 +22,9 @@ an acyclic network is checked star by star.  A collateral into a cyclic
 component gets one run with that collateral at 0, started from the edges
 resolved before it in the viable order and from every edge outside its
 component.  `collat verify` hands its IESDS run's viable order to the
-per-component checks (`_minimal_along`), so it runs IESDS once.  Per
-cyclic component, `_minimal_along` also computes once the cascade of the
-edges its runs start resolved outside it, and hands it to each run as
-`eliminate`'s `within`; as `eliminate` sweeps only the open edges, a run
-costs in proportion to the edges into its component, not to the network.
+per-component checks (`_minimal_along`), so it runs IESDS once.  As
+`eliminate` sweeps only the open edges, a run costs in proportion to the
+edges into its component, not to the network.
 Solvability is a secured-vertex closure on the same scaled funding table
 (`InvestmentNetwork.funding`).
 """
@@ -35,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import cascade, eliminate
+from .model import eliminate
 from .star import close_star, minimal_in_order
 
 
@@ -158,11 +156,7 @@ def _minimal_along(net, c, order):
       final set R of the run at 0 from the empty set.
     The prefix lies in R too and the closure is monotone, so the run
     reaches the same needs[e] without checking the edges it starts
-    resolved.  Per cyclic component, the cascade of the edges its runs
-    start resolved outside it is computed once: that set lies in every
-    such run's start, so its cascade is `eliminate`'s `within`, and each
-    run's first cascade tests only the enterprises that default without
-    the component.
+    resolved.
     """
     amounts = c.amounts
     rows = {}  # acyclic enterprise -> its edges in `order`
@@ -185,17 +179,12 @@ def _minimal_along(net, c, order):
     if not relevant:
         return True
     settled = sum(1 << e for e in order)
-    outside = {}  # component's edges -> (start outside it, its cascade)
     prefix = 0
     for e in order:
         mask = relevant.get(net.edges[e].enterprise)
         if mask is not None and amounts[e]:
-            if mask not in outside:
-                rest = settled & ~mask
-                outside[mask] = rest, cascade(net, rest)
-            rest, within = outside[mask]
             lowered = amounts[:e] + (0,) + amounts[e + 1:]
-            if eliminate(net, lowered, prefix | rest, within)[3].get(e, 0) != amounts[e]:
+            if eliminate(net, lowered, prefix | settled & ~mask)[3].get(e, 0) != amounts[e]:
                 return False
         prefix |= 1 << e
     return True

@@ -25,9 +25,7 @@ loop on top of both, and holds the tie rule (resolve iff solvent and c_e >=
 need): IESDS on cyclic components and what is upstream of them (a star
 that reaches none closes on its own row, `star.close_star`), `collat
 verify`'s minimality test on cyclic components and the search's free
-closure run it.  A rescue of a defaulted enterprise
-k reruns the cascade only over the defaulted enterprises k reaches
-(`_rescue`).
+closure run it.
 `best_response` (on a full cascade), `default_determination`,
 `enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
 definitional reference.
@@ -87,9 +85,8 @@ class InvestmentNetwork:
 
     Vertices are integers 0..n-1; `ids` optionally carries external names for
     reporting.  `cost[k]` and `rate[k]` are only meaningful for enterprise
-    vertices (non-zero out-degree); they default to 0 elsewhere.  An edge's
-    enterprise must be a vertex (ValueError otherwise); an investor out of
-    range is left to `validate_network`.
+    vertices (non-zero out-degree); they default to 0 elsewhere.  Both
+    endpoints of an edge must be vertices (ValueError otherwise).
     """
 
     def __init__(self, n, edges, cost=None, rate=None, ids=None):
@@ -111,7 +108,7 @@ class InvestmentNetwork:
         self.out_edges = {k: [] for k in range(n)}
         for idx, e in enumerate(self.edges):
             out = self.out_edges.get(e.enterprise)
-            if out is None:
+            if out is None or not 0 <= e.investor < n:
                 raise ValueError("edge %d: endpoint out of range" % idx)
             out.append(idx)
         self.enterprise_set = frozenset(e.enterprise for e in self.edges)
@@ -127,7 +124,7 @@ class InvestmentNetwork:
             for k in self.scaled_costs
         }
         # built on first use; `_components` by `analysis._enterprise_components`
-        self._investments = self._validation = self._components = None
+        self._validation = self._components = None
 
     def _per_vertex(self, values):
         """n Fractions, one per vertex; a sequence of n Fractions is kept
@@ -142,16 +139,6 @@ class InvestmentNetwork:
         if len(out) != self.n:
             raise ValueError("per-vertex parameter length must equal n")
         return out
-
-    @property
-    def investments(self):
-        """Per investor vertex, (edge bit, enterprise) for each of its
-        edges, built on first use."""
-        if self._investments is None:
-            self._investments = {}
-            for idx, e in enumerate(self.edges):
-                self._investments.setdefault(e.investor, []).append((1 << idx, e.enterprise))
-        return self._investments
 
     def total_opportunities(self, k):
         """X_k: the sum of investment opportunities in enterprise k."""
@@ -271,8 +258,6 @@ def validate_network(net):
             violations.append("edge %d (%s -> %s): non-positive edge weight" % (idx, e.enterprise, e.investor))
         if e.enterprise == e.investor:
             violations.append("edge %d: self-edge at vertex %s" % (idx, e.enterprise))
-        if not (0 <= e.enterprise < net.n and 0 <= e.investor < net.n):
-            violations.append("edge %d: endpoint out of range" % idx)
         key = (e.enterprise, e.investor)
         if key in seen:
             violations.append("duplicate edge (%s, %s)" % key)
@@ -424,9 +409,9 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
     return Fraction(num, den * net.scale)
 
 
-def eliminate(net, c, resolved=0, within=None):
+def eliminate(net, c, resolved=0):
     """Iterated elimination under the collaterals `c`, from the bitmask
-    `resolved` (`within`, if given, is the cascade of a subset of it).
+    `resolved`.
 
     Sweeps the unresolved edges in index order and resolves each edge e
     whose `edge_need` with `resolved | e` cooperating is not None and <=
@@ -440,8 +425,8 @@ def eliminate(net, c, resolved=0, within=None):
     with c_e is exact on numerators and denominators (c_e may be an int).
     The defaulted mask is kept along the way; only an edge into a defaulted
     enterprise k can change it, and then the cascade reruns over the
-    defaulted enterprises that k reaches through cooperating edges
-    (`_rescue`; the others stay defaulted) -- unless the rescue test fails:
+    defaulted enterprises alone (`cascade`'s `within`: it is antitone, so
+    the solvent ones stay solvent) -- unless the rescue test fails:
     if the edges of `resolved | e` into k raise less than Z_k even counting
     every investor, solvent or not, k defaults whatever the others do.
     Adding e then changes the funding of k alone, which is in both fixed
@@ -454,7 +439,7 @@ def eliminate(net, c, resolved=0, within=None):
     maps each still-unresolved edge to its need at the final set
     (None if its investor would default).
     """
-    defaulted = cascade(net, resolved, within)
+    defaulted = cascade(net, resolved)
     edges, funding, costs, amounts = net.edges, net.funding, net.scaled_costs, net.scaled_amounts
     sweep = []
     rest = ((1 << len(edges)) - 1) & ~resolved
@@ -475,7 +460,7 @@ def eliminate(net, c, resolved=0, within=None):
                 if pledge is None:
                     pledge = pledged[k] = sum(a for b, _, a in funding[k] if resolved & b)
                 if pledge + amounts[e] >= costs[k]:  # the rescue test
-                    dmask = _rescue(net, cmask, defaulted, k)
+                    dmask = cascade(net, cmask, defaulted)
             need = edge_need(net, cmask, dmask, e)
             if need is not None:
                 ce = c[e]
@@ -489,30 +474,6 @@ def eliminate(net, c, resolved=0, within=None):
         if len(needs) == len(sweep):
             return order, resolved, defaulted, needs
         sweep = list(needs)
-
-
-def _rescue(net, cooperate_mask, defaulted, k):
-    """`cascade(net, cooperate_mask)` when `defaulted` is the cascade of
-    `cooperate_mask` less one edge into the defaulted enterprise k: the
-    cascade reruns over C alone, the defaulted enterprises that k reaches
-    through cooperating edges (investor -> enterprise), k included.  No
-    enterprise of D - C, the rest of `defaulted`, has a cooperating
-    investor in C, so D - C defaults on its own as before (it is
-    dependency-closed), and C's part of the fixed point is the cascade over
-    C with the edges from investors in D - C taken out."""
-    reach, firms = 1 << k, [k]
-    investments = net.investments
-    for v in firms:  # grows as it is walked
-        for bit, j in investments.get(v, ()):
-            if cooperate_mask & bit and defaulted >> j & 1 and not reach >> j & 1:
-                reach |= 1 << j
-                firms.append(j)
-    rest = defaulted & ~reach
-    for j in firms:
-        for bit, investor, _ in net.funding[j]:
-            if rest >> investor & 1:
-                cooperate_mask &= ~bit
-    return cascade(net, cooperate_mask, reach) | rest
 
 
 def enterprise_return(net, invest, edge):

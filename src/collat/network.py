@@ -140,11 +140,7 @@ def _solve_components(net, components, method, cyclic_solver):
     investors, and goes to `cyclic_solver`, which also returns the star
     optima: from `solve` the best-first search (`_search`, under
     `SEARCH_BUDGET`; its root bound), from the oracles the subset DP
-    (`_subset_dp`, under `EXACT_GUARD`; `_star_solution`).  An investor
-    out of range fails `validate_network` before `solvability_check`,
-    whose closure shifts a mask by each investor."""
-    if not all(0 <= e.investor < net.n for e in net.edges):
-        raise ValueError("; ".join(validate_network(net).violations))
+    (`_subset_dp`, under `EXACT_GUARD`; `_star_solution`)."""
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
@@ -284,8 +280,8 @@ def _search(net):
     tools.  Free closure: an edge whose need is 0 can be eliminated first
     at no cost, after which no need rises, so each state jumps to its
     closure under zero-need eliminations (the same set in any order):
-    `model.eliminate` with every collateral at 0, from the state and the
-    cascade of its parent, which also leaves each child edge's need.
+    `model.eliminate` with every collateral at 0, from the state, which
+    also leaves each child edge's need.
     Lower bound: h(S) sums, over the enterprises k, the least cost of
     resolving the rest of star k from S with no investor defaulting.
     Defaults only raise needs, so h never overestimates, and h(S) -
@@ -349,18 +345,18 @@ def _search(net):
     # (bound, -resolved edges, raw mask, parent closed mask, edge, need)
     queue = [(bound, 0, 0, None, -1, zero)]
     best = {0: bound}  # raw mask -> least bound pushed
-    # closed mask -> (parent, edge, cost, free edges, cascade)
-    came_from = {None: (None, -1, zero, (), None)}
+    # closed mask -> (parent, edge, cost, free edges)
+    came_from = {None: (None, -1, zero, ())}
     while True:
         bound, _, raw, parent, edge, need = heapq.heappop(queue)
         if best[raw] is not bound:
             continue
         # the free closure; the needs left at it are the children's
-        free, closed, dmask, needs = eliminate(net, zeros, raw, came_from[parent][4])
+        free, closed, _, needs = eliminate(net, zeros, raw)
         if closed in came_from:
             continue
         g = came_from[parent][2] + need
-        came_from[closed] = (parent, edge, g, free, dmask)
+        came_from[closed] = (parent, edge, g, free)
         if closed == full:
             break
         expansions += 1
@@ -381,7 +377,7 @@ def _search(net):
              len(came_from) - 1, entries)
     amounts, segments = {}, []
     while closed is not None:
-        parent, edge, g, free, _ = came_from[closed]
+        parent, edge, g, free = came_from[closed]
         amounts.update((e, zero) for e in free)
         segments.append(free)
         if edge >= 0:

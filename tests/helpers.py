@@ -12,13 +12,15 @@ sets with `optimal_partial_for_set` (the Fraction reference formula),
 which `solve_star` does not call: it prices with `model.least_collateral`
 on scaled integers.  `fraction_suffix_dp` is the star DP with every cost a
 Fraction, the reference each state of `star.suffix_dp`'s integer-pair
-costs is checked against.
+costs is checked against.  `spiked_22` is a shared network: the smallest
+cyclic component beyond the subset DP's guard.
 """
 from fractions import Fraction
 
 from collat import (
     Action,
     CollateralMatrix,
+    InvestmentNetwork,
     StarSolution,
     best_response,
     is_nash_equilibrium,
@@ -165,3 +167,10 @@ def fraction_suffix_dp(amounts, cost, rate, players):
             offer(t + a, price + least_collateral(a, total - t, cost, rate), mask)
         layer = nxt
     return layer
+
+
+def spiked_22():
+    """P <-> Q with 10 spikes each: one cyclic component of 22 edges."""
+    edges = [(0, 1, 1), (1, 0, 1)]
+    edges += [(k, 2 + 10 * k + s, 1) for k in (0, 1) for s in range(10)]
+    return InvestmentNetwork(22, edges, cost={0: 2, 1: 2}, rate={0: 2, 1: 2})

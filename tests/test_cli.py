@@ -28,7 +28,9 @@ from collat import (
 )
 from collat.cli import main
 from collat.instances import collateral_rows, dumps_document, edge_refs, loads_collaterals
+from collat.network import is_acyclic
 from collat.star import STATE_GUARD
+from helpers import spiked_22
 
 
 @pytest.fixture
@@ -741,3 +743,131 @@ class TestWrittenRowsReadBack:
         if stuck:
             assert [(ref["enterprise"], ref["investor"]) for ref in json.loads(out)["stuck_edges"]] \
                 == [names[e] for e in sorted(stuck)]
+
+
+def _tie_nets():
+    """(name, network) for each network whose reports `TestTieChoice`
+    freezes: the cycle family, the 22-edge spiked cycle, the 37-edge
+    large-alpha component and eight seeded cyclic random networks with a
+    positive optimum, every other one with its amounts and costs divided by 7."""
+    yield "cycle3", gen_cycle_family(3)
+    yield "cycle5", gen_cycle_family(5)
+    yield "spiked22", spiked_22()
+    yield "big", random_network(20, 3, seed=4, large_alpha=True)
+    found, seed = 0, 0
+    while found < 8:
+        seed += 1
+        net = random_network(5 + seed % 4, 3, seed=seed)
+        if is_acyclic(net) or not solve(net).total:  # infeasible or free
+            continue
+        name = "random%d" % seed
+        if found % 2:
+            name += "/7"
+            net = InvestmentNetwork(net.n, [(e.enterprise, e.investor, e.amount / 7)
+                                            for e in net.edges],
+                                    cost=[z / 7 for z in net.cost], rate=net.rate)
+        found += 1
+        yield name, net
+
+
+def _report_digest(path):
+    """SHA-256 of the report at `path` without its `timing_seconds`."""
+    report = json.loads(Path(path).read_text())
+    del report["timing_seconds"]
+    return hashlib.sha256((json.dumps(report, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+
+
+def _tie_digests(tmp_path):
+    """name -> the `_report_digest`s of `collat solve`, `collat verify` of
+    its report, and `collat verify` of a copy with the first positive
+    collateral halved."""
+    net_path, solved, lowered, out = (str(tmp_path / name) for name in
+                                      ("net.json", "solve.json", "lowered.json", "out.json"))
+    digests = {}
+    for name, net in _tie_nets():
+        save_network(net, net_path)
+        main(["solve", net_path, "--out-file", solved])
+        main(["verify", net_path, solved, "--out-file", out])
+        digests[name] = [_report_digest(solved), _report_digest(out)]
+        report = json.loads(Path(solved).read_text())
+        row = next(r for r in report["collaterals"] if Fraction(r["collateral"]) > 0)
+        row["collateral"] = str(Fraction(row["collateral"]) / 2)
+        Path(lowered).write_text(json.dumps(report))
+        main(["verify", net_path, lowered, "--out-file", out])
+        digests[name].append(_report_digest(out))
+    return digests
+
+
+# `_tie_digests`, frozen: a change that moves the search's tie choice on
+# purpose updates this table and says why
+TIE_DIGESTS = {
+    'cycle3': [
+        '2f13ba98b4dc166fdbc0a24f41a0f933f11b6768548c62cb5edb1b7d7c9bc513',
+        'fb86632d523d902e1264f833abfde7407cb515c130dd2a4f86b93110e408008c',
+        '80bb58188c5df4feb29622c63b5bfa0d1bafa1a49f19a2bd94d855c4279ee18f',
+    ],
+    'cycle5': [
+        '0db3e4ff6b713edd674c8174e599f545b83fe4a63d53b16f81456a2c97b92788',
+        'd724547f030841f50326016a7e5fd21180ac24ef81204034737bced5fe7a11d3',
+        '95b87f0ebdbc33d578c799194ce4fb85a131157815475b933978f8aafc150711',
+    ],
+    'spiked22': [
+        '7e48128a8ce3d00bd1023690ac41d6272e8cf011a6f29361928ca2de208c3645',
+        'edbdbd752d1a8ca0c0ac4358f3223800c06c06d94afd22bd87c0a9d8227684df',
+        'c67a0e040e6b5a5cdad81fab50289f41fe8095c94b72d8c2d436057ac928b813',
+    ],
+    'big': [
+        '7145ab3df0f0e4d3ab480f746baa207d112cc449f20f5e7da2f944d8311b914d',
+        '9b5b6bcddebcb5c1c6a08c88ed85afed4a8c8f8ae32d880088f208b922d07d2b',
+        '41384eadfcb25293fd7770a9a4c00096937ac12fbc7acf88947e0c01736abfbf',
+    ],
+    'random2': [
+        '68e3de2fa4436c45e8df03670219816133c1ac92e2ce2f83d6ea6cf2cb6d68d3',
+        '869e8ae1c3a0d44a8e42c49951fc272c0cc79f9e3f523046e5fd8c6818065156',
+        'bf96dd9f2e0a8b2b75bc141d65d30e93f9890b29532b75a30fd80f29fe093717',
+    ],
+    'random4/7': [
+        '8d1a1809daec508b74517f64ef2b198d821d3d6cbd734b4841c2d114b3c833b6',
+        '930121f2f8b63ca29bc586ef71c0b8d1a00830c401b68446bd21ac6fec349a28',
+        'ba482824daf69a6a0d70d814b7fd15be849943c6324ab5aa62e56cc57b7cde8c',
+    ],
+    'random6': [
+        'a26fcc99678c8b30d8f4a98124370fe821b696f15dc2c533c383e4d64faea732',
+        '3c88b1cc5a21f5c908feb0154225f5bc56b4a3fc569f1401dd32fbd31d87220b',
+        'ce3f2247d7c65f8745c493b99489d36b7c024241e2de7c5d4b16ce05009f86f9',
+    ],
+    'random7/7': [
+        '6d5a40f2a2f080a7e2be9618e337915a2ec691101d2a4b210193166cb6968d2a',
+        '7d30d102a287ab9cf6f7872f50da8770e63b6919373d82cc48bc4c8d384c8bc1',
+        'f32b88c8411c244feef48abcdcc1d6cd1c4557d6d48d617cb703d92485f2cc10',
+    ],
+    'random8': [
+        'ab77955cccf7090c2a1a44c393a7082f58d8d476592bc672d095f97ea49e6f4e',
+        'f4b41a80c8d8506f84effc98f5b30b7857eeff323a5b6170975defcccbe2b920',
+        '74c930b120b06fcc2a3337d75f6132afb38e1501a34124c34e555ff61e6215e8',
+    ],
+    'random17/7': [
+        '38ffc05cd925a9f2e79d21650b50a5d9ac9c2a26b6e4f2a37f796519647af828',
+        'eb9a52c4a6cac6fa1802408d070e715573a78cc9c0788f0cc09986c3946b37f7',
+        '778094aba17241687f01955d0cc90450f7465edf1984180fc6e4c5258a1fef0c',
+    ],
+    'random19': [
+        '1ea19d0d5b14bdced68e2c86e0506187326b00e164bc1854cbb9a54b8655a24c',
+        '79e772acf1682ee75154546c74c87354008ec533fef38b0a0ecc519bc4c16ed1',
+        'bcddbd8ff63beaaaa501a640d1a5a0ac4db474b74991f59c960ac6ebad65b95d',
+    ],
+    'random23/7': [
+        'b00cf872f4fe54467a6a9f2616dfbb2f80dd9dd13d1ba782e2277749d041baef',
+        'd74dd047f9e613a962eda930035aeb356fdf8a79dc9cf6c6d1133eaf2687256a',
+        'c97b183b25098b59f4407f77ea938af54c8ebc7d335f9335bbabeced57e5d75e',
+    ],
+}
+
+
+class TestTieChoice:
+    """The catalog freezes a solve's status, total and NEC; this freezes
+    which optimal matrix and elimination order `collat solve` returns among
+    the optimal ones, and what `collat verify` reports on it."""
+
+    def test_reports_match_the_frozen_digests(self, tmp_path):
+        assert _tie_digests(tmp_path) == TIE_DIGESTS

@@ -1,6 +1,8 @@
 """The package imports no private name from outside itself: a name with a
 leading "_" in the standard library may differ or vanish between the
-Python versions CI runs (3.10-3.13)."""
+Python versions CI runs (3.10-3.13).  And no module but `__init__` (whose
+imports are the package's re-exports) imports a name it never uses: a
+deletion leaves no name behind that only a test still patches."""
 import ast
 from pathlib import Path
 
@@ -50,4 +52,40 @@ def test_no_module_imports_a_private_name_from_outside():
     found = ["%s:%d: %s" % (path.relative_to(PACKAGE), line, name)
              for path in modules
              for line, name in private_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def unused_imports(source):
+    """(line, name) of each name `source` binds by an import and never
+    reads (no `ast.Name` of it); `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .model import cascade, eliminate\neliminate()", [(1, "cascade")]),
+    ("import os.path\nos.path.join()", []),
+    ("import json\nimport re as regex\njson.dumps(regex)", []),
+    ("from fractions import Fraction as F\nx = 1", [(1, "F")]),
+    ("from __future__ import annotations", []),
+    ("from typing import List\ndef f(x: List): pass", []),
+])
+def test_the_check_finds_unused_names(source, expected):
+    assert unused_imports(source) == expected
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
+    assert modules
+    found = ["%s:%d: %s" % (path.relative_to(PACKAGE), line, name)
+             for path in modules
+             for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []

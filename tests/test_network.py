@@ -37,7 +37,12 @@ from collat import star as star_module
 from collat.model import cascade, eliminate
 from collat.network import is_acyclic
 from collat.star import STATE_GUARD
-from helpers import assert_minimal, assert_valid_elimination_order, least_zero_full_total
+from helpers import (
+    assert_minimal,
+    assert_valid_elimination_order,
+    least_zero_full_total,
+    spiked_22,
+)
 
 
 @pytest.fixture
@@ -362,15 +367,8 @@ class TestDispatcher:
         with pytest.raises(TooLargeError, match="^enterprise hub: star with %d players" % d):
             solve(net)
 
-    @staticmethod
-    def _spiked_22():
-        # P <-> Q with 10 spikes each: one cyclic component of 22 edges
-        edges = [(0, 1, 1), (1, 0, 1)]
-        edges += [(k, 2 + 10 * k + s, 1) for k in (0, 1) for s in range(10)]
-        return InvestmentNetwork(22, edges, cost={0: 2, 1: 2}, rate={0: 2, 1: 2})
-
     def test_search_solves_the_22_edge_spiked_component(self):
-        net = self._spiked_22()
+        net = spiked_22()
         sol = solve(net)
         assert sol.status is Status.SOLVED
         assert is_viable(net, sol.collaterals)
@@ -381,7 +379,7 @@ class TestDispatcher:
         monkeypatch.setattr(network, "SEARCH_BUDGET", 3)
         started = time.perf_counter()
         with pytest.raises(TooLargeError) as err:
-            solve(self._spiked_22())
+            solve(spiked_22())
         assert time.perf_counter() - started < 1
         assert re.match(
             r"search budget is 3 expansions plus bound entries; enterprises \{0, 1\} "
@@ -621,10 +619,9 @@ class TestInvalidNetworks:
     @pytest.mark.parametrize("edges, ids, message", [
         ([(0, 1, 2), (0, 2, 2), (0, 0, 1)], None, "edge 2: self-edge at vertex 0"),
         ([(0, 1, 2), (0, 2, 2), (0, 1, 2)], None, "duplicate edge (0, 1)"),
-        ([(0, 1, 2), (0, 3, 2)], None, "edge 1: endpoint out of range"),
         ([(0, 1, 2), (0, 2, 2)], [0, 1, "1"],
          "vertices 1 and 2: ids 1 and '1' are equal as strings"),
-    ], ids=["self-edge", "duplicate-edge", "investor-out-of-range", "ids-equal-as-strings"])
+    ], ids=["self-edge", "duplicate-edge", "ids-equal-as-strings"])
     def test_a_solver_raises_the_violation(self, solver, edges, ids, message):
         net = InvestmentNetwork(3, edges, cost={0: 1}, rate={0: 2}, ids=ids)
         assert solvability_check(net).solvable and is_large_alpha(net)
@@ -633,15 +630,6 @@ class TestInvalidNetworks:
             # a self-edge is a cycle, and solve_dag checks for one first
             message = "network contains a directed cycle"
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            solver(net)
-
-    @pytest.mark.parametrize("solver", [solve, solve_exact, solve_dag, solve_large_alpha])
-    def test_a_negative_investor_is_rejected_before_the_gate(self, solver):
-        # the solvability closure shifts a mask by each investor, where a
-        # negative id would raise "negative shift count", naming no rule
-        net = InvestmentNetwork(3, [(0, 1, 2), (0, -1, 2)], cost={0: 1}, rate={0: 2})
-        assert validate_network(net).violations == ["edge 1: endpoint out of range"]
-        with pytest.raises(ValueError, match="^edge 1: endpoint out of range$"):
             solver(net)
 
 
