@@ -494,8 +494,8 @@ def gen_fvs_gadget(graph_edges):
     cycle); surviving edges get unit weight; every surviving vertex gets two
     spike investors of weights 1 and k, with k = 1 + the input graph's
     maximum out-degree, Z = k+1 and alpha = 2k.  A DAG input yields the
-    empty network.  A self-loop or a repeated arc raises ValueError: the
-    network would have a self-edge or a duplicate edge.
+    empty network.  A self-loop, a repeated arc or a graph vertex named as
+    a spike raises ValueError: `collat check` would reject the network.
     """
     graph_edges = [(str(u), str(v)) for u, v in graph_edges]
     for pos, (u, v) in enumerate(graph_edges):
@@ -525,7 +525,10 @@ def gen_fvs_gadget(graph_edges):
     n = len(ids)
     for v in list(ids):
         for weight, suffix in ((1, "s1"), (k, "sk")):
-            ids.append("%s_%s" % (v, suffix))
+            spike = "%s_%s" % (v, suffix)
+            if spike in surviving:
+                raise ValueError("graph vertex %s is also the name of a spike of %s" % (spike, v))
+            ids.append(spike)
             net_edges.append((index[v], n, weight))
             n += 1
         cost[index[v]] = k + 1

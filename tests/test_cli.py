@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -22,6 +23,7 @@ from collat import (
     gen_cycle_family,
     iterated_elimination,
     load_network,
+    parse_document,
     random_network,
     save_network,
     solve,
@@ -112,9 +114,10 @@ class TestCheck:
         assert report["witness"]["shortfalls"] == {"P": "1", "Q": "1"}
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
-        assert code == 1
-        assert "error" in err
+        for command in ("check", "solve"):
+            code, out, err = run(capsys, command, str(tmp_path / "nope.json"))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -308,17 +311,22 @@ class TestVerify:
             assert code == 0
             assert json.loads(out)["minimal"] is minimal
 
-    @pytest.mark.parametrize("collaterals, path", [
-        ([{"enterprise": "A", "investor": "a1"}], "$.collaterals[0]"),
-        ({"A": "1"}, "$.collaterals"),
-        ([{"enterprise": "A", "investor": "a1", "collateral": "0"},
-          {"enterprise": "A", "investor": "a2", "collateral": "-1"}], "$.collaterals[1].collateral"),
-        ([{"enterprise": "A", "investor": "a1", "collateral": "1"},
-          {"enterprise": "A", "investor": "a1", "collateral": "0"}], "$.collaterals[1]"),
-    ], ids=["missing-collateral", "not-a-list", "negative", "duplicate-edge"])
-    def test_malformed_collaterals_rejected(self, capsys, cycle_path, tmp_path, collaterals, path):
+    @pytest.mark.parametrize("doc, path", [
+        ({"collaterals": [{"enterprise": "A", "investor": "a1"}]}, "$.collaterals[0]"),
+        ({"collaterals": {"A": "1"}}, "$.collaterals"),
+        ({"collaterals": [{"enterprise": "A", "investor": "a1", "collateral": "0"},
+                          {"enterprise": "A", "investor": "a2", "collateral": "-1"}]},
+         "$.collaterals[1].collateral"),
+        ({"collaterals": [{"enterprise": "A", "investor": "a1", "collateral": "1"},
+                          {"enterprise": "A", "investor": "a1", "collateral": "0"}]},
+         "$.collaterals[1]"),
+        ({"rows": []}, "$"),
+        ([], "$"),
+    ], ids=["missing-collateral", "not-a-list", "negative", "duplicate-edge",
+            "no-collaterals-key", "not-an-object"])
+    def test_malformed_collaterals_rejected(self, capsys, cycle_path, tmp_path, doc, path):
         c_path = tmp_path / "bad.json"
-        c_path.write_text(json.dumps({"collaterals": collaterals}))
+        c_path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", cycle_path, str(c_path))
         assert code == 1
         assert out == ""
@@ -356,6 +364,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", cycle_path, str(report_path))
         assert (code, json.loads(out)["minimal"]) == (0, True)
         assert len(calls) == 1 + positive
+
+    def test_collateral_above_its_amount_is_read_as_the_amount(self, capsys, cycle_path, tmp_path):
+        solved = tmp_path / "sol.json"
+        assert main(["solve", cycle_path, "--out-file", str(solved)]) == 0
+        report = json.loads(solved.read_text())
+        row = report["collaterals"][0]
+        reports = []
+        for times in (1, 10):
+            row["collateral"] = str(times * Fraction(row["amount"]))
+            solved.write_text(json.dumps(report))
+            code, out, _ = run(capsys, "verify", cycle_path, str(solved))
+            assert code == 0
+            reports.append(json.loads(out))
+            del reports[-1]["timing_seconds"]
+        assert reports[0] == reports[1]
+        net = load_network(cycle_path)
+        assert loads_collaterals(net, solved.read_bytes()).amounts[0] is net.edges[0].amount
 
     def test_collateral_on_non_edge_rejected(self, capsys, cycle_path, tmp_path):
         c_path = tmp_path / "bad.json"
@@ -412,6 +437,7 @@ class TestGen:
         # documents `collat check` would reject, or a bare randrange error
         (["fvs", "--edges", "a-a,a-b,b-a"], "a-a is a self-loop"),
         (["fvs", "--edges", "a-b,a-b,b-a"], "a-b is repeated"),
+        (["fvs", "--edges", "a-a_s1,a_s1-a"], "graph vertex a_s1 "),
         (["random", "--n", "4", "--d", "2", "--weights", "0,3", "--seed", "1"], "weight_range"),
         (["random", "--n", "4", "--d", "2", "--weights", "0,3", "--seed", "3"], "weight_range"),
         (["random", "--n", "4", "--d", "-1"], "max_out_degree"),
@@ -425,6 +451,7 @@ class TestGen:
         (["knapsack", "--xs", "3,2", "--t", "-1"], "t must be >= 0, got -1"),
         (["knapsack", "--xs", "0,2", "--t", "1"], "xs[0] = 0 must be positive"),
     ], ids=["cycle", "knapsack", "random", "fvs", "fvs-self-loop", "fvs-repeated-arc",
+            "fvs-spike-name",
             "random-zero-weight", "random-zero-weight-no-cost", "random-negative-degree",
             "random-one-weight", "random-three-weights", "random-non-integer-weights",
             "knapsack-empty-item", "random-negative-n", "knapsack-negative-t",
@@ -457,6 +484,15 @@ class TestParser:
             main(["--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: collat")
+
+    def test_console_script_is_main(self):
+        # the `collat` script an install writes calls this entry point
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"collat": "collat.cli:main"}
+        module, _, name = scripts["collat"].partition(":")
+        assert getattr(importlib.import_module(module), name) is main
 
     def test_second_call_builds_no_parser(self, capsys, monkeypatch):
         run(capsys, "gen", "cycle", "--k", "2")
@@ -678,6 +714,16 @@ class TestUnreportable:
         assert (code, out) == (1, "")
         assert err == "error: $: enterprise 0: unprofitable (its terms are too long to write)\n"
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_exponent_beyond_the_digit_bound(self, capsys, tmp_path, to_file):
+        # 1e5000 has 5,001 digits
+        doc = _two_stars("1", "1")
+        doc["edges"][0]["amount"] = "1e5000"
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(doc))
+        self._one_line_error(capsys, tmp_path, ["solve", str(net_path)], to_file,
+                             "$.edges[0].amount: rational has more than 4300 digits")
+
     def test_exponent_is_rejected_before_its_power_is_built(self, tmp_path):
         # Fraction("1e100000000") builds a 100-million-digit integer
         doc = _two_stars("1", "1")
@@ -745,15 +791,55 @@ class TestWrittenRowsReadBack:
                 == [names[e] for e in sorted(stuck)]
 
 
+def _document(enterprises, investors, edges):
+    """The network of a document with enterprises (id, z, alpha), then
+    plain investors, and edges (enterprise, investor, amount)."""
+    return parse_document({
+        "version": 1,
+        "vertices": ([{"id": v, "z": z, "alpha": a} for v, z, a in enterprises]
+                     + [{"id": v} for v in investors]),
+        "edges": [{"enterprise": k, "investor": i, "amount": x} for k, i, x in edges],
+    })
+
+
+def _divided_by_7(net):
+    """`net` with its amounts and costs divided by 7: its values are "p/q"."""
+    return InvestmentNetwork(net.n, [(e.enterprise, e.investor, e.amount / 7) for e in net.edges],
+                             cost=[z / 7 for z in net.cost], rate=net.rate)
+
+
 def _tie_nets():
     """(name, network) for each network whose reports `TestTieChoice`
     freezes: the cycle family, the 22-edge spiked cycle, the 37-edge
-    large-alpha component and eight seeded cyclic random networks with a
-    positive optimum, every other one with its amounts and costs divided by 7."""
+    large-alpha component and the same divided by 7, two wide acyclic
+    networks, two hand-written ones and eight seeded cyclic random networks
+    with a positive optimum, every other one divided by 7.
+
+    wide (113 edges) and deep (108 edges, a 14-player star with partial
+    collaterals) are acyclic, so `collat verify` runs star by star.
+    escaped holds a 2-cycle and ids that every report string must escape:
+    a quote, a backslash, non-ASCII letters, a tab, }{][,: and an integer.
+    mixed is a 2-cycle A <-> B between stars D and E, where D invests in E
+    and E in A, and a star U that A invests in, with "p/q" amounts."""
     yield "cycle3", gen_cycle_family(3)
     yield "cycle5", gen_cycle_family(5)
     yield "spiked22", spiked_22()
-    yield "big", random_network(20, 3, seed=4, large_alpha=True)
+    big = random_network(20, 3, seed=4, large_alpha=True)
+    yield "big", big
+    yield "big7", _divided_by_7(big)
+    yield "wide", random_network(40, 6, acyclic=True, seed=4)
+    yield "deep", random_network(20, 14, acyclic=True, seed=5)
+    q, b, t = 'say "hi"', "back\\slash é", "tab\there }{][,:"
+    yield "escaped", _document(
+        [(q, "2", "2"), (b, "2", "2"), (t, "3", "2")], [7, "ñ", "x"],
+        [(q, b, "1"), (q, 7, "2"), (b, q, "1"), (b, "ñ", "2"), (t, 7, "2"), (t, "x", "3")])
+    yield "mixed", _document(
+        [("A", "3", "3"), ("B", "2", "2"), ("D", "3", "7/2"), ("E", "5/2", "5"),
+         ("U", "5/2", "2")],
+        ["a", "b", "d1", "d2", "e", "u1", "u2"],
+        [("D", "d1", "3/2"), ("D", "d2", "5/2"), ("E", "D", "1"), ("E", "e", "2"),
+         ("A", "B", "1"), ("B", "A", "1"), ("A", "a", "2"), ("B", "b", "2"),
+         ("A", "E", "3/2"), ("U", "A", "1"), ("U", "u1", "3"), ("U", "u2", "1/2")])
     found, seed = 0, 0
     while found < 8:
         seed += 1
@@ -763,38 +849,79 @@ def _tie_nets():
         name = "random%d" % seed
         if found % 2:
             name += "/7"
-            net = InvestmentNetwork(net.n, [(e.enterprise, e.investor, e.amount / 7)
-                                            for e in net.edges],
-                                    cost=[z / 7 for z in net.cost], rate=net.rate)
+            net = _divided_by_7(net)
         found += 1
         yield name, net
 
 
-def _report_digest(path):
-    """SHA-256 of the report at `path` without its `timing_seconds`."""
-    report = json.loads(Path(path).read_text())
+def _written(path):
+    """The JSON at `path`, which must have the bytes of
+    `json.dumps(indent=2, sort_keys=True)` and a final newline."""
+    text = Path(path).read_text()
+    assert text == _stdlib_text(path), path
+    return json.loads(text)
+
+
+def _report_digest(report):
+    """SHA-256 of `report` without its `timing_seconds`."""
+    report = dict(report)
     del report["timing_seconds"]
     return hashlib.sha256((json.dumps(report, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
 
 
+def _edit(solved, edited, pick, change):
+    """Write to `edited` solve's report at `solved` with its first row whose
+    (collateral, amount) `pick` accepts set to `change` of them."""
+    report = json.loads(Path(solved).read_text())
+    row = next(r for r in report["collaterals"]
+               if pick(Fraction(r["collateral"]), Fraction(r["amount"])))
+    row["collateral"] = str(change(Fraction(row["collateral"]), Fraction(row["amount"])))
+    Path(edited).write_text(json.dumps(report))
+
+
 def _tie_digests(tmp_path):
     """name -> the `_report_digest`s of `collat solve`, `collat verify` of
-    its report, and `collat verify` of a copy with the first positive
-    collateral halved."""
-    net_path, solved, lowered, out = (str(tmp_path / name) for name in
-                                      ("net.json", "solve.json", "lowered.json", "out.json"))
-    digests = {}
+    its report, `collat verify` of a copy with the first positive
+    collateral halved, and of a copy with the first collateral below its
+    amount raised halfway towards it.
+
+    Each run's exit code, verdict and bytes are checked on the way: the
+    report is viable and minimal; the halved copy is not viable, and its
+    stuck edges are those `model.eliminate` leaves from the empty set; the
+    raised copy is viable but not minimal.  Dividing big's amounts and
+    costs by 7 divides its total by 7 and keeps its NEC."""
+    net_path, solved, edited, out = (str(tmp_path / name) for name in
+                                     ("net.json", "solve.json", "edited.json", "out.json"))
+    digests, totals, stuck = {}, {}, {}
     for name, net in _tie_nets():
         save_network(net, net_path)
-        main(["solve", net_path, "--out-file", solved])
-        main(["verify", net_path, solved, "--out-file", out])
-        digests[name] = [_report_digest(solved), _report_digest(out)]
-        report = json.loads(Path(solved).read_text())
-        row = next(r for r in report["collaterals"] if Fraction(r["collateral"]) > 0)
-        row["collateral"] = str(Fraction(row["collateral"]) / 2)
-        Path(lowered).write_text(json.dumps(report))
-        main(["verify", net_path, lowered, "--out-file", out])
-        digests[name].append(_report_digest(out))
+        _written(net_path)
+        assert main(["solve", net_path, "--out-file", solved]) == 0
+        report = _written(solved)
+        totals[name] = Fraction(report["total"]), report["nec"]
+        assert main(["verify", net_path, solved, "--out-file", out]) == 0
+        verdict = _written(out)
+        assert (verdict["status"], verdict["minimal"]) == ("viable", True)
+        digests[name] = [_report_digest(report), _report_digest(verdict)]
+
+        _edit(solved, edited, lambda c, x: c > 0, lambda c, x: c / 2)
+        assert main(["verify", net_path, edited, "--out-file", out]) == 2
+        verdict = _written(out)
+        assert verdict["status"] == "not-viable"
+        c = loads_collaterals(net, Path(edited).read_bytes())
+        refs = edge_refs(net)
+        stuck[name] = [refs[e] for e in sorted(collat.model.eliminate(net, c)[3])]
+        assert verdict["stuck_edges"] == stuck[name]
+        digests[name].append(_report_digest(verdict))
+
+        _edit(solved, edited, lambda c, x: c < x, lambda c, x: (c + x) / 2)
+        assert main(["verify", net_path, edited, "--out-file", out]) == 0
+        verdict = _written(out)
+        assert (verdict["status"], verdict["minimal"]) == ("viable", False)
+        digests[name].append(_report_digest(verdict))
+    assert len(stuck["mixed"]) > 2
+    (big, nec), (big7, nec7) = totals["big"], totals["big7"]
+    assert (big7, nec7) == (big / 7, nec)
     return digests
 
 
@@ -805,61 +932,103 @@ TIE_DIGESTS = {
         '2f13ba98b4dc166fdbc0a24f41a0f933f11b6768548c62cb5edb1b7d7c9bc513',
         'fb86632d523d902e1264f833abfde7407cb515c130dd2a4f86b93110e408008c',
         '80bb58188c5df4feb29622c63b5bfa0d1bafa1a49f19a2bd94d855c4279ee18f',
+        'ad99d89ff32b71d0110cc350554578ea1d9184c5a7044fc53913b6bb2a64a571',
     ],
     'cycle5': [
         '0db3e4ff6b713edd674c8174e599f545b83fe4a63d53b16f81456a2c97b92788',
         'd724547f030841f50326016a7e5fd21180ac24ef81204034737bced5fe7a11d3',
         '95b87f0ebdbc33d578c799194ce4fb85a131157815475b933978f8aafc150711',
+        'd09de49bcbac0f2c65da2f464de2e5d26db7d4a7ca23c586c23a929036bb751c',
     ],
     'spiked22': [
         '7e48128a8ce3d00bd1023690ac41d6272e8cf011a6f29361928ca2de208c3645',
         'edbdbd752d1a8ca0c0ac4358f3223800c06c06d94afd22bd87c0a9d8227684df',
         'c67a0e040e6b5a5cdad81fab50289f41fe8095c94b72d8c2d436057ac928b813',
+        'bcaf282db9abeee0718cfbc9c806aa5c1da39f1bfea0e4d89696446589939d7c',
     ],
     'big': [
         '7145ab3df0f0e4d3ab480f746baa207d112cc449f20f5e7da2f944d8311b914d',
         '9b5b6bcddebcb5c1c6a08c88ed85afed4a8c8f8ae32d880088f208b922d07d2b',
         '41384eadfcb25293fd7770a9a4c00096937ac12fbc7acf88947e0c01736abfbf',
+        'cc54f934bf927d8a487ca12136ba3bc76fec60f29898290e7e7e1ee5249f1b50',
+    ],
+    'big7': [
+        '8e4d23d3906ad6abda862866bc3b5837c2582977b5387a5364c509570efce8fb',
+        '319f9a9d5bdf4a8659243630456d44cf998cb9c30503e46a1508258abc081ca9',
+        'fe11717c470c2eb363014a753f1ba0dad9111b1887388d4cd4f9b454eead2e2b',
+        '100c8b27d9f190c331accfeaeb4790d10d327424d8f0d810cfefbf32d025e1b1',
+    ],
+    'wide': [
+        '399259d8c3010f157336f9b27d8e87aa7fa79b5a0ef066b7eaff3ddb62835dc7',
+        'e1abe6299c31cd6c1703118e8a7a7da18777d9aca7e7f9c6137feb5046b9a214',
+        'd9c14e930707a2bdb275982b5bfb182372c014e3079dbd0e9a0d3239f62a289f',
+        '75457bdbe2c825d7fe04b62096b910017c9451557f696c0303fd8da417569764',
+    ],
+    'deep': [
+        '5b1a04154bff46c254ac1e32e09d7e4d856047bd50d1fd6abda1bdd8571dcf2b',
+        'ec1c1b037905de767b17ad35bf3174964834c3285a30c18a131ba89e57f0c2da',
+        'fb1ac422d51179e162b328ef06a6ff0277889958c52a23207d24afda22f25244',
+        'e21e82fb6608e62795bd27b10b4f9560c268f8e742b6bd01a130cc9db70b45f8',
+    ],
+    'escaped': [
+        '2f8ee90cc1091e559dcfb04e79ad06ba4ee3b5c8616a1a13bca3f74be5d49f3f',
+        '99f42ce40ec7085bb796c2dfe37d5345ec2c3b1cf6da9c5588ca22781ca3688d',
+        'aa70b9b2083dc1dfcde19127111ba38117284974e04b86d68de80ac9cb58283f',
+        '216f6e0062f7ad80f4437f4f286242047009b743874f92003b0356505387afe4',
+    ],
+    'mixed': [
+        '4393cdd64ae615f0c66a6a64167d340e2f2fe0f0d00f683ee99cee638f516048',
+        'dc0e4b87dc19f89b795e1f58d9bcec1874cb76905afe2612079fdd886ca419e0',
+        '0a71c90e2d91626058c6745f83c204659817e1ead8efc49cf38b45599e38725f',
+        'd0ce2308e242184167c1b09b2ff7d5ece4312c5989ddb54f116c83e3b521e1c8',
     ],
     'random2': [
         '68e3de2fa4436c45e8df03670219816133c1ac92e2ce2f83d6ea6cf2cb6d68d3',
         '869e8ae1c3a0d44a8e42c49951fc272c0cc79f9e3f523046e5fd8c6818065156',
         'bf96dd9f2e0a8b2b75bc141d65d30e93f9890b29532b75a30fd80f29fe093717',
+        '58648281e8768d44ed5be46084f04954b9e3cd8fade70c34393f1728c737a62c',
     ],
     'random4/7': [
         '8d1a1809daec508b74517f64ef2b198d821d3d6cbd734b4841c2d114b3c833b6',
         '930121f2f8b63ca29bc586ef71c0b8d1a00830c401b68446bd21ac6fec349a28',
         'ba482824daf69a6a0d70d814b7fd15be849943c6324ab5aa62e56cc57b7cde8c',
+        'e5b6249b12e510ebe84f7b69435e186594ad61ee507e8f51f18494d878695822',
     ],
     'random6': [
         'a26fcc99678c8b30d8f4a98124370fe821b696f15dc2c533c383e4d64faea732',
         '3c88b1cc5a21f5c908feb0154225f5bc56b4a3fc569f1401dd32fbd31d87220b',
         'ce3f2247d7c65f8745c493b99489d36b7c024241e2de7c5d4b16ce05009f86f9',
+        'f6667a5cfd58d01fa42b994310e38bde7f288efb78a1912b428412979c630f60',
     ],
     'random7/7': [
         '6d5a40f2a2f080a7e2be9618e337915a2ec691101d2a4b210193166cb6968d2a',
         '7d30d102a287ab9cf6f7872f50da8770e63b6919373d82cc48bc4c8d384c8bc1',
         'f32b88c8411c244feef48abcdcc1d6cd1c4557d6d48d617cb703d92485f2cc10',
+        '37e3cee4922cfba2ad92c5e6da8d2854af7fc48897e824fac29728a6f81ae59c',
     ],
     'random8': [
         'ab77955cccf7090c2a1a44c393a7082f58d8d476592bc672d095f97ea49e6f4e',
         'f4b41a80c8d8506f84effc98f5b30b7857eeff323a5b6170975defcccbe2b920',
         '74c930b120b06fcc2a3337d75f6132afb38e1501a34124c34e555ff61e6215e8',
+        '4ed5c5bdec11c1c27b0fae9996fb744913b529d28cf3b1b06b3d87b1ac1f6282',
     ],
     'random17/7': [
         '38ffc05cd925a9f2e79d21650b50a5d9ac9c2a26b6e4f2a37f796519647af828',
         'eb9a52c4a6cac6fa1802408d070e715573a78cc9c0788f0cc09986c3946b37f7',
         '778094aba17241687f01955d0cc90450f7465edf1984180fc6e4c5258a1fef0c',
+        'a86db4d34e940a0781bde4a6f6d937a5f022ad8df3fd93c1e63cd1be0a7ed0f1',
     ],
     'random19': [
         '1ea19d0d5b14bdced68e2c86e0506187326b00e164bc1854cbb9a54b8655a24c',
         '79e772acf1682ee75154546c74c87354008ec533fef38b0a0ecc519bc4c16ed1',
         'bcddbd8ff63beaaaa501a640d1a5a0ac4db474b74991f59c960ac6ebad65b95d',
+        '062d9c84ad1546047ec0222cc56566c256155360c96dff0fedec07c2673c5191',
     ],
     'random23/7': [
         'b00cf872f4fe54467a6a9f2616dfbb2f80dd9dd13d1ba782e2277749d041baef',
         'd74dd047f9e613a962eda930035aeb356fdf8a79dc9cf6c6d1133eaf2687256a',
         'c97b183b25098b59f4407f77ea938af54c8ebc7d335f9335bbabeced57e5d75e',
+        '78dc7adead9fd1b69572a4089380d19af70b6c6b790774196034e489a13d8607',
     ],
 }
 
@@ -867,7 +1036,8 @@ TIE_DIGESTS = {
 class TestTieChoice:
     """The catalog freezes a solve's status, total and NEC; this freezes
     which optimal matrix and elimination order `collat solve` returns among
-    the optimal ones, and what `collat verify` reports on it."""
+    the optimal ones, and what `collat verify` reports on it and on two
+    edited copies, one not viable and one not minimal."""
 
     def test_reports_match_the_frozen_digests(self, tmp_path):
         assert _tie_digests(tmp_path) == TIE_DIGESTS

@@ -315,6 +315,13 @@ class TestFvsGadget:
         assert solve(net).total == 10
         assert sorted(solve(net).star_totals.values()) == [2, 2, 3, 3]
 
+    def test_a_vertex_named_as_a_spike_is_rejected(self):
+        # a's first spike would share its id with the graph vertex a_s1
+        with pytest.raises(ValueError, match="graph vertex a_s1 "):
+            gen_fvs_gadget([("a", "a_s1"), ("a_s1", "a")])
+        # a stripped vertex is not in the network, so its name is free
+        assert validate_network(gen_fvs_gadget([("a", "b"), ("b", "a"), ("a", "a_s1")])).ok
+
 
 class TestKnapsack:
     def test_reduction_star_shape(self):
