@@ -17,16 +17,14 @@ from collat import (
     solve,
 )
 
-workdir = Path(tempfile.mkdtemp())
-path = workdir / "cycle3.json"
-
 net = gen_cycle_family(3)
-save_network(net, path, meta={"family": "cycle", "k": 3})
-print("wrote", path)
-print(path.read_text()[:260], "...")
-print()
-
-again = load_network(path)
+with tempfile.TemporaryDirectory() as workdir:  # removed with its file on exit
+    path = Path(workdir) / "cycle3.json"
+    save_network(net, path, meta={"family": "cycle", "k": 3})
+    print("wrote", path)
+    print(path.read_text()[:260], "...")
+    print()
+    again = load_network(path)
 assert again.edges == net.edges
 
 sol = solve(again)

@@ -147,7 +147,7 @@ def _minimal_along(net, c, order):
     That start is exact too.  Write A for k's funding ancestry (k, its
     investors, theirs, ...; i's lies inside it).
     - e's need reads the edges into k and the solvency of k's investors
-      and of i (`model.edge_need`), and a vertex's solvency reads the edges
+      and of i (`model.need_pair`), and a vertex's solvency reads the edges
       into it and its investors' solvency: so e's need, and whether an edge
       into A resolves, reads only the edges into A.
     - A vertex u of A outside k's component has an ancestry without k
@@ -156,7 +156,7 @@ def _minimal_along(net, c, order):
       final set R of the run at 0 from the empty set.
     The prefix lies in R too and the closure is monotone, so the run
     reaches the same needs[e] without checking the edges it starts
-    resolved.
+    resolved (a pair on the scale, compared with c_e on integers).
     """
     amounts = c.amounts
     rows = {}  # acyclic enterprise -> its edges in `order`
@@ -184,7 +184,8 @@ def _minimal_along(net, c, order):
         mask = relevant.get(net.edges[e].enterprise)
         if mask is not None and amounts[e]:
             lowered = amounts[:e] + (0,) + amounts[e + 1:]
-            if eliminate(net, lowered, prefix | settled & ~mask)[3].get(e, 0) != amounts[e]:
+            need, ce = eliminate(net, lowered, prefix | settled & ~mask)[3].get(e), amounts[e]
+            if need is None or need[0] * ce.denominator != ce.numerator * need[1] * net.scale:
                 return False
         prefix |= 1 << e
     return True

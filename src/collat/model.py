@@ -19,9 +19,10 @@ numerators over their least common denominator, one Fraction per sum
 edges and vertices, on the scaled integers.  On them
 `least_collateral_pair` is the solver's one least-collateral formula, as
 an integer pair (`least_collateral` its value; `star._minimal_amount` the
-Fraction reference), and `edge_need`, on top of the cascade, the least
-collateral that makes an edge invest.  `eliminate` is the one elimination
-loop on top of both, and holds the tie rule (resolve iff solvent and c_e >=
+Fraction reference), and `need_pair`, on top of the cascade, that pair
+for the least collateral that makes an edge invest (`edge_need` its
+Fraction, `need_value`).  `eliminate` is the one elimination loop on top
+of both, on pairs, and holds the tie rule (resolve iff solvent and c_e >=
 need): IESDS on cyclic components and what is upstream of them (a star
 that reaches none closes on its own row, `star.close_star`), `collat
 verify`'s minimality test on cyclic components and the search's free
@@ -383,17 +384,14 @@ def least_collateral(a, raised, cost, rate):
     return num if den == 1 else Fraction(num, den)
 
 
-def edge_need(net, cooperate_mask, defaulted_mask, edge):
+def need_pair(net, cooperate_mask, defaulted_mask, edge):
     """Least collateral that makes `edge`'s player weakly prefer investing,
     with the edges of `cooperate_mask` (which holds `edge`) cooperating and
-    `defaulted_mask = cascade(net, cooperate_mask)`.
-
-    None if the investor defaults (the edge then pays 0 < x whatever the
-    collateral), else `least_collateral_pair` on the scaled integers, with
-    P the enterprise's capital from its surviving cooperating investors (x
-    if the enterprise defaults: then P < Z).  Only the result is a
-    Fraction, built once.
-    """
+    `defaulted_mask = cascade(net, cooperate_mask)`: None if the investor
+    defaults (the edge then pays 0 < x whatever the collateral), else
+    `least_collateral_pair` on the scaled table, (num, den) for the need
+    num / (den * scale), with P the enterprise's capital from its surviving
+    cooperating investors (x if the enterprise defaults: then P < Z)."""
     e = net.edges[edge]
     if defaulted_mask >> e.investor & 1:
         return None
@@ -402,11 +400,24 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
     for bit, investor, amount in net.funding[k]:
         if cooperate_mask & bit and not defaulted_mask >> investor & 1:
             raised += amount
-    num, den = least_collateral_pair(net.scaled_amounts[edge], raised, net.scaled_costs[k],
-                                     net.rate[k])
-    if den == 1:  # nothing or the whole amount
-        return e.amount if num else ZERO
+    return least_collateral_pair(net.scaled_amounts[edge], raised, net.scaled_costs[k],
+                                 net.rate[k])
+
+
+def need_value(net, edge, pair):
+    """A `need_pair` of `edge` as a Fraction (None stays None): `ZERO` or
+    the edge's own `amount` if 0 or full, else one Fraction."""
+    if pair is None:
+        return None
+    num, den = pair
+    if den == 1:
+        return net.edges[edge].amount if num else ZERO
     return Fraction(num, den * net.scale)
+
+
+def edge_need(net, cooperate_mask, defaulted_mask, edge):
+    """`need_pair` as a Fraction (`need_value`)."""
+    return need_value(net, edge, need_pair(net, cooperate_mask, defaulted_mask, edge))
 
 
 def eliminate(net, c, resolved=0):
@@ -414,15 +425,16 @@ def eliminate(net, c, resolved=0):
     `resolved`.
 
     Sweeps the unresolved edges in index order and resolves each edge e
-    whose `edge_need` with `resolved | e` cooperating is not None and <=
+    whose `need_pair` with `resolved | e` cooperating is not None and <=
     c_e -- the tie rule: exact indifference resolves to investing -- until
     a sweep resolves nothing.  The result is a monotone closure: the final
     set depends on neither the sweep order nor the edge list's order.
     Each sweep walks a list of the open edges only: the first is read off
     the bits outside `resolved`, each later one is the last sweep's
     unresolved edges (its `needs`, kept in index order), so a run costs
-    in proportion to its open edges, not to the network.  The comparison
-    with c_e is exact on numerators and denominators (c_e may be an int).
+    in proportion to its open edges, not to the network.  A need (num,
+    den) is compared with c_e (maybe an int) on integers: num * c_e's
+    denominator <= c_e's numerator * den * scale.
     The defaulted mask is kept along the way; only an edge into a defaulted
     enterprise k can change it, and then the cascade reruns over the
     defaulted enterprises alone (`cascade`'s `within`: it is antitone, so
@@ -436,11 +448,12 @@ def eliminate(net, c, resolved=0):
     date), so it is `pledged[k] + x_e >= Z_k` in O(1).
 
     Returns (order, resolved mask, defaulted mask, needs), where `needs`
-    maps each still-unresolved edge to its need at the final set
-    (None if its investor would default).
+    maps each still-unresolved edge to its `need_pair` at the final set
+    (None if its investor would default; `need_value` is its Fraction).
     """
     defaulted = cascade(net, resolved)
     edges, funding, costs, amounts = net.edges, net.funding, net.scaled_costs, net.scaled_amounts
+    scale = net.scale
     sweep = []
     rest = ((1 << len(edges)) - 1) & ~resolved
     while rest:
@@ -461,10 +474,10 @@ def eliminate(net, c, resolved=0):
                     pledge = pledged[k] = sum(a for b, _, a in funding[k] if resolved & b)
                 if pledge + amounts[e] >= costs[k]:  # the rescue test
                     dmask = cascade(net, cmask, defaulted)
-            need = edge_need(net, cmask, dmask, e)
+            need = need_pair(net, cmask, dmask, e)
             if need is not None:
                 ce = c[e]
-                if need.numerator * ce.denominator <= ce.numerator * need.denominator:
+                if need[0] * ce.denominator <= ce.numerator * need[1] * scale:
                     resolved, defaulted = cmask, dmask
                     order.append(e)
                     if k in pledged:

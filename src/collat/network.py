@@ -15,20 +15,23 @@ ValueError joins its violations), so every entry point rejects what
 `collat check` rejects, in its words.  A single enterprise is a star
 (`price_star` on the scaled table; NEC 1 on the acyclic networks
 `solve_dag` takes), whose collaterals and total come back with no
-Fraction built per zero or full value (`star.unscale`); the other sums
-of a result are `model.exact_sum`s.  In
-`solve` a cyclic component runs an exact best-first (A*) search over
-resolved edge-sets (`_search`): the minimal collateral making an edge
-eliminable (`model.edge_need` on the bitmask cascade `model.cascade`)
-depends only on the *set* of resolved edges, so states are sets, not
-orders.  Each state jumps to its closure under zero-need eliminations
+Fraction built per zero or full value (`star.unscale`; the search's
+too); the other sums of a result are `model.exact_sum`s.  In `solve` a
+cyclic component runs an exact best-first (A*) search over resolved
+edge-sets (`_search`): the minimal collateral making an edge eliminable
+(`model.need_pair` on the bitmask cascade `model.cascade`) depends only
+on the *set* of resolved edges, so states are sets, not orders.  Its
+values stay on the network's scale, ints where integral (an
+integer-regime queue compares ints only), divided only for its results.
+Each state jumps to its closure under zero-need eliminations
 (`model.eliminate` with zero collaterals), and a consistent lower bound
-(each star's no-default completion cost) steers the search, so it expands a
-small fraction of the 2^|E| sets; a tie rule picks among optimal matrices,
-and `SEARCH_BUDGET` bounds the work per component.  The root bound sums each
-star's completion from nothing, which is the star's stand-alone optimum, so
-the search hands those back as the component's star optima (the NEC's
-denominator) and `price_star` runs only on single-enterprise components.
+(each star's no-default completion cost) steers the search, so it
+expands a small fraction of the 2^|E| sets; a tie rule picks among
+optimal matrices, and `SEARCH_BUDGET` bounds the work per component.
+The root bound sums each star's completion from nothing, which is the
+star's stand-alone optimum, so the search hands those back as the
+component's star optima (the NEC's denominator) and `price_star` runs
+only on single-enterprise components.
 `solve_exact` and `solve_large_alpha` take the whole network as one
 component and run the exhaustive subset dynamic program (`_subset_dp`,
 O(2^|E| |E|), `EXACT_GUARD` on |E|) instead, with star optima from
@@ -56,13 +59,15 @@ from .analysis import (
     solvability_check,
 )
 from .model import (
+    ZERO,
     CollateralMatrix,
     InvestmentNetwork,
     TooLargeError,
     cascade,
     eliminate,
     exact_sum,
-    least_collateral,
+    least_collateral_pair,
+    need_value,
     validate_network,
 )
 from .star import StarInstance, cheapest, price_star, sigma, suffix_dp, unscale
@@ -202,8 +207,8 @@ def _component_names(net):
 
 def _subset_dp(net):
     """Subset DP over resolved edge-sets of a solvable network: cost(S + e)
-    relaxes over cost(S) + `edge_need` of e given S, inline: none if e's
-    investor defaults, else `least_collateral` on the scaled table.  Every
+    relaxes over cost(S) + the need of e given S, inline: none if e's
+    investor defaults, else `least_collateral_pair` on the scaled table.  Every
     viable matrix admits an elimination order, so the DP minimum is the
     global optimum.  A set's cascade starts from the cascade of the parent
     that first reaches it (`within`: the cascade is antitone), and a cost
@@ -248,8 +253,7 @@ def _subset_dp(net):
             for b, investor, a in funding[k]:
                 if cmask & b and not child >> investor & 1:
                     raised += a
-            need = least_collateral(net.scaled_amounts[e], raised, costs[k], net.rate[k])
-            nn, nd = need.numerator, need.denominator
+            nn, nd = least_collateral_pair(net.scaled_amounts[e], raised, costs[k], net.rate[k])
             new = num * nd + nn * den, den * nd
             cur = cost[cmask]
             if cur is None or new[0] * cur[1] < cur[0] * new[1]:
@@ -276,7 +280,7 @@ def _search(net):
     """Best-first (A*) search over resolved edge-sets of a solvable network,
     with the optimum of `_subset_dp`.
 
-    `edge_need` is antitone in the cooperating set, which gives two exact
+    A need is antitone in the cooperating set, which gives two exact
     tools.  Free closure: an edge whose need is 0 can be eliminated first
     at no cost, after which no need rises, so each state jumps to its
     closure under zero-need eliminations (the same set in any order):
@@ -291,6 +295,12 @@ def _search(net):
     are the stand-alone star optima (an oversized star trips its DP guard,
     with its name, before any expansion).
 
+    Every value is on the network's scale (`model.need_pair`'s needs,
+    `cheapest`'s completions, the bound, the queue's keys): an int where
+    its pair has den 1, a Fraction num/den only for a partial value.  The
+    scale is divided out once: one Fraction per star optimum, and per
+    collateral `model.need_value` of its pair (`model.ZERO` if free).
+
     Ties: the queue yields the least bound, then the most resolved edges,
     then the least edge bitmask; a state keeps the first path to reach it
     at its least cost; a closure adds its free edges in the order of
@@ -300,7 +310,7 @@ def _search(net):
     Returns (amounts by edge, elimination order, star optima)."""
     m = len(net.edges)
     full = (1 << m) - 1
-    zero, zeros = Fraction(0), [0] * m
+    zeros = [0] * m
     star_mask = {k: sum(1 << e for e in net.out_edges[k]) for k in net.enterprise_set}
     # per star: scaled amounts by local player, sigma as (player, edge)
     # pairs, and resolved edges -> completion
@@ -321,9 +331,9 @@ def _search(net):
 
     def completion(k, resolved):
         """Least cost of resolving the edges of star k outside the bitmask
-        `resolved` with no investor defaulting: `suffix_dp` over them, the
-        resolved ones counting as eliminated first at no cost; its
-        `cheapest` integer pair becomes one Fraction per table entry."""
+        `resolved` with no investor defaulting, on the scale: `suffix_dp`
+        over them, the resolved ones counting as eliminated first at no
+        cost; its `cheapest` pair becomes an int (den 1) or a Fraction."""
         nonlocal entries
         amounts, order, table = stars[k]
         value = table.get(resolved)
@@ -336,54 +346,54 @@ def _search(net):
             except TooLargeError as exc:
                 raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
             num, den, _ = cheapest(layer)
-            value = table[resolved] = Fraction(num, den * net.scale)
+            value = table[resolved] = num if den == 1 else Fraction(num, den)
         return value
 
     # the root bound's terms: the stand-alone star optima
     optima = {k: completion(k, 0) for k in sorted(star_mask)}
-    bound = sum(optima.values(), zero)
-    # (bound, -resolved edges, raw mask, parent closed mask, edge, need)
-    queue = [(bound, 0, 0, None, -1, zero)]
+    bound = sum(optima.values())
+    # (bound, -resolved edges, raw mask, parent closed mask, edge, need pair)
+    queue = [(bound, 0, 0, None, -1, None)]
     best = {0: bound}  # raw mask -> least bound pushed
-    # closed mask -> (parent, edge, cost, free edges)
-    came_from = {None: (None, -1, zero, ())}
+    came_from = {}  # closed mask -> (parent, edge, need pair, free edges)
     while True:
-        bound, _, raw, parent, edge, need = heapq.heappop(queue)
+        bound, _, raw, parent, edge, pair = heapq.heappop(queue)
         if best[raw] is not bound:
             continue
         # the free closure; the needs left at it are the children's
         free, closed, _, needs = eliminate(net, zeros, raw)
         if closed in came_from:
             continue
-        g = came_from[parent][2] + need
-        came_from[closed] = (parent, edge, g, free)
+        came_from[closed] = (parent, edge, pair, free)
         if closed == full:
             break
         expansions += 1
         check_budget()
-        for e, cneed in needs.items():
-            if cneed is None:
+        for e, pair in needs.items():
+            if pair is None:
                 continue
+            num, den = pair
             k = net.edges[e].enterprise
             resolved = closed & star_mask[k]
             cmask = closed | 1 << e
-            child = bound + cneed - completion(k, resolved) + completion(k, resolved | 1 << e)
+            child = (bound + (num if den == 1 else Fraction(num, den))
+                     - completion(k, resolved) + completion(k, resolved | 1 << e))
             prev = best.get(cmask)
             if prev is None or child < prev:
                 best[cmask] = child
-                heapq.heappush(queue, (child, -cmask.bit_count(), cmask, closed, e, cneed))
+                heapq.heappush(queue, (child, -cmask.bit_count(), cmask, closed, e, pair))
     log.info("search: enterprises {%s}: %d edges, %d expansions, %d closed states, "
-             "%d bound entries", _component_names(net), m, expansions,
-             len(came_from) - 1, entries)
+             "%d bound entries", _component_names(net), m, expansions, len(came_from), entries)
     amounts, segments = {}, []
     while closed is not None:
-        parent, edge, g, free = came_from[closed]
-        amounts.update((e, zero) for e in free)
+        parent, edge, pair, free = came_from[closed]
+        amounts.update(dict.fromkeys(free, ZERO))
         segments.append(free)
         if edge >= 0:
-            amounts[edge] = g - came_from[parent][2]
+            amounts[edge] = need_value(net, edge, pair)
             segments.append([edge])
         closed = parent
+    optima = {k: Fraction(v, net.scale) for k, v in optima.items()}
     return amounts, [e for segment in reversed(segments) for e in segment], optima
 
 

@@ -28,7 +28,7 @@ from collat import (
     optimal_partial_for_set,
     sigma_for_set,
 )
-from collat.model import TooLargeError, eliminate, least_collateral
+from collat.model import TooLargeError, eliminate, least_collateral, need_value
 from collat.star import STATE_GUARD
 
 ENUMERATE_GUARD = 25
@@ -105,7 +105,8 @@ def reference_is_minimal(net, c):
     empty set per positive collateral, that collateral at 0: `c` is minimal
     iff each such run leaves the edge exactly that collateral short."""
     return all(
-        eliminate(net, c.amounts[:e] + (0,) + c.amounts[e + 1:])[3].get(e, 0) == amount
+        need_value(net, e, eliminate(net, c.amounts[:e] + (0,) + c.amounts[e + 1:])[3].get(
+            e, (0, 1))) == amount
         for e, amount in enumerate(c.amounts) if amount
     )
 

@@ -24,7 +24,7 @@ from collat import (
 )
 from collat.cli import main as cli_main
 from collat.instances import save_network
-from collat.model import cascade, eliminate
+from collat.model import cascade, eliminate, need_value
 from collat.network import solve_dag
 from helpers import reference_iesds, reference_is_minimal, unique_all_cooperate
 
@@ -220,7 +220,7 @@ class TestIteratedElimination:
 
     def test_stars_that_reach_no_cycle_run_no_elimination(self, monkeypatch, tmp_path):
         # the 113-edge DAG is closed star by star: no elimination run,
-        # cascade or `edge_need`; the mixed net runs one `eliminate`, for
+        # cascade or need; the mixed net runs one `eliminate`, for
         # the cycle and the star upstream of it
         net = random_network(40, 6, acyclic=True, seed=4)
         assert len(net.edges) == 113
@@ -234,6 +234,7 @@ class TestIteratedElimination:
         monkeypatch.setattr(collat.analysis, "cascade", record("cascade"), raising=False)
         monkeypatch.setattr(collat.model, "cascade", record("cascade"))
         monkeypatch.setattr(collat.model, "edge_need", record("edge_need"))
+        monkeypatch.setattr(collat.model, "need_pair", record("need_pair"))
         order, stuck = iterated_elimination(net, c)
         monkeypatch.undo()
         assert calls == [] and not stuck and len(order) == 113
@@ -346,7 +347,8 @@ class TestMinimality:
         needs = eliminate(net, CollateralMatrix.zeros(net))[3]
         if needs:
             e = rng.choice(sorted(needs))
-            yield CollateralMatrix.zeros(net).replace(e, (needs[e] or net.edges[e].amount) / 2)
+            yield CollateralMatrix.zeros(net).replace(
+                e, (need_value(net, e, needs[e]) or net.edges[e].amount) / 2)
 
     def test_matches_the_reference(self):
         rng = random.Random(61)
@@ -432,7 +434,7 @@ class TestMinimality:
     def test_an_acyclic_network_is_checked_star_by_star(self, monkeypatch):
         # on a 113-edge DAG each component is one star: each star with a
         # positive collateral is checked once on its row, and no
-        # elimination run, cascade or `edge_need` is needed
+        # elimination run, cascade or need is needed
         net = random_network(40, 6, acyclic=True, seed=4)
         assert len(net.edges) == 113
         c = solve(net).collaterals
@@ -450,6 +452,7 @@ class TestMinimality:
         monkeypatch.setattr(collat.analysis, "cascade", record("cascade"), raising=False)
         monkeypatch.setattr(collat.model, "cascade", record("cascade"))
         monkeypatch.setattr(collat.model, "edge_need", record("edge_need"))
+        monkeypatch.setattr(collat.model, "need_pair", record("need_pair"))
         monkeypatch.setattr(collat.analysis, "minimal_in_order",
                             lambda amounts, *args: rows.append(amounts) or real(amounts, *args))
         assert collat.analysis._minimal_along(net, c, order)

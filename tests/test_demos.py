@@ -1,6 +1,6 @@
-"""Each demo runs as a script and exits 0.  The demos call the public API
-by name and no other test imports them; `-W error` makes a warning from
-that API fail the run."""
+"""Each demo runs as a script, exits 0 and leaves its temporary directory
+empty.  The demos call the public API by name and no other test imports
+them; `-W error` makes a warning from that API fail the run."""
 
 import os
 import subprocess
@@ -20,3 +20,4 @@ def test_demo_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -11,7 +11,6 @@ from collat import (
     InvestmentNetwork,
     best_response,
     default_determination,
-    edge_need,
     edge_utility,
     enterprise_return,
     is_nash_equilibrium,
@@ -20,7 +19,7 @@ from collat import (
     validate_network,
 )
 from collat import model
-from collat.model import cascade, eliminate, least_collateral, least_collateral_pair
+from collat.model import cascade, eliminate, least_collateral, least_collateral_pair, need_pair
 from collat.star import StarInstance, _minimal_amount
 
 
@@ -371,7 +370,7 @@ class TestEliminate:
         for e, need in needs.items():
             assert best_response(net, c, before + order, e) is Action.DEFECT
             cmask = resolved | 1 << e
-            assert need == edge_need(net, cmask, cascade(net, cmask), e)
+            assert need == need_pair(net, cmask, cascade(net, cmask), e)
 
     def test_matches_the_reference_predicate(self):
         # random matrices from 0 to full, in quarters of each amount
@@ -402,7 +401,7 @@ class TestEliminate:
                                 cost={0: 2, 1: 1}, rate={0: 2, 1: 1})
         assert validate_network(net).ok
         counts = {"checks": 0, "reruns": 0}
-        plain_cascade, plain_need = model.cascade, model.edge_need
+        plain_cascade, plain_need = model.cascade, model.need_pair
 
         def counting_cascade(net, cooperate_mask, within=None):
             counts["reruns"] += within is not None  # eliminate's first call passes none
@@ -416,7 +415,7 @@ class TestEliminate:
             return plain_need(net, cmask, dmask, e)
 
         monkeypatch.setattr(model, "cascade", counting_cascade)
-        monkeypatch.setattr(model, "edge_need", counting_need)
+        monkeypatch.setattr(model, "need_pair", counting_need)
         runs = []
         for mask in range(1 << len(net.edges)):
             c = CollateralMatrix(net, [e.amount if mask >> i & 1 else 0

@@ -34,7 +34,7 @@ from collat import (
 )
 from collat import network
 from collat import star as star_module
-from collat.model import cascade, eliminate
+from collat.model import ZERO, cascade, eliminate
 from collat.network import is_acyclic
 from collat.star import STATE_GUARD
 from helpers import (
@@ -590,8 +590,8 @@ class TestSingleEnterpriseRoute:
 
 
 class TestStarCollateralObjects:
-    """`solve` builds no Fraction per zero or full collateral of a
-    single-enterprise component."""
+    """`solve` builds no Fraction per zero or full collateral, of a
+    single-enterprise component or of a cyclic one."""
 
     def test_full_collaterals_are_the_amounts_and_the_zeros_one_object(self):
         net = random_network(8, 4, acyclic=True, seed=7)
@@ -609,6 +609,46 @@ class TestStarCollateralObjects:
         c7 = solve(net7).collaterals
         assert c7.amounts == tuple(v / 7 for v in c)
         assert all(type(v) is Fraction for v in c7)
+
+    def test_the_search_returns_its_collaterals_the_same_way(self):
+        net = random_network(8, 3, seed=23)  # one cyclic component of 12 edges
+        assert network._enterprise_components(net) == ((sorted(net.enterprise_set), True),)
+        c = solve(net).collaterals
+        zeros = [v for v in c if v == 0]
+        full = [e for e, x in enumerate(net.edges) if c[e] == x.amount]
+        assert len(zeros) > 1 and all(v is ZERO for v in zeros)
+        assert full and all(c[e] is net.edges[e].amount for e in full)
+        assert any(0 < v < x.amount for v, x in zip(c, net.edges))
+        assert solve_exact(net).total == c.total()
+
+
+class TestSearchOnTheScale:
+    """`_search` keeps every value on the network's scale, an int when its
+    pair has den 1: on an integer-regime component the queue does no
+    Fraction arithmetic, and only the star optima and the partial
+    collaterals it returns are built as Fractions."""
+
+    def test_a_large_alpha_component_builds_only_its_results(self, monkeypatch):
+        net = random_network(10, 3, seed=4, large_alpha=True)  # one component of 19 edges
+        assert is_large_alpha(net) and not is_acyclic(net) and net.scale == 1
+        built, ops = [], []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(network, "Fraction", counted)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__lt__", "__eq__"):
+            plain = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda a, b, plain=plain, name=name: (
+                ops.append(name) or plain(a, b)))
+        amounts, order, optima = network._search(net)
+        monkeypatch.undo()
+        assert ops == []
+        positive = [e for e, v in amounts.items() if v]
+        assert positive and len(built) <= len(optima) + len(positive)
+        assert all(v is ZERO or v is net.edges[e].amount for e, v in amounts.items())
+        assert sum(amounts.values()) == solve_exact(net).total
 
 
 class TestInvalidNetworks:
@@ -681,6 +721,15 @@ class TestExactTypes:
                 need = edge_need(net, cmask, cascade(net, cmask), e)
                 assert need is None or type(need) is Fraction, need
             c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
-            needs = eliminate(net, c)[3]
-            assert all(v is None or type(v) is Fraction for v in needs.values()), needs
+            # the kernel's needs are integer pairs on the scale: edge_need times it
+            _, resolved, _, needs = eliminate(net, c)
+            for e, pair in needs.items():
+                cmask = resolved | 1 << e
+                need = edge_need(net, cmask, cascade(net, cmask), e)
+                if pair is None:
+                    assert need is None
+                else:
+                    num, den = pair
+                    assert type(num) is int and type(den) is int and den > 0, pair
+                    assert Fraction(num, den) == need * net.scale, (pair, need)
         assert scales == {False, True}
