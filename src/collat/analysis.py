@@ -369,13 +369,6 @@ def full_collateral_condition(net, k, investor_set, i):
 
 def is_large_alpha(net):
     """Integer-input regime with alpha_k > Z_k for every enterprise, where
-    every positive collateral of an optimal solution is a full collateral."""
-    for e in net.edges:
-        if e.amount.denominator != 1:
-            return False
-    for k in net.enterprise_set:
-        if net.cost[k].denominator != 1:
-            return False
-        if not net.rate[k] > net.cost[k]:
-            return False
-    return True
+    every positive collateral of an optimal solution is a full collateral
+    (the table's scale is 1 exactly when every amount and cost is an int)."""
+    return net.scale == 1 and all(net.rate[k] > z for k, z in net.scaled_costs.items())

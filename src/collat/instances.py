@@ -219,7 +219,7 @@ def parse_document(doc):
     rational string is parsed once (`rational_memo`), and a JSONPath is
     worded only for an error."""
     _check_keys(doc, {"version", "vertices", "edges", "meta"}, ("version", "vertices", "edges"), "$")
-    if doc["version"] != SCHEMA_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != SCHEMA_VERSION:  # not a bool
         raise DocumentError("unsupported version %r" % (doc["version"],), "$.version")
     if not isinstance(doc["vertices"], list):
         raise DocumentError("expected a list", "$.vertices")

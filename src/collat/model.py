@@ -12,21 +12,22 @@ and enterprise costs once, with integer arithmetic (`scaled`), over a
 common denominator (`scaled_amounts`, `scaled_costs`, and per enterprise
 the `funding` rows); a component's sub-network goes through the same
 constructor.  `validate_network` checks profitability on those integers
-(`is_profitable`), and `exact_sum` adds Fractions the same way: the
-numerators over their least common denominator, one Fraction per sum
-(the solvers' star totals, total and NEC denominator, and
-`CollateralMatrix.total`).  `cascade` is the one cascade loop: bitmasks over
-edges and vertices, on the scaled integers.  On them
+(`is_profitable`, also `solve_star`'s), and `exact_sum` adds Fractions
+the same way: the numerators over their least common denominator, one
+Fraction per sum (the solvers' star totals, total and NEC denominator,
+and `CollateralMatrix.total`).  `cascade` is the one cascade loop:
+bitmasks over edges and vertices, on the scaled integers.  On them
 `least_collateral_pair` is the solver's one least-collateral formula, as
 an integer pair (`least_collateral` its value; `star._minimal_amount` the
 Fraction reference), and `need_pair`, on top of the cascade, that pair
-for the least collateral that makes an edge invest (`edge_need` its
-Fraction, `need_value`).  `eliminate` is the one elimination loop on top
-of both, on pairs, and holds the tie rule (resolve iff solvent and c_e >=
-need): IESDS on cyclic components and what is upstream of them (a star
-that reaches none closes on its own row, `star.close_star`), `collat
-verify`'s minimality test on cyclic components and the search's free
-closure run it.
+for the least collateral that makes an edge invest; `need_value` turns a
+pair into its Fraction for the kernel (`edge_need`), the search and a
+priced star (`star.star_solution`).  `eliminate` is the one elimination
+loop on top of both, on pairs, and holds the tie rule (resolve iff
+solvent and c_e >= need): IESDS on cyclic components and what is
+upstream of them (a star that reaches none closes on its own row,
+`star.close_star`), `collat verify`'s minimality test on cyclic
+components and the search's free closure run it.
 `best_response` (on a full cascade), `default_determination`,
 `enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
 definitional reference.
@@ -51,13 +52,17 @@ ZERO = Fraction(0)
 def as_money(value):
     """Convert to an exact Fraction, rejecting floats outright.  A Fraction
     (not a subclass) is immutable and already exact, so it comes back as it
-    is: the parser has built every amount, cost and rate already."""
+    is: the parser has built every amount, cost and rate already.  A string
+    reads as in a document (`instances.parse_rational`) on every Python."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(
             "float amounts are not allowed; pass int, Fraction or a 'p/q' string"
         )
+    if isinstance(value, str):
+        from .instances import parse_rational  # `instances` imports this module
+        return parse_rational(value)
     return Fraction(value)
 
 
@@ -140,10 +145,6 @@ class InvestmentNetwork:
         if len(out) != self.n:
             raise ValueError("per-vertex parameter length must equal n")
         return out
-
-    def total_opportunities(self, k):
-        """X_k: the sum of investment opportunities in enterprise k."""
-        return sum((self.edges[e].amount for e in self.out_edges[k]), Fraction(0))
 
     def all_edges(self):
         return frozenset(range(len(self.edges)))
@@ -269,7 +270,7 @@ def validate_network(net):
         if net.rate[k].numerator <= 0:
             violations.append("enterprise %s: rate must be positive" % (k,))
         if not is_profitable(net, k):
-            x_total = net.total_opportunities(k)
+            x_total = Fraction(sum(a for _, _, a in net.funding[k]), net.scale)
             try:
                 terms = "((1+%s)(%s-%s) < %s)" % (net.rate[k], x_total, net.cost[k], x_total)
             except ValueError:  # a sum longer than Python writes an int
@@ -293,15 +294,12 @@ def exact_sum(values):
     return Fraction(sum(ints), scale)
 
 
-def profitable(total, cost, rate):
-    """(1 + alpha)(X - Z) >= X on integers of one scale: (p+q)(X - Z) >= qX."""
-    p, q = rate.numerator, rate.denominator
-    return (p + q) * (total - cost) >= q * total
-
-
 def is_profitable(net, k):
-    """`profitable` on enterprise k's row of the scaled table."""
-    return profitable(sum(a for _, _, a in net.funding[k]), net.scaled_costs[k], net.rate[k])
+    """(1 + alpha)(X - Z) >= X on enterprise k's row of the scaled table,
+    for alpha = p/q: (p+q)(X - Z) >= qX on integers."""
+    total, rate = sum(a for _, _, a in net.funding[k]), net.rate[k]
+    p, q = rate.numerator, rate.denominator
+    return (p + q) * (total - net.scaled_costs[k]) >= q * total
 
 
 def cascade(net, cooperate_mask, within=None):

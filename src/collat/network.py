@@ -13,12 +13,13 @@ any other on a sub-network of its enterprises' edges).  Before any
 component runs, a solvable network must pass `validate_network` (else a
 ValueError joins its violations), so every entry point rejects what
 `collat check` rejects, in its words.  A single enterprise is a star
-(`price_star` on the scaled table; NEC 1 on the acyclic networks
-`solve_dag` takes), whose collaterals and total come back with no
-Fraction built per zero or full value (`star.unscale`; the search's
-too); the other sums of a result are `model.exact_sum`s.  In `solve` a
-cyclic component runs an exact best-first (A*) search over resolved
-edge-sets (`_search`): the minimal collateral making an edge eliminable
+(`star.star_solution`, `price_star` on its row of the scaled table; NEC
+1 on the acyclic networks `solve_dag` takes).  Its collaterals, and the
+search's, leave the scale through `model.need_value`, with no Fraction
+built per zero or full value; the other sums of a result are
+`model.exact_sum`s.  In `solve` a cyclic component runs an exact
+best-first (A*) search over resolved edge-sets (`_search`): the minimal
+collateral making an edge eliminable
 (`model.need_pair` on the bitmask cascade `model.cascade`) depends only
 on the *set* of resolved edges, so states are sets, not orders.  Its
 values stay on the network's scale, ints where integral (an
@@ -30,12 +31,12 @@ expands a small fraction of the 2^|E| sets; a tie rule picks among
 optimal matrices, and `SEARCH_BUDGET` bounds the work per component.
 The root bound sums each star's completion from nothing, which is the
 star's stand-alone optimum, so the search hands those back as the
-component's star optima (the NEC's denominator) and `price_star` runs
+component's star optima (the NEC's denominator) and `star_solution` runs
 only on single-enterprise components.
 `solve_exact` and `solve_large_alpha` take the whole network as one
 component and run the exhaustive subset dynamic program (`_subset_dp`,
 O(2^|E| |E|), `EXACT_GUARD` on |E|) instead, with star optima from
-`price_star`: the oracles, so they check the root bound too.  The DP
+`star_solution`: the oracles, so they check the root bound too.  The DP
 starts each set's cascade from its first parent's and keeps costs as
 integer pairs on the scaled table.  A result's `CollateralMatrix` is
 built once, from the solver's checked values (`from_checked`).
@@ -70,7 +71,7 @@ from .model import (
     need_value,
     validate_network,
 )
-from .star import StarInstance, cheapest, price_star, sigma, suffix_dp, unscale
+from .star import StarInstance, cheapest, sigma, star_solution, suffix_dp
 
 log = logging.getLogger(__name__)
 
@@ -121,31 +122,18 @@ def is_acyclic(net):
     return not any(cyclic for _, cyclic in _enterprise_components(net))
 
 
-def _star_solution(net, k):
-    """`price_star` on enterprise k's row of the scaled table, unscaled
-    onto its edges' own `amount` objects (`unscale`); its guard error
-    names k."""
-    edges = net.out_edges[k]
-    try:
-        priced = price_star([net.scaled_amounts[e] for e in edges],
-                            net.scaled_costs[k], net.rate[k])
-    except TooLargeError as exc:
-        raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
-    return unscale(priced, net.scale, [net.edges[e].amount for e in edges])
-
-
 def _solve_components(net, components, method, cyclic_solver):
     """The one solver pass: `solvability_check` first (if infeasible, the
     witness and method "none"), then `validate_network` (a ValueError
     joining its violations with "; " if any), then the (enterprises,
     cyclic flag) components in the given order, concatenated and labelled
-    `method`.  A single enterprise is priced by `_star_solution`.  A cyclic
+    `method`.  A single enterprise is priced by `star_solution`.  A cyclic
     component's sub-network keeps only its own enterprises' edges (`net`
     itself if that is every edge), so outside investors are plain
     investors, and goes to `cyclic_solver`, which also returns the star
     optima: from `solve` the best-first search (`_search`, under
     `SEARCH_BUDGET`; its root bound), from the oracles the subset DP
-    (`_subset_dp`, under `EXACT_GUARD`; `_star_solution`)."""
+    (`_subset_dp`, under `EXACT_GUARD`; `star_solution`)."""
     check = solvability_check(net)
     if not check.solvable:
         return Solution(Status.INFEASIBLE, witness=check.witness, method="none")
@@ -163,7 +151,7 @@ def _solve_components(net, components, method, cyclic_solver):
             local, local_order, optima = cyclic_solver(sub)
             star_optima.update(optima)
         else:  # a single enterprise: its star solution is the component's
-            ssol = _star_solution(net, comp[0])
+            ssol = star_solution(net, comp[0])
             star_optima[comp[0]] = star_totals[comp[0]] = ssol.total
             edge_ids, local, local_order = net.out_edges[comp[0]], ssol.collaterals, ssol.order
         for pos in local_order:
@@ -214,10 +202,10 @@ def _subset_dp(net):
     that first reaches it (`within`: the cascade is antitone), and a cost
     is an unreduced integer pair (num, den), compared by cross-multiplying;
     only the returned amounts become Fractions.  The star optima come from
-    `_star_solution`, first: an oversized star trips its guard, with its
+    `star_solution`, first: an oversized star trips its guard, with its
     name, before the DP's own.
     Returns (amounts by edge, elimination order, star optima)."""
-    optima = {k: _star_solution(net, k).total for k in sorted(net.enterprise_set)}
+    optima = {k: star_solution(net, k).total for k in sorted(net.enterprise_set)}
     m = len(net.edges)
     if m > EXACT_GUARD:
         raise TooLargeError(

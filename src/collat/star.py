@@ -12,9 +12,10 @@ dynamic-programming state and keeps the least cost per state: O(d * L)
 steps, where a layer holds L <= min(2^d, distinct suffix sums) states, at
 most X + 1 on integer inputs (pseudo-polynomial, as the inverse-knapsack
 reduction allows).  `STATE_GUARD` bounds L.  `price_star` runs it on every
-player of a checked star, on integers of one scale (the network's table,
-or `solve_star`'s scaling by `model.scaled` of a `StarInstance`, which
-checks signs on numerators); each step is priced by
+player of a checked star, on a row of the network's scaled table
+(`star_solution`, the one star answer: the solvers' single-enterprise
+components, the oracles' star optima, and `solve_star`, which prices a
+`StarInstance` as its one-enterprise network); each step is priced by
 `model.least_collateral` (`_minimal_amount` is the Fraction reference),
 and `sigma` is the one sort into sigma order.  A state's cost is an
 exact, unreduced integer pair (num, den), compared by cross-multiplying:
@@ -22,10 +23,10 @@ the formula is linear in the amount, so `least_collateral(1, X - t, Z,
 alpha)` prices a unit once per distinct suffix sum t (`_unit_price`), a
 partial step multiplies that pair in, and den is the product of the
 reduced unit denominators along the state's path, each at most q * X for
-alpha = p/q.  No Fraction is built inside the DP; `price_star` builds
-them only for the partial collaterals and the total it returns, and its
-tie step walks only the truncations the DP's last layer cannot rule
-out.  The form
+alpha = p/q.  No Fraction is built inside the DP or by `price_star`,
+which returns integer pairs on the scale (`star_solution` turns each into
+a Fraction through `model.need_value`), and its tie step walks only the
+truncations the DP's last layer cannot rule out.  The form
 also holds when some players are already eliminated at no cost, since they
 only sit in every prefix: those who pay full come first, and swapping
 adjacent partial players into sigma order never costs more.  So
@@ -48,14 +49,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
-    ZERO,
     InvestmentNetwork,
     TooLargeError,
     as_money,
+    is_profitable,
     least_collateral,
     least_collateral_pair,
-    profitable,
-    scaled,
+    need_value,
 )
 
 STATE_GUARD = 1 << 15  # suffix-sum states in one layer of the star DP
@@ -85,9 +85,8 @@ class StarInstance:
         return len(self.amounts)
 
     def is_profitable(self):
-        """`model.profitable` on the star scaled by `model.scaled`."""
-        _, ints = scaled((*self.amounts, self.cost))
-        return profitable(sum(ints[:-1]), ints[-1], self.rate)
+        """`model.is_profitable` on the star's network (`to_network`)."""
+        return is_profitable(self.to_network(), 0)
 
     def to_network(self):
         """Embed as an InvestmentNetwork: enterprise vertex 0, investors 1..d."""
@@ -244,9 +243,10 @@ def price_star(amounts, cost, rate):
     keeping the players `head` is one DP path to the last layer's state at
     X - sum(head), so it costs at least that state's least cost: it is
     walked only when that cost ties the optimum.  A walk prices on integer
-    pairs with `_unit_price`, as in the DP.  A collateral comes back as an
-    int when it is 0 or the player's whole amount; only a partial one, and
-    the total, are built as Fractions.
+    pairs with `_unit_price`, as in the DP.  It builds no Fraction: a
+    collateral is the pair (a * un, ud), or (a, 1) if full, and the total
+    the DP's (num, den); as unit prices are in lowest terms, den is 1
+    exactly for 0 or the whole amount (`model.need_value`'s contract).
 
     Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
@@ -279,12 +279,25 @@ def price_star(amounts, cost, rate):
             break
     else:
         raise AssertionError("the DP optimum is not the total of its full set")
-    c = amounts[:]
+    c = [(a, 1) for a in amounts]
     for i, un, ud in partial:
-        if un != ud:  # a unit price of 1 leaves the amount in place
-            c[i] = Fraction(amounts[i] * un, ud) if un else 0
+        c[i] = (amounts[i] * un, ud)
     order = tuple(head) + tuple(i for i in order if i not in head)
-    return c, Fraction(best_num, best_den), order, frozenset(head)
+    return c, (best_num, best_den), order, frozenset(head)
+
+
+def star_solution(net, k):
+    """`price_star` on enterprise k's row of the scaled table, as a
+    `StarSolution`: `model.need_value` per collateral (`ZERO` if 0, the
+    edge's own `amount` if full); its guard error names k."""
+    edges = net.out_edges[k]
+    try:
+        c, (num, den), order, full_set = price_star(
+            [net.scaled_amounts[e] for e in edges], net.scaled_costs[k], net.rate[k])
+    except TooLargeError as exc:
+        raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
+    collaterals = tuple(need_value(net, e, pair) for e, pair in zip(edges, c))
+    return StarSolution(collaterals, Fraction(num, den * net.scale), order, full_set)
 
 
 def close_star(amounts, cost, rate, collaterals, scale, raised=0, start=0, failed=None):
@@ -346,32 +359,14 @@ def minimal_in_order(amounts, cost, rate, collaterals, scale):
     return True
 
 
-def unscale(priced, scale, amounts):
-    """A `price_star` result divided by `scale`, as a `StarSolution`, with
-    no Fraction built per zero or full collateral: a zero is `model.ZERO`,
-    a full collateral the player's own object in the Fraction `amounts`,
-    and only a partial one (and the total) is divided, if `scale` is not 1."""
-    c, total, order, full_set = priced
-    out = []
-    for v, x in zip(c, amounts):
-        if type(v) is int:  # 0 or the whole amount
-            v = x if v else ZERO
-        elif scale != 1:
-            v /= scale
-        out.append(v)
-    if scale != 1:
-        total /= scale
-    return StarSolution(tuple(out), total, order, full_set)
-
-
 def solve_star(star):
-    """Minimum-total viable collateral vector: `price_star` on the star
-    scaled (`model.scaled`) and tested profitable (`model.profitable`)."""
-    scale, amounts = scaled((*star.amounts, star.cost))
-    cost = amounts.pop()
-    if not profitable(sum(amounts), cost, star.rate):
+    """Minimum-total viable collateral vector: `star_solution` on the
+    star's one-enterprise network (`to_network`), tested profitable
+    (`model.is_profitable`) first; a guard error names enterprise 0."""
+    net = star.to_network()
+    if not is_profitable(net, 0):
         raise ValueError("star instance is not profitable")
-    return unscale(price_star(amounts, cost, star.rate), scale, star.amounts)
+    return star_solution(net, 0)
 
 
 def brute_force_star(star):

@@ -216,11 +216,16 @@ class TestDocumentFormat:
             parse_document(doc)
         assert err.value.path == "$.edges[0].investor"
 
-    def test_wrong_version_rejected(self):
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1"], ids=["two", "true", "float", "string"])
+    def test_wrong_version_rejected(self, version):
+        # true and 1.0 equal 1, but the schema version is an integer
         doc = minimal_doc()
-        doc["version"] = 2
-        with pytest.raises(DocumentError):
+        doc["version"] = version
+        with pytest.raises(DocumentError, match="^%s$" % re.escape(
+                "$.version: unsupported version %r" % (version,))):
             parse_document(doc)
+        with pytest.raises(DocumentError):
+            instances.loads_network(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("field, ref", [
         ("enterprise", True), ("investor", False), ("enterprise", 1.0), ("investor", 0.0),

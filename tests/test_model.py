@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from collat import (
     Action,
     CollateralMatrix,
+    DocumentError,
     InvestmentNetwork,
     best_response,
     default_determination,
@@ -549,3 +550,19 @@ class TestAsMoney:
         for value in (3, "3/7", Sub(3, 7)):
             money = model.as_money(value)
             assert type(money) is Fraction and money == Fraction(value)
+
+    @pytest.mark.parametrize("text, value", [
+        ("3/7", Fraction(3, 7)), (" 1/2 ", Fraction(1, 2)), ("1e3", 1000), ("-2", -2),
+    ])
+    def test_a_string_reads_with_the_document_grammar(self, text, value):
+        money = model.as_money(text)
+        assert type(money) is Fraction and money == value
+        assert InvestmentNetwork(2, [(0, 1, text)]).edges[0].amount == value
+
+    @pytest.mark.parametrize("text", ["1_000", "\u0661"], ids=["underscore", "arabic-indic-one"])
+    def test_a_string_outside_the_grammar_is_refused_on_every_python(self, text):
+        # `Fraction` reads "1_000" from Python 3.11 on, and reads "\u0661" as 1
+        with pytest.raises(DocumentError, match="cannot parse rational"):
+            model.as_money(text)
+        with pytest.raises(DocumentError):
+            InvestmentNetwork(2, [(0, 1, text)])

@@ -1,8 +1,10 @@
 import dataclasses
+import heapq
 import math
 import random
 import re
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,7 @@ from collat import (
     star_decomposition,
     validate_network,
 )
-from collat import network
+from collat import model, network
 from collat import star as star_module
 from collat.model import ZERO, cascade, eliminate
 from collat.network import is_acyclic
@@ -458,7 +460,7 @@ class TestStarOptimaFromTheSearch:
             dp_calls.append((amounts, tuple(players)))  # keeps `amounts` alive
             return suffix_dp(amounts, cost, rate, players)
 
-        monkeypatch.setattr(network, "price_star", counted_price_star)
+        monkeypatch.setattr(star_module, "price_star", counted_price_star)
         monkeypatch.setattr(network, "suffix_dp", counted_suffix_dp)
         monkeypatch.setattr(star_module, "suffix_dp", counted_suffix_dp)
         with caplog.at_level("INFO", logger="collat.network"):
@@ -546,7 +548,7 @@ class TestSingleEnterpriseRoute:
                 cost = [z * r.get(k, 1) for k, z in enumerate(net.cost)]
                 net = InvestmentNetwork(net.n, edges, cost, net.rate)
             for k, star, _ in star_decomposition(net):
-                ours, theirs = network._star_solution(net, k), solve_star(star)
+                ours, theirs = star_module.star_solution(net, k), solve_star(star)
                 rescaled += net.scale != math.lcm(star.cost.denominator,
                                                   *(x.denominator for x in star.amounts))
                 assert ours.total == theirs.total and type(ours.total) is Fraction
@@ -733,3 +735,49 @@ class TestExactTypes:
                     assert type(num) is int and type(den) is int and den > 0, pair
                     assert Fraction(num, den) == need * net.scale, (pair, need)
         assert scales == {False, True}
+
+
+# `TestKernelWork`'s counters, frozen: a change that moves them on purpose
+# updates this table and says why
+KERNEL_WORK = {"cascade calls": 17875, "cascade rows": 120972, "closures": 1863, "queue pops": 1883}
+
+
+class TestKernelWork:
+    """Deterministic counts of the kernel's work on one search-heavy net,
+    which no timing shows without noise: `model.cascade` calls and the
+    enterprise rows they test (all of `net.funding`, or the enterprises of
+    `within`), and the search's closures (`network.eliminate`) and queue
+    pops.  A pop that opens no closure is a stale queue entry: a state
+    pushed again at a lower bound leaves its old entry behind."""
+
+    def test_the_counters_match_the_frozen_ones(self, monkeypatch):
+        net = random_network(18, 4, seed=998695729)
+        assert len(net.edges) == 38
+        assert [(len(comp), cyclic) for comp, cyclic in network._enterprise_components(net)] == [
+            (1, False), (2, True), (1, False), (10, True)]
+        work = dict.fromkeys(KERNEL_WORK, 0)
+        plain_cascade, plain_eliminate = model.cascade, network.eliminate
+
+        def counted_cascade(net, cooperate_mask, within=None):
+            work["cascade calls"] += 1
+            work["cascade rows"] += len(net.funding) if within is None else within.bit_count()
+            return plain_cascade(net, cooperate_mask, within)
+
+        def counted_eliminate(*args):
+            work["closures"] += 1
+            return plain_eliminate(*args)
+
+        def counted_heappop(queue):
+            work["queue pops"] += 1
+            return heapq.heappop(queue)
+
+        monkeypatch.setattr(model, "cascade", counted_cascade)
+        monkeypatch.setattr(network, "eliminate", counted_eliminate)
+        monkeypatch.setattr(network, "heapq", types.SimpleNamespace(
+            heappush=heapq.heappush, heappop=counted_heappop))
+        sol = solve(net)
+        monkeypatch.undo()
+        assert work == KERNEL_WORK
+        assert work["queue pops"] > work["closures"]  # the stale-entry skip ran
+        assert sol.total == Fraction(19720, 429) and sol.nec == Fraction(236640, 212707)
+        assert is_viable(net, sol.collaterals) and is_minimal(net, sol.collaterals)
