@@ -250,7 +250,7 @@ def build_parser():
     g = gen_sub.add_parser("knapsack", help="inverse-knapsack reduction star")
     g.add_argument("--xs", required=True, help="comma-separated item sizes")
     g.add_argument("--t", type=int, required=True)
-    g = gen_sub.add_parser("fvs", help="feedback-vertex-set gadget network")
+    g = gen_sub.add_parser("fvs", help="digraph gadget network (optimum counts sink components)")
     g.add_argument("--edges", required=True, help="comma-separated u-v pairs, e.g. a-b,b-c,c-a")
     for g in gen_sub.choices.values():
         g.add_argument("--out-file")

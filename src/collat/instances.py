@@ -487,8 +487,8 @@ def gen_cycle_family(k):
 
 
 def gen_fvs_gadget(graph_edges):
-    """Investment network whose optimal collaterals encode a minimum
-    feedback vertex set of the input directed graph.
+    """A gadget network on a directed graph, named for the feedback vertex
+    set reduction; its optimum counts sink components, not a minimum FVS.
 
     Vertices with zero out-degree are stripped iteratively (they are on no
     cycle); surviving edges get unit weight; every surviving vertex gets two
@@ -496,6 +496,13 @@ def gen_fvs_gadget(graph_edges):
     maximum out-degree, Z = k+1 and alpha = 2k.  A DAG input yields the
     empty network.  A self-loop, a repeated arc or a graph vertex named as
     a spike raises ValueError: `collat check` would reject the network.
+
+    The optimum is 2|V| + (k-1)S, for V the surviving vertices and S the
+    sink strongly connected components of the stripped graph: an arc (v, u)
+    resolves only once u is solvent, a star pays 2 once one arc-investor
+    is (its 1-spike and that arc in full make its k-spike free), else k+1
+    (both spikes), and the first vertex of a sink component to turn
+    solvent has none.
     """
     graph_edges = [(str(u), str(v)) for u, v in graph_edges]
     for pos, (u, v) in enumerate(graph_edges):

@@ -21,10 +21,10 @@ bitmasks over edges and vertices, on the scaled integers.  On them
 an integer pair (`least_collateral` its value; `star._minimal_amount` the
 Fraction reference), and `need_pair`, on top of the cascade, that pair
 for the least collateral that makes an edge invest; `need_value` turns a
-pair into its Fraction for the kernel (`edge_need`), the search and a
-priced star (`star.star_solution`).  `eliminate` is the one elimination
-loop on top of both, on pairs, and holds the tie rule (resolve iff
-solvent and c_e >= need): IESDS on cyclic components and what is
+pair into its Fraction for the kernel (`edge_need`), the search, the
+subset DP and a priced star (`star.star_solution`).  `eliminate` is the
+one elimination loop on top of both, on pairs, and holds the tie rule
+(resolve iff solvent and c_e >= need): IESDS on cyclic components and what is
 upstream of them (a star that reaches none closes on its own row,
 `star.close_star`), `collat verify`'s minimality test on cyclic
 components and the search's free closure run it.
@@ -50,17 +50,17 @@ ZERO = Fraction(0)
 
 
 def as_money(value):
-    """Convert to an exact Fraction, rejecting floats outright.  A Fraction
-    (not a subclass) is immutable and already exact, so it comes back as it
-    is: the parser has built every amount, cost and rate already.  A string
-    reads as in a document (`instances.parse_rational`) on every Python."""
+    """An exact Fraction; a float raises TypeError.  A Fraction (not a
+    subclass) is immutable and exact, so it comes back as it is: the parser
+    builds every amount, cost and rate.  A string reads, and a bool is
+    refused, as in a document on every Python (`instances.parse_rational`)."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(
             "float amounts are not allowed; pass int, Fraction or a 'p/q' string"
         )
-    if isinstance(value, str):
+    if isinstance(value, (str, bool)):
         from .instances import parse_rational  # `instances` imports this module
         return parse_rational(value)
     return Fraction(value)
@@ -376,8 +376,8 @@ def least_collateral_pair(a, raised, cost, rate):
 
 
 def least_collateral(a, raised, cost, rate):
-    """`least_collateral_pair` as a number: 0 or a as an int, a partial
-    collateral as a Fraction."""
+    """`least_collateral_pair` as a number, the view tests check pairs
+    against: 0 or a as an int, a partial collateral as a Fraction."""
     num, den = least_collateral_pair(a, raised, cost, rate)
     return num if den == 1 else Fraction(num, den)
 

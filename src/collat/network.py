@@ -14,10 +14,10 @@ component runs, a solvable network must pass `validate_network` (else a
 ValueError joins its violations), so every entry point rejects what
 `collat check` rejects, in its words.  A single enterprise is a star
 (`star.star_solution`, `price_star` on its row of the scaled table; NEC
-1 on the acyclic networks `solve_dag` takes).  Its collaterals, and the
-search's, leave the scale through `model.need_value`, with no Fraction
-built per zero or full value; the other sums of a result are
-`model.exact_sum`s.  In `solve` a cyclic component runs an exact
+1 on the acyclic networks `solve_dag` takes).  Its collaterals, the
+search's and the subset DP's leave the scale through `model.need_value`,
+with no Fraction built per zero or full value; the other sums of a
+result are `model.exact_sum`s.  In `solve` a cyclic component runs an exact
 best-first (A*) search over resolved edge-sets (`_search`): the minimal
 collateral making an edge eliminable
 (`model.need_pair` on the bitmask cascade `model.cascade`) depends only
@@ -26,8 +26,9 @@ values stay on the network's scale, ints where integral (an
 integer-regime queue compares ints only), divided only for its results.
 Each state jumps to its closure under zero-need eliminations
 (`model.eliminate` with zero collaterals), and a consistent lower bound
-(each star's no-default completion cost) steers the search, so it
-expands a small fraction of the 2^|E| sets; a tie rule picks among
+(each star's no-default completion cost, `star.suffix_dp` on one table
+of unit prices per star) steers the search, so it expands a small
+fraction of the 2^|E| sets; a tie rule picks among
 optimal matrices, and `SEARCH_BUDGET` bounds the work per component.
 The root bound sums each star's completion from nothing, which is the
 star's stand-alone optimum, so the search hands those back as the
@@ -37,9 +38,10 @@ only on single-enterprise components.
 component and run the exhaustive subset dynamic program (`_subset_dp`,
 O(2^|E| |E|), `EXACT_GUARD` on |E|) instead, with star optima from
 `star_solution`: the oracles, so they check the root bound too.  The DP
-starts each set's cascade from its first parent's and keeps costs as
-integer pairs on the scaled table.  A result's `CollateralMatrix` is
-built once, from the solver's checked values (`from_checked`).
+starts each set's cascade from its first parent's, prices each step with
+`model.need_pair`, as the search does, and keeps costs as integer pairs
+on the scaled table.  A result's `CollateralMatrix` is built once, from
+the solver's checked values (`from_checked`).
 For integer inputs with alpha_k > Z_k every positive collateral of an
 optimal solution is full; both reach that optimum as they do any other,
 so no separate search runs.  `Solution.method` names the whole-network
@@ -67,7 +69,7 @@ from .model import (
     cascade,
     eliminate,
     exact_sum,
-    least_collateral_pair,
+    need_pair,
     need_value,
     validate_network,
 )
@@ -195,15 +197,16 @@ def _component_names(net):
 
 def _subset_dp(net):
     """Subset DP over resolved edge-sets of a solvable network: cost(S + e)
-    relaxes over cost(S) + the need of e given S, inline: none if e's
-    investor defaults, else `least_collateral_pair` on the scaled table.  Every
-    viable matrix admits an elimination order, so the DP minimum is the
-    global optimum.  A set's cascade starts from the cascade of the parent
-    that first reaches it (`within`: the cascade is antitone), and a cost
-    is an unreduced integer pair (num, den), compared by cross-multiplying;
-    only the returned amounts become Fractions.  The star optima come from
-    `star_solution`, first: an oversized star trips its guard, with its
-    name, before the DP's own.
+    relaxes over cost(S) + e's `model.need_pair` given S (none if e's
+    investor defaults).  Every viable matrix admits an elimination order,
+    so the DP minimum is the global optimum.  A set's cascade starts from
+    the cascade of the parent that first reaches it (`within`: the cascade
+    is antitone); its open edges are walked by bits, as in `eliminate`.  A
+    cost is an unreduced integer pair, compared by cross-multiplying; a set
+    keeps the (edge, need pair) that first reached it at least cost, and
+    the optimum's collaterals leave through `model.need_value`.  The star
+    optima come from `star_solution`, first: an oversized star trips its
+    guard, with its name, before the DP's own.
     Returns (amounts by edge, elimination order, star optima)."""
     optima = {k: star_solution(net, k).total for k in sorted(net.enterprise_set)}
     m = len(net.edges)
@@ -212,54 +215,42 @@ def _subset_dp(net):
             "exact solver guard is |E| <= %d; enterprises {%s} have %d edges"
             % (EXACT_GUARD, _component_names(net), m)
         )
-    edges, funding, costs = net.edges, net.funding, net.scaled_costs
-    size = 1 << m
-    cost = [None] * size  # edge-set -> least cost as an unreduced pair (num, den)
-    cost[0] = (0, 1)
-    parent = [-1] * size
-    defaulted = [None] * size  # edge-set -> its cascade, from the parent that first reaches it
-    defaulted[0] = cascade(net, 0)
-    for s_mask in range(size):
+    full = (1 << m) - 1
+    cost = [(0, 1)] + [None] * full  # edge-set -> least cost as an unreduced pair (num, den)
+    reached = [None] * (full + 1)  # edge-set -> (edge, need pair) of its least cost
+    defaulted = [cascade(net, 0)] + [None] * full  # edge-set -> its cascade, from its first parent's
+    for s_mask in range(full + 1):
         base = cost[s_mask]
         if base is None:
             continue
         num, den = base
         dmask = defaulted[s_mask]
-        for e in range(m):
-            bit = 1 << e
-            if s_mask & bit:
-                continue
+        rest = full ^ s_mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            e = bit.bit_length() - 1
             cmask = s_mask | bit
             child = defaulted[cmask]
             if child is None:
                 child = defaulted[cmask] = cascade(net, cmask, dmask)
-            edge = edges[e]
-            if child >> edge.investor & 1:
+            pair = need_pair(net, cmask, child, e)
+            if pair is None:
                 continue
-            k = edge.enterprise
-            raised = 0
-            for b, investor, a in funding[k]:
-                if cmask & b and not child >> investor & 1:
-                    raised += a
-            nn, nd = least_collateral_pair(net.scaled_amounts[e], raised, costs[k], net.rate[k])
+            nn, nd = pair
             new = num * nd + nn * den, den * nd
             cur = cost[cmask]
             if cur is None or new[0] * cur[1] < cur[0] * new[1]:
                 cost[cmask] = new
-                parent[cmask] = e
+                reached[cmask] = e, pair
 
-    full = size - 1
     assert cost[full] is not None  # guaranteed by the solvability check
-    amounts = {}
-    order = []
-    s_mask = full
+    amounts, order, s_mask = {}, [], full
     while s_mask:
-        e = parent[s_mask]
-        prev = s_mask ^ (1 << e)
-        (n1, d1), (n0, d0) = cost[s_mask], cost[prev]
-        amounts[e] = Fraction(n1 * d0 - n0 * d1, d1 * d0 * net.scale)
+        e, pair = reached[s_mask]
+        amounts[e] = need_value(net, e, pair)
         order.append(e)
-        s_mask = prev
+        s_mask ^= 1 << e
     order.reverse()
     return amounts, order, optima
 
@@ -301,12 +292,12 @@ def _search(net):
     zeros = [0] * m
     star_mask = {k: sum(1 << e for e in net.out_edges[k]) for k in net.enterprise_set}
     # per star: scaled amounts by local player, sigma as (player, edge)
-    # pairs, and resolved edges -> completion
+    # pairs, resolved edges -> completion, and the star's unit prices
     stars = {}
     for k in star_mask:
         edges = net.out_edges[k]
         amounts = [net.scaled_amounts[e] for e in edges]
-        stars[k] = (amounts, [(i, edges[i]) for i in sigma(amounts)], {})
+        stars[k] = (amounts, [(i, edges[i]) for i in sigma(amounts)], {}, {})
     expansions = entries = 0
 
     def check_budget():
@@ -321,16 +312,17 @@ def _search(net):
         """Least cost of resolving the edges of star k outside the bitmask
         `resolved` with no investor defaulting, on the scale: `suffix_dp`
         over them, the resolved ones counting as eliminated first at no
-        cost; its `cheapest` pair becomes an int (den 1) or a Fraction."""
+        cost, with the star's one table of unit prices; its `cheapest`
+        pair becomes an int (den 1) or a Fraction."""
         nonlocal entries
-        amounts, order, table = stars[k]
+        amounts, order, table, units = stars[k]
         value = table.get(resolved)
         if value is None:
             entries += 1
             check_budget()
             players = [i for i, e in order if not resolved >> e & 1]
             try:
-                layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players)
+                layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players, units)
             except TooLargeError as exc:
                 raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
             num, den, _ = cheapest(layer)

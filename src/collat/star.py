@@ -15,18 +15,17 @@ reduction allows).  `STATE_GUARD` bounds L.  `price_star` runs it on every
 player of a checked star, on a row of the network's scaled table
 (`star_solution`, the one star answer: the solvers' single-enterprise
 components, the oracles' star optima, and `solve_star`, which prices a
-`StarInstance` as its one-enterprise network); each step is priced by
-`model.least_collateral` (`_minimal_amount` is the Fraction reference),
-and `sigma` is the one sort into sigma order.  A state's cost is an
-exact, unreduced integer pair (num, den), compared by cross-multiplying:
-the formula is linear in the amount, so `least_collateral(1, X - t, Z,
-alpha)` prices a unit once per distinct suffix sum t (`_unit_price`), a
-partial step multiplies that pair in, and den is the product of the
-reduced unit denominators along the state's path, each at most q * X for
-alpha = p/q.  No Fraction is built inside the DP or by `price_star`,
-which returns integer pairs on the scale (`star_solution` turns each into
-a Fraction through `model.need_value`), and its tie step walks only the
-truncations the DP's last layer cannot rule out.  The form
+`StarInstance` as its one-enterprise network), and `sigma` is the one
+sort into sigma order.  A state's cost is an exact, unreduced integer
+pair (num, den), compared by cross-multiplying: the formula
+(`model.least_collateral_pair`; `_minimal_amount` is the Fraction
+reference) is linear in the amount, so a partial step multiplies in the
+unit price at its suffix sum t (`_unit_price`), which depends on the star
+and t alone: each caller keeps one table of them per star for every
+`suffix_dp` call on it.  No Fraction is built inside the DP or by
+`price_star`, which returns integer pairs on the scale (`star_solution`
+turns each into a Fraction through `model.need_value`), and its tie step
+walks only the truncations the DP's last layer cannot rule out.  The form
 also holds when some players are already eliminated at no cost, since they
 only sit in every prefix: those who pay full come first, and swapping
 adjacent partial players into sigma order never costs more.  So
@@ -45,6 +44,7 @@ verify` checks each single-enterprise acyclic component with it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,7 +53,6 @@ from .model import (
     TooLargeError,
     as_money,
     is_profitable,
-    least_collateral,
     least_collateral_pair,
     need_value,
 )
@@ -155,28 +154,29 @@ def optimal_partial_for_set(star, full_set):
 
 
 def _unit_price(raised, cost, rate):
-    """`least_collateral(1, raised, cost, rate)`, the price per unit of
-    amount with the prefix `raised`, as an integer pair (num, den) in lowest
-    terms.  The formula is linear in the amount, so an amount a costs
-    a * num / den."""
-    price = least_collateral(1, raised, cost, rate)
-    return price.numerator, price.denominator
+    """`least_collateral_pair(1, raised, cost, rate)` in lowest terms: the
+    price per unit of amount with the prefix `raised` (the formula is
+    linear in the amount, so an amount a costs a * num / den)."""
+    num, den = least_collateral_pair(1, raised, cost, rate)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
-def suffix_dp(amounts, cost, rate, players):
+def suffix_dp(amounts, cost, rate, players, units):
     """The dynamic program of `price_star` on integer `amounts` and `cost`
     (one common scale): place `players`, a sub-sequence of sigma, while the
     players left out count as eliminated first at no cost (their amounts
     are in every prefix).  A full player adds its amount and leaves t
-    alone; a partial player adds `least_collateral` with the prefix X - t
+    alone; a partial player adds its least collateral with the prefix X - t
     raised, and moves t up by its amount.
 
     A cost is an exact, unreduced integer pair (num, den), den > 0: a full
     step adds a * den to num, a partial step multiplies in the unit price
-    of its t (`_unit_price`, once per distinct t), and two costs compare by
-    cross-multiplying, so the loop builds no Fraction.  A state's den is
-    the product of the reduced unit denominators along its path, each at
-    most q * X for alpha = p/q.
+    of its t, and two costs compare by cross-multiplying, so the loop
+    builds no Fraction.  `units` is the caller's table of the star's unit
+    prices, t -> `_unit_price` at the prefix X - t, read and filled here.
+    A state's den is the product of the reduced unit denominators along
+    its path, each at most q * X for alpha = p/q.
 
     Returns the last layer, suffix sum t -> (cost num, cost den, full-set
     bitmask with player 0 the most significant bit); per state, cost ties
@@ -184,7 +184,7 @@ def suffix_dp(amounts, cost, rate, players):
     `STATE_GUARD` states.
     """
     d = len(amounts)
-    total, units = sum(amounts), {}  # t -> unit price at the prefix X - t
+    total = sum(amounts)
     layer = {0: (0, 1, 0)}  # t -> (cost num, cost den, full-set bitmask)
 
     for step, i in enumerate(reversed(players)):
@@ -242,19 +242,21 @@ def price_star(amounts, cost, rate):
     first, that is optimal is the answer, else A* itself.  A truncation
     keeping the players `head` is one DP path to the last layer's state at
     X - sum(head), so it costs at least that state's least cost: it is
-    walked only when that cost ties the optimum.  A walk prices on integer
-    pairs with `_unit_price`, as in the DP.  It builds no Fraction: a
-    collateral is the pair (a * un, ud), or (a, 1) if full, and the total
-    the DP's (num, den); as unit prices are in lowest terms, den is 1
-    exactly for 0 or the whole amount (`model.need_value`'s contract).
+    walked only when that cost ties the optimum, and reads each unit price
+    off the DP's table, as the DP has priced every step of it.  It builds
+    no Fraction: a collateral is the pair (a * un, ud), or (a, 1) if full,
+    and the total the DP's (num, den); as unit prices are in lowest terms,
+    den is 1 exactly for 0 or the whole amount (`model.need_value`'s
+    contract).
 
     Raises TooLargeError when a layer exceeds `STATE_GUARD` states.
     """
     d = len(amounts)
     order = sigma(amounts)
-    layer = suffix_dp(amounts, cost, rate, order)
+    units = {}  # t -> unit price at the prefix X - t
+    layer = suffix_dp(amounts, cost, rate, order, units)
     best_num, best_den, best_mask = cheapest(layer)
-    total, units = sum(amounts), {}  # t -> unit price at the prefix X - t
+    total = sum(amounts)
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
     rest = total  # X - the sum of the head: the suffix sum its walk ends at
     for m in range(len(full_set) + 1):  # the truncations, then A* itself
@@ -268,10 +270,7 @@ def price_star(amounts, cost, rate):
         t = 0  # the suffix sum of the partial players walked
         for i in reversed(order):
             if i not in head:
-                unit = units.get(t)
-                if unit is None:
-                    unit = units[t] = _unit_price(total - t, cost, rate)
-                un, ud = unit
+                un, ud = units[t]
                 partial.append((i, un, ud))
                 num, den = num * ud + amounts[i] * un * den, den * ud
                 t += amounts[i]

@@ -9,8 +9,8 @@ IESDS on every 0/full matrix; minimality comes from one elimination run from the
 positive collateral (`reference_is_minimal`), without the prefix seeding
 of `is_minimal`; star optima come from pricing every one of the 2^d full
 sets with `optimal_partial_for_set` (the Fraction reference formula),
-which `solve_star` does not call: it prices with `model.least_collateral`
-on scaled integers.  `fraction_suffix_dp` is the star DP with every cost a
+which `solve_star` does not call: it prices with
+`model.least_collateral_pair` on scaled integers.  `fraction_suffix_dp` is the star DP with every cost a
 Fraction, the reference each state of `star.suffix_dp`'s integer-pair
 costs is checked against.  `spiked_22` is a shared network: the smallest
 cyclic component beyond the subset DP's guard.

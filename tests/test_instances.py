@@ -300,12 +300,13 @@ class TestFvsGadget:
         assert len(net.edges) == 9
         assert all(net.cost[k] == 3 and net.rate[k] == 4 for k in net.enterprise_set)
         assert validate_network(net).ok
-        # one feedback vertex: one star pays k+1 = 3, the others 2
+        # one sink component: one star pays k+1 = 3, the others 2
         assert solve(net).total == 7
 
     def test_dead_branches_stripped(self):
         net = gen_fvs_gadget([(0, 1), (1, 2), (2, 0), (0, 3)])
-        # k reflects the input graph's degrees, but vertex 3 is on no cycle
+        # k reflects the input graph's degrees, but vertex 3 is on no cycle:
+        # one sink component on 3 vertices, 2 * 3 + (k-1) with k = 3
         assert sorted(i for i in net.ids if "_" not in str(i)) == ["0", "1", "2"]
         assert all(net.cost[k] == 4 for k in net.enterprise_set)
         assert solve(net).total == 8
@@ -316,9 +317,57 @@ class TestFvsGadget:
 
     def test_two_disjoint_cycles(self):
         net = gen_fvs_gadget([(0, 1), (1, 0), (2, 3), (3, 2)])
-        # two feedback vertices needed: 2 * (k+1) + 2 * 2 with k = 2
+        # two sink components: 2 * (k+1) + 2 * 2 with k = 2
         assert solve(net).total == 10
         assert sorted(solve(net).star_totals.values()) == [2, 2, 3, 3]
+
+    @staticmethod
+    def _stripped_and_sinks(arcs):
+        """The vertices left after stripping out-degree 0 ones, and the
+        number of sink strongly connected components (none of whose arcs
+        leave it) of the stripped digraph."""
+        arcs = set(arcs)
+        while True:
+            tails = {u for u, _ in arcs}
+            kept = {(u, v) for u, v in arcs if v in tails}
+            if kept == arcs:
+                break
+            arcs = kept
+        vertices = {u for u, _ in arcs}
+        reach = {}
+        for v in vertices:  # depth-first: everything v reaches
+            seen, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for a, b in arcs:
+                    if a == u and b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+            reach[v] = frozenset(seen)
+        # v lies in a sink component iff all it reaches reaches it back;
+        # that component is then all it reaches
+        sinks = {reach[v] for v in vertices if all(v in reach[u] for u in reach[v])}
+        return vertices, len(sinks)
+
+    def test_the_optimum_counts_sink_components_not_a_feedback_vertex_set(self):
+        # complete digraph on 3 vertices: a minimum feedback vertex set has
+        # 2 vertices (2 * 3 + 2 * 2 = 10), but one sink component gives 8
+        cases = [[(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]]
+        rng = random.Random("fvs-gadget")
+        for _ in range(47):
+            # 3-8 vertices cut into 1-3 runs, dense inside a run, sparse
+            # from a run to a later one, none back: sink components of
+            # several counts
+            n = rng.randint(3, 8)
+            cuts = rng.sample(range(1, n), rng.randint(0, 2))
+            run = [sum(v >= c for c in cuts) for v in range(n)]
+            cases.append([(u, v) for u in range(n) for v in range(n) if u != v and rng.random()
+                          < (0.5 if run[u] == run[v] else 0.05 if run[u] < run[v] else 0)])
+        for arcs in cases:
+            vertices, sinks = self._stripped_and_sinks(arcs)
+            k = 1 + max([sum(u == w for u, _ in arcs) for w, _ in arcs], default=0)
+            assert solve(gen_fvs_gadget(arcs)).total == 2 * len(vertices) + (k - 1) * sinks, arcs
+        assert solve(gen_fvs_gadget(cases[0])).total == 8
 
     def test_a_vertex_named_as_a_spike_is_rejected(self):
         # a's first spike would share its id with the graph vertex a_s1

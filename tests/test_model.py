@@ -559,6 +559,24 @@ class TestAsMoney:
         assert type(money) is Fraction and money == value
         assert InvestmentNetwork(2, [(0, 1, text)]).edges[0].amount == value
 
+    @pytest.mark.parametrize("build", [
+        lambda v: InvestmentNetwork(2, [(0, 1, v)], cost={0: 0}, rate={0: 1}),
+        lambda v: InvestmentNetwork(2, [(0, 1, 1)], cost={0: v}, rate={0: 1}),
+        lambda v: InvestmentNetwork(2, [(0, 1, 1)], cost={0: 0}, rate={0: v}),
+        lambda v: CollateralMatrix(InvestmentNetwork(2, [(0, 1, 1)]), [v]),
+        lambda v: StarInstance([v], 0, 1),
+        lambda v: StarInstance([1], v, 1),
+        lambda v: StarInstance([1], 0, v),
+    ], ids=["amount", "cost", "rate", "collateral", "star-amount", "star-cost", "star-rate"])
+    def test_a_bool_is_refused_as_a_document_refuses_it(self, build):
+        # `True` is an int to Python; as money it reads as 1 no more
+        for value in (True, False):
+            with pytest.raises(DocumentError, match="expected a rational, got a boolean"):
+                build(value)
+        with pytest.raises(TypeError):
+            build(1.0)
+        build(1)
+
     @pytest.mark.parametrize("text", ["1_000", "\u0661"], ids=["underscore", "arabic-indic-one"])
     def test_a_string_outside_the_grammar_is_refused_on_every_python(self, text):
         # `Fraction` reads "1_000" from Python 3.11 on, and reads "\u0661" as 1

@@ -456,9 +456,9 @@ class TestStarOptimaFromTheSearch:
             star_calls.append(amounts)
             return price_star(amounts, cost, rate)
 
-        def counted_suffix_dp(amounts, cost, rate, players):
-            dp_calls.append((amounts, tuple(players)))  # keeps `amounts` alive
-            return suffix_dp(amounts, cost, rate, players)
+        def counted_suffix_dp(amounts, cost, rate, players, units):
+            dp_calls.append((amounts, tuple(players), units))  # keeps both alive
+            return suffix_dp(amounts, cost, rate, players, units)
 
         monkeypatch.setattr(star_module, "price_star", counted_price_star)
         monkeypatch.setattr(network, "suffix_dp", counted_suffix_dp)
@@ -469,10 +469,13 @@ class TestStarOptimaFromTheSearch:
         assert sol.star_optima == optima
         # one star pricing, for R alone (the network's scale is 1)
         assert [tuple(amounts) for amounts in star_calls] == [(2, 1)]
-        keys = [(id(amounts), players) for amounts, players in dp_calls]
+        keys = [(id(amounts), players) for amounts, players, _ in dp_calls]
         assert len(set(keys)) == len(keys)
+        # one table of unit prices per star, shared by all its DPs
+        tables = {(id(amounts), id(units)) for amounts, _, units in dp_calls}
+        assert len(tables) == len({key for key, _ in tables}) == 3
         # one full-star DP per star: R's in price_star, P's and Q's at the root
-        assert sum(len(players) == len(amounts) for amounts, players in dp_calls) == 3
+        assert sum(len(players) == len(amounts) for amounts, players, _ in dp_calls) == 3
         entries = re.search(r"(\d+) bound entries", caplog.text)
         assert len(dp_calls) == 1 + int(entries.group(1))
 
@@ -622,6 +625,51 @@ class TestStarCollateralObjects:
         assert full and all(c[e] is net.edges[e].amount for e in full)
         assert any(0 < v < x.amount for v, x in zip(c, net.edges))
         assert solve_exact(net).total == c.total()
+
+    def test_the_subset_dp_returns_its_collaterals_the_same_way(self):
+        net = random_network(8, 3, seed=23)
+        sol = solve_exact(net)
+        c = sol.collaterals
+        zeros = [v for v in c if v == 0]
+        full = [e for e, x in enumerate(net.edges) if c[e] == x.amount]
+        assert len(zeros) > 1 and all(v is ZERO for v in zeros)
+        assert full and all(c[e] is net.edges[e].amount for e in full)
+        assert any(0 < v < x.amount for v, x in zip(c, net.edges))
+        assert sol.total == solve(net).total
+
+
+class TestRelabelling:
+    """Permuting the vertices and the edge list keeps the status, the
+    total, the NEC and each enterprise's star optimum.
+
+    Proof: a relabelling maps the network onto an isomorphic one, edge to
+    edge with the same amount, and each enterprise to one with the same
+    cost and rate.  The cascade, every need and so viability are defined
+    on that structure alone, so a collateral matrix is viable on one net
+    iff its image is on the other, with the same total: the optima are
+    equal, and so is solvability.  A star optimum depends only on the
+    star's amounts, cost and rate, and the NEC is the total over their
+    sum.  The search breaks ties on edge bitmasks, so the relabelled net
+    takes another path, maybe to another optimal matrix; only these
+    values are compared."""
+
+    def test_four_relabellings_of_a_29_edge_cyclic_component(self):
+        net = random_network(18, 4, seed=998695729)
+        assert max(sum(len(net.out_edges[k]) for k in comp)
+                   for comp, cyclic in network._enterprise_components(net) if cyclic) == 29
+        want = solve(net)
+        assert want.status is Status.SOLVED and want.method == "exact"
+        rng = random.Random("relabel")
+        for _ in range(4):
+            perm = rng.sample(range(net.n), net.n)  # vertex v becomes perm[v]
+            edges = [(perm[e.enterprise], perm[e.investor], e.amount)
+                     for e in rng.sample(net.edges, len(net.edges))]
+            cost, rate = [0] * net.n, [0] * net.n
+            for v in range(net.n):
+                cost[perm[v]], rate[perm[v]] = net.cost[v], net.rate[v]
+            got = solve(InvestmentNetwork(net.n, edges, cost=cost, rate=rate))
+            assert (got.status, got.total, got.nec) == (want.status, want.total, want.nec)
+            assert got.star_optima == {perm[k]: v for k, v in want.star_optima.items()}
 
 
 class TestSearchOnTheScale:

@@ -16,7 +16,7 @@ from collat import (
     solve_star,
 )
 from collat import star as star_module
-from collat.model import scaled
+from collat.model import least_collateral, scaled
 from collat.star import STATE_GUARD, cheapest, sigma, suffix_dp
 from helpers import (
     assert_minimal,
@@ -300,10 +300,11 @@ class TestIntegerPairDP:
         for star in self._stars(rng):
             assert star.is_profitable()
             amounts, cost = scaled_star(star)
-            order = sigma(amounts)
-            # all of sigma (`price_star`), then sub-sequences (the search's completions)
+            order, units = sigma(amounts), {}
+            # all of sigma (`price_star`), then sub-sequences (the search's
+            # completions), on the star's one table of unit prices
             for players in [order] + [[i for i in order if rng.random() < 0.6] for _ in range(3)]:
-                got = suffix_dp(amounts, cost, star.rate, players)
+                got = suffix_dp(amounts, cost, star.rate, players, units)
                 want = fraction_suffix_dp(amounts, cost, star.rate, players)
                 assert [(t, Fraction(num, den), mask) for t, (num, den, mask) in got.items()] == [
                     (t, price, mask) for t, (price, mask) in want.items()], star
@@ -313,19 +314,29 @@ class TestIntegerPairDP:
         assert stars == 360
 
     def test_one_unit_price_per_suffix_sum_and_no_fraction_in_a_state(self, monkeypatch):
-        calls, least_collateral = [], star_module.least_collateral
+        calls, least_collateral_pair = [], star_module.least_collateral_pair
 
         def counted(a, raised, cost, rate):
             calls.append((a, raised))
-            return least_collateral(a, raised, cost, rate)
+            return least_collateral_pair(a, raised, cost, rate)
 
-        monkeypatch.setattr(star_module, "least_collateral", counted)
+        monkeypatch.setattr(star_module, "least_collateral_pair", counted)
         star = family_star(random.Random(7), "rational", 10)
         amounts, cost = scaled_star(star)
-        layer = suffix_dp(amounts, cost, star.rate, sigma(amounts))
+        order, units = sigma(amounts), {}
+        layer = suffix_dp(amounts, cost, star.rate, order, units)
         assert calls and all(a == 1 for a, _ in calls)
-        assert len(set(calls)) == len(calls)
+        assert len(set(calls)) == len(calls) == len(units)
         assert all(type(v) is int for entry in layer.values() for v in entry)
+        # each unit price is in lowest terms, and a later call on the same
+        # star reads the table: every suffix sum it meets is priced once
+        total = sum(amounts)
+        for t, unit in units.items():
+            price = Fraction(least_collateral(1, total - t, cost, star.rate))
+            assert unit == (price.numerator, price.denominator)
+        suffix_dp(amounts, cost, star.rate, order[1::2], units)
+        suffix_dp(amounts, cost, star.rate, order, units)
+        assert len(set(calls)) == len(calls) == len(units)
 
     def test_widest_denominators(self):
         # 200 players of 1-3, alpha = 5/7 and Z = 150: most steps are
