@@ -57,7 +57,7 @@ def iterated_elimination(net, c):
     on the scan order (monotone closure): a network with its edge list
     permuted leaves the same edges stuck.
     """
-    amounts, scaled_amounts, costs = c.amounts, net.scaled_amounts, net.scaled_costs
+    pairs, scaled_amounts, costs = c.on_scale(net.scale), net.scaled_amounts, net.scaled_costs
     order, resolved, defaulted, tangled = [], 0, 0, 0
     for comp, cyclic in _enterprise_components(net):
         k = comp[0]
@@ -67,15 +67,15 @@ def iterated_elimination(net, c):
         edges = net.out_edges[k]
         if defaulted:
             edges = [e for e, (_, i, _) in zip(edges, net.funding[k]) if not defaulted >> i & 1]
-        joined, raised = close_star([scaled_amounts[e] for e in edges], costs[k], net.rate[k],
-                                    [amounts[e] for e in edges], net.scale)
+        joined, raised = close_star([scaled_amounts[e] for e in edges], costs[k], net.rate_pq[k],
+                                    [pairs[e] for e in edges])
         for p in joined:
             order.append(edges[p])
             resolved |= 1 << edges[p]
         if raised < costs[k]:
             defaulted |= 1 << k
     if tangled:
-        rest, _, _, needs = eliminate(net, c, resolved)
+        rest, _, _, needs = eliminate(net, pairs, resolved)
         return order + rest, frozenset(needs)
     return order, frozenset(e for e in range(len(net.edges)) if not resolved >> e & 1)
 
@@ -158,7 +158,7 @@ def _minimal_along(net, c, order):
     reaches the same needs[e] without checking the edges it starts
     resolved (a pair on the scale, compared with c_e on integers).
     """
-    amounts = c.amounts
+    pairs = c.on_scale(net.scale)
     rows = {}  # acyclic enterprise -> its edges in `order`
     relevant = {}  # enterprise of a cyclic component -> the edges into the component
     for comp, cyclic in _enterprise_components(net):
@@ -172,9 +172,9 @@ def _minimal_along(net, c, order):
         if row is not None:
             row.append(e)
     for k, row in rows.items():
-        if any(amounts[e] for e in row) and not minimal_in_order(
-                [net.scaled_amounts[e] for e in row], net.scaled_costs[k], net.rate[k],
-                [amounts[e] for e in row], net.scale):
+        if any(pairs[e][0] for e in row) and not minimal_in_order(
+                [net.scaled_amounts[e] for e in row], net.scaled_costs[k], net.rate_pq[k],
+                [pairs[e] for e in row]):
             return False
     if not relevant:
         return True
@@ -182,10 +182,10 @@ def _minimal_along(net, c, order):
     prefix = 0
     for e in order:
         mask = relevant.get(net.edges[e].enterprise)
-        if mask is not None and amounts[e]:
-            lowered = amounts[:e] + (0,) + amounts[e + 1:]
-            need, ce = eliminate(net, lowered, prefix | settled & ~mask)[3].get(e), amounts[e]
-            if need is None or need[0] * ce.denominator != ce.numerator * need[1] * net.scale:
+        if mask is not None and pairs[e][0]:
+            lowered = pairs[:e] + ((0, 1),) + pairs[e + 1:]
+            need, (cs, cd) = eliminate(net, lowered, prefix | settled & ~mask)[3].get(e), pairs[e]
+            if need is None or need[0] * cd != cs * need[1]:
                 return False
         prefix |= 1 << e
     return True
@@ -345,12 +345,9 @@ def _star_sums(net, k, investor_set, i):
     edge = net.edge_index.get((k, i))
     if edge is None:
         raise ValueError("player %s has no opportunity in enterprise %s" % (i, k))
-    x_i = net.edges[edge].amount
-    others = Fraction(0)
-    for e in net.out_edges[k]:
-        if net.edges[e].investor in investor_set:
-            others += net.edges[e].amount
-    return x_i, others
+    others = sum((net.edges[e].amount for e in net.out_edges[k]
+                  if net.edges[e].investor in investor_set), Fraction(0))
+    return net.edges[edge].amount, others
 
 
 def zero_collateral_condition(net, k, investor_set, i):
@@ -370,5 +367,7 @@ def full_collateral_condition(net, k, investor_set, i):
 def is_large_alpha(net):
     """Integer-input regime with alpha_k > Z_k for every enterprise, where
     every positive collateral of an optimal solution is a full collateral
-    (the table's scale is 1 exactly when every amount and cost is an int)."""
-    return net.scale == 1 and all(net.rate[k] > z for k, z in net.scaled_costs.items())
+    (the table's scale is 1 exactly when every amount and cost is an int),
+    on the table: alpha_k = p/q > Z_k iff p > Z_k q."""
+    pq = net.rate_pq
+    return net.scale == 1 and all(pq[k][0] > z * pq[k][1] for k, z in net.scaled_costs.items())

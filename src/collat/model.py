@@ -7,30 +7,31 @@ that fails to raise its operational cost defaults and withdraws all of its
 own investments, which can cascade.
 
 `InvestmentNetwork` builds the one table every layer after the parser
-reads: it keeps Fractions it is given as they are, and scales the amounts
+reads: it keeps Fractions it is given as they are, scales the amounts
 and enterprise costs once, with integer arithmetic (`scaled`), over a
-common denominator (`scaled_amounts`, `scaled_costs`, and per enterprise
-the `funding` rows); a component's sub-network goes through the same
-constructor.  `validate_network` checks profitability on those integers
+common denominator (`scaled_amounts`, `scaled_costs`, per enterprise the
+`funding` rows), and keeps each rate as its pair (p, q) (`rate_pq`).
+`validate_network` checks profitability on those integers
 (`is_profitable`, also `solve_star`'s), and `exact_sum` adds Fractions
 the same way: the numerators over their least common denominator, one
 Fraction per sum (the solvers' star totals, total and NEC denominator,
 and `CollateralMatrix.total`).  `cascade` is the one cascade loop:
 bitmasks over edges and vertices, on the scaled integers.  On them
 `least_collateral_pair` is the solver's one least-collateral formula, as
-an integer pair (`least_collateral` its value; `star._minimal_amount` the
-Fraction reference), and `need_pair`, on top of the cascade, that pair
-for the least collateral that makes an edge invest; `need_value` turns a
-pair into its Fraction for the kernel (`edge_need`), the search, the
-subset DP and a priced star (`star.star_solution`).  `eliminate` is the
-one elimination loop on top of both, on pairs, and holds the tie rule
-(resolve iff solvent and c_e >= need): IESDS on cyclic components and what is
+an integer pair (`star._minimal_amount` is the Fraction reference), and
+`need_pair`, on top of the cascade, that pair for the least collateral
+that makes an edge invest; `need_value` turns a pair into its Fraction
+for the kernel (`edge_need`), the search, the subset DP and a priced
+star (`star.star_solution`).  `eliminate` is the one elimination loop on
+top of both, on pairs (a collateral too, put on the scale once per
+matrix: `CollateralMatrix.on_scale`), and holds the tie rule (resolve
+iff solvent and c_e >= need): IESDS on cyclic components and what is
 upstream of them (a star that reaches none closes on its own row,
 `star.close_star`), `collat verify`'s minimality test on cyclic
-components and the search's free closure run it.
-`best_response` (on a full cascade), `default_determination`,
-`enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
-definitional reference.
+components and the search's free closure run it.  `best_response` (on a
+full cascade), `default_determination`, `enterprise_return`,
+`edge_utility` and `is_nash_equilibrium` stay as the definitional
+reference.
 
 All monetary quantities are `fractions.Fraction`.  Comparisons are exact and
 ties are load-bearing (capital exactly covering the cost counts as solvent;
@@ -89,19 +90,23 @@ class InvestmentNetwork:
     """An investment network: vertices, weighted opportunity edges, and
     per-enterprise cost / interest-rate parameters.
 
-    Vertices are integers 0..n-1; `ids` optionally carries external names for
-    reporting.  `cost[k]` and `rate[k]` are only meaningful for enterprise
-    vertices (non-zero out-degree); they default to 0 elsewhere.  Both
-    endpoints of an edge must be vertices (ValueError otherwise).
+    Vertices are the ints 0..n-1; `ids` optionally carries external names
+    for reporting.  `cost[k]` and `rate[k]` are only meaningful for
+    enterprise vertices (non-zero out-degree); they default to 0 elsewhere.
+    `n` and the endpoints are ints (TypeError otherwise, as for a bool), and
+    the endpoints and the keys of a dict `cost` or `rate` are vertices
+    (ValueError otherwise).
     """
 
     def __init__(self, n, edges, cost=None, rate=None, ids=None):
-        self.n = n = int(n)
+        if type(n) is not int:
+            raise TypeError("n must be an int, got %r" % (n,))
+        self.n = n
         norm = []
         for e in edges:
             if not isinstance(e, Edge):
                 k, i, x = e
-                e = Edge(int(k), int(i), as_money(x))
+                e = Edge(k, i, as_money(x))
             elif type(e.amount) is not Fraction:
                 e = Edge(e.enterprise, e.investor, as_money(e.amount))
             norm.append(e)
@@ -113,17 +118,20 @@ class InvestmentNetwork:
             raise ValueError("ids length must equal n")
         self.out_edges = {k: [] for k in range(n)}
         for idx, e in enumerate(self.edges):
+            if type(e.enterprise) is not int or type(e.investor) is not int:
+                raise TypeError("edge %d: endpoints must be ints" % idx)
             out = self.out_edges.get(e.enterprise)
             if out is None or not 0 <= e.investor < n:
                 raise ValueError("edge %d: endpoint out of range" % idx)
             out.append(idx)
         self.enterprise_set = frozenset(e.enterprise for e in self.edges)
         self.edge_index = {(e.enterprise, e.investor): idx for idx, e in enumerate(self.edges)}
-        # the cascade's integers: every amount and enterprise cost times `scale`
+        # the kernel's integers: amounts and enterprise costs times `scale`, rates as (p, q)
         m, firms = len(self.edges), sorted(self.enterprise_set)
         self.scale, ints = scaled([e.amount for e in self.edges] + [self.cost[k] for k in firms])
         self.scaled_amounts = tuple(ints[:m])
         self.scaled_costs = dict(zip(firms, ints[m:]))
+        self.rate_pq = {k: self.rate[k].as_integer_ratio() for k in firms}
         self.funding = {
             k: tuple((1 << e, self.edges[e].investor, self.scaled_amounts[e])
                      for e in self.out_edges[k])
@@ -133,24 +141,29 @@ class InvestmentNetwork:
         self._validation = self._components = None
 
     def _per_vertex(self, values):
-        """n Fractions, one per vertex; a sequence of n Fractions is kept
-        as it is (as a tuple)."""
-        if values is None:
-            return (Fraction(0),) * self.n
-        if isinstance(values, dict):
-            return tuple(as_money(values.get(v, 0)) for v in range(self.n))
-        out = tuple(values)
-        if not all(type(v) is Fraction for v in out):
-            out = tuple(as_money(v) for v in out)
-        if len(out) != self.n:
-            raise ValueError("per-vertex parameter length must equal n")
-        return out
+        """One Fraction per vertex, 0 if `values` is None; Fractions are kept."""
+        out = tuple(_by_index({} if values is None else values, self.n, "per-vertex parameter"))
+        return out if all(type(v) is Fraction for v in out) else tuple(map(as_money, out))
 
     def all_edges(self):
         return frozenset(range(len(self.edges)))
 
     def __repr__(self):
         return "InvestmentNetwork(n=%d, edges=%d)" % (self.n, len(self.edges))
+
+
+def _by_index(values, size, what):
+    """`values`, a sequence of `size` or a dict by index (0 where a key is
+    missing), as a list; another length or key is a ValueError."""
+    if not isinstance(values, dict):
+        values = list(values)
+        if len(values) != size:
+            raise ValueError("%s: length must be %d" % (what, size))
+        return values
+    for key in values:
+        if type(key) is not int or not 0 <= key < size:
+            raise ValueError("%s: key %r is not an index below %d" % (what, key, size))
+    return [values.get(i, ZERO) for i in range(size)]
 
 
 @dataclass(frozen=True)
@@ -171,20 +184,14 @@ class CollateralMatrix:
 
     def __init__(self, net, amounts):
         self.net = net
-        if isinstance(amounts, dict):
-            values = [amounts.get(e, 0) for e in range(len(net.edges))]
-        else:
-            values = list(amounts)
-            if len(values) != len(net.edges):
-                raise ValueError("collateral vector length must match edge count")
         out = []
-        for v, edge in zip(values, net.edges):
+        for v, edge in zip(_by_index(amounts, len(net.edges), "collateral vector"), net.edges):
             c, x = as_money(v), edge.amount
             if c.numerator < 0:
                 raise ValueError("collateral amounts must be nonnegative")
             # min(c, x), exact on numerators and denominators
             out.append(x if c.numerator * x.denominator > x.numerator * c.denominator else c)
-        self.amounts = tuple(out)
+        self.amounts, self._scaled = tuple(out), (None, ())
 
     @classmethod
     def from_checked(cls, net, amounts):
@@ -192,8 +199,16 @@ class CollateralMatrix:
         no larger than the edge's amount, kept as they are: the solvers'
         results and a parsed collateral document are already checked."""
         c = cls.__new__(cls)
-        c.net, c.amounts = net, tuple(amounts)
+        c.net, c.amounts, c._scaled = net, tuple(amounts), (None, ())
         return c
+
+    def on_scale(self, scale):
+        """Each collateral c as (cs, cd) = (c.numerator * scale, c.denominator):
+        a need (num, den) on a table of `scale` is at most c iff num * cd <=
+        cs * den.  Built once per matrix and scale."""
+        if self._scaled[0] != scale:
+            self._scaled = scale, tuple((c.numerator * scale, c.denominator) for c in self.amounts)
+        return self._scaled[1]
 
     @classmethod
     def zeros(cls, net):
@@ -267,7 +282,7 @@ def validate_network(net):
     for k in sorted(net.enterprise_set):
         if net.scaled_costs[k] < 0:
             violations.append("enterprise %s: negative cost" % (k,))
-        if net.rate[k].numerator <= 0:
+        if net.rate_pq[k][0] <= 0:
             violations.append("enterprise %s: rate must be positive" % (k,))
         if not is_profitable(net, k):
             x_total = Fraction(sum(a for _, _, a in net.funding[k]), net.scale)
@@ -296,9 +311,8 @@ def exact_sum(values):
 
 def is_profitable(net, k):
     """(1 + alpha)(X - Z) >= X on enterprise k's row of the scaled table,
-    for alpha = p/q: (p+q)(X - Z) >= qX on integers."""
-    total, rate = sum(a for _, _, a in net.funding[k]), net.rate[k]
-    p, q = rate.numerator, rate.denominator
+    for alpha = p/q (`rate_pq`): (p+q)(X - Z) >= qX on integers."""
+    total, (p, q) = sum(a for _, _, a in net.funding[k]), net.rate_pq[k]
     return (p + q) * (total - net.scaled_costs[k]) >= q * total
 
 
@@ -346,10 +360,7 @@ def default_determination(net, cooperate):
     defaulted vertices plus the cooperate edges whose investor and
     enterprise both survive."""
     cooperate = frozenset(cooperate)
-    mask = 0
-    for e in cooperate:
-        mask |= 1 << e
-    defaulted = cascade(net, mask)
+    defaulted = cascade(net, sum(1 << e for e in cooperate))
     return InvestState(
         frozenset(k for k in net.funding if defaulted >> k & 1),
         frozenset(
@@ -360,26 +371,20 @@ def default_determination(net, cooperate):
     )
 
 
-def least_collateral_pair(a, raised, cost, rate):
+def least_collateral_pair(a, raised, cost, pq):
     """The solver's one least-collateral formula: a's worst-case shortfall
     a * clamp(1 - (1+alpha)(1 - Z/P), 0, 1), with P = `raised`, Z = `cost`
-    and alpha = `rate`, on integers of one scale, as an unreduced integer
-    pair (num, den), den > 0.  den is 1 iff the value is 0 or a."""
+    and alpha = p/q for `pq` = (p, q), on integers of one scale, as an
+    unreduced integer pair (num, den), den > 0.  den is 1 iff the value is
+    0 or a."""
     if raised <= cost:
         return a, 1
     # 1 - (1+p/q)(1 - Z/P) = (q P - (p+q)(P - Z)) / (q P)
-    p, q = rate.numerator, rate.denominator
+    p, q = pq
     num = q * raised - (p + q) * (raised - cost)
     if num <= 0:
         return 0, 1
     return a * num, q * raised  # q P >= 2, as q P = 1 gives num = -p
-
-
-def least_collateral(a, raised, cost, rate):
-    """`least_collateral_pair` as a number, the view tests check pairs
-    against: 0 or a as an int, a partial collateral as a Fraction."""
-    num, den = least_collateral_pair(a, raised, cost, rate)
-    return num if den == 1 else Fraction(num, den)
 
 
 def need_pair(net, cooperate_mask, defaulted_mask, edge):
@@ -399,7 +404,7 @@ def need_pair(net, cooperate_mask, defaulted_mask, edge):
         if cooperate_mask & bit and not defaulted_mask >> investor & 1:
             raised += amount
     return least_collateral_pair(net.scaled_amounts[edge], raised, net.scaled_costs[k],
-                                 net.rate[k])
+                                 net.rate_pq[k])
 
 
 def need_value(net, edge, pair):
@@ -419,8 +424,9 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
 
 
 def eliminate(net, c, resolved=0):
-    """Iterated elimination under the collaterals `c`, from the bitmask
-    `resolved`.
+    """Iterated elimination under the collaterals `c`, one integer pair
+    per edge on the network's scale (`CollateralMatrix.on_scale`), from the
+    bitmask `resolved`.
 
     Sweeps the unresolved edges in index order and resolves each edge e
     whose `need_pair` with `resolved | e` cooperating is not None and <=
@@ -431,8 +437,7 @@ def eliminate(net, c, resolved=0):
     the bits outside `resolved`, each later one is the last sweep's
     unresolved edges (its `needs`, kept in index order), so a run costs
     in proportion to its open edges, not to the network.  A need (num,
-    den) is compared with c_e (maybe an int) on integers: num * c_e's
-    denominator <= c_e's numerator * den * scale.
+    den) is compared with c_e = (cs, cd) on integers: num * cd <= cs * den.
     The defaulted mask is kept along the way; only an edge into a defaulted
     enterprise k can change it, and then the cascade reruns over the
     defaulted enterprises alone (`cascade`'s `within`: it is antitone, so
@@ -451,7 +456,6 @@ def eliminate(net, c, resolved=0):
     """
     defaulted = cascade(net, resolved)
     edges, funding, costs, amounts = net.edges, net.funding, net.scaled_costs, net.scaled_amounts
-    scale = net.scale
     sweep = []
     rest = ((1 << len(edges)) - 1) & ~resolved
     while rest:
@@ -474,8 +478,8 @@ def eliminate(net, c, resolved=0):
                     dmask = cascade(net, cmask, defaulted)
             need = need_pair(net, cmask, dmask, e)
             if need is not None:
-                ce = c[e]
-                if need[0] * ce.denominator <= ce.numerator * need[1] * scale:
+                cs, cd = c[e]
+                if need[0] * cd <= cs * need[1]:
                     resolved, defaulted = cmask, dmask
                     order.append(e)
                     if k in pledged:
@@ -494,10 +498,7 @@ def enterprise_return(net, invest, edge):
         raise ValueError("return is undefined for a non-invest edge")
     e = net.edges[edge]
     k = e.enterprise
-    raised = Fraction(0)
-    for other in net.out_edges[k]:
-        if other in invest:
-            raised += net.edges[other].amount
+    raised = sum((net.edges[o].amount for o in net.out_edges[k] if o in invest), Fraction(0))
     total_net = (1 + net.rate[k]) * (raised - net.cost[k])
     if total_net <= 0:
         return Fraction(0)

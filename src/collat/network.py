@@ -289,7 +289,7 @@ def _search(net):
     Returns (amounts by edge, elimination order, star optima)."""
     m = len(net.edges)
     full = (1 << m) - 1
-    zeros = [0] * m
+    zeros = [(0, 1)] * m
     star_mask = {k: sum(1 << e for e in net.out_edges[k]) for k in net.enterprise_set}
     # per star: scaled amounts by local player, sigma as (player, edge)
     # pairs, resolved edges -> completion, and the star's unit prices
@@ -322,7 +322,7 @@ def _search(net):
             check_budget()
             players = [i for i, e in order if not resolved >> e & 1]
             try:
-                layer = suffix_dp(amounts, net.scaled_costs[k], net.rate[k], players, units)
+                layer = suffix_dp(amounts, net.scaled_costs[k], net.rate_pq[k], players, units)
             except TooLargeError as exc:
                 raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
             num, den, _ = cheapest(layer)

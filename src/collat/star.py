@@ -35,11 +35,12 @@ the independent oracle.
 
 `close_star` is the elimination closure of a star whose investors are
 settled, on a row of the scaled table: a player joins once its need
-(`model.least_collateral_pair`, compared on integers) is at most its
-collateral.  IESDS closes each star that reaches no cyclic component with
-it, and `minimal_in_order`, which tests a star's collaterals for
-minimality, closes over the later players with each one at 0; `collat
-verify` checks each single-enterprise acyclic component with it.
+(`model.least_collateral_pair`) is at most its collateral, a pair on the
+scale (`CollateralMatrix.on_scale`).  IESDS closes each star that reaches
+no cyclic component with it, and `minimal_in_order`, which tests a star's
+collaterals for minimality, closes over the later players with each one
+at 0; `collat verify` checks each single-enterprise acyclic component
+with it.
 """
 from __future__ import annotations
 
@@ -153,22 +154,22 @@ def optimal_partial_for_set(star, full_set):
     return tuple(c)
 
 
-def _unit_price(raised, cost, rate):
-    """`least_collateral_pair(1, raised, cost, rate)` in lowest terms: the
+def _unit_price(raised, cost, pq):
+    """`least_collateral_pair(1, raised, cost, pq)` in lowest terms: the
     price per unit of amount with the prefix `raised` (the formula is
     linear in the amount, so an amount a costs a * num / den)."""
-    num, den = least_collateral_pair(1, raised, cost, rate)
+    num, den = least_collateral_pair(1, raised, cost, pq)
     g = math.gcd(num, den)
     return num // g, den // g
 
 
-def suffix_dp(amounts, cost, rate, players, units):
+def suffix_dp(amounts, cost, pq, players, units):
     """The dynamic program of `price_star` on integer `amounts` and `cost`
-    (one common scale): place `players`, a sub-sequence of sigma, while the
-    players left out count as eliminated first at no cost (their amounts
-    are in every prefix).  A full player adds its amount and leaves t
-    alone; a partial player adds its least collateral with the prefix X - t
-    raised, and moves t up by its amount.
+    (one common scale), alpha = p/q for `pq` = (p, q): place `players`, a
+    sub-sequence of sigma, while the players left out count as eliminated
+    first at no cost (their amounts are in every prefix).  A full player
+    adds its amount and leaves t alone; a partial player adds its least
+    collateral with the prefix X - t raised, and moves t up by its amount.
 
     A cost is an exact, unreduced integer pair (num, den), den > 0: a full
     step adds a * den to num, a partial step multiplies in the unit price
@@ -176,7 +177,7 @@ def suffix_dp(amounts, cost, rate, players, units):
     builds no Fraction.  `units` is the caller's table of the star's unit
     prices, t -> `_unit_price` at the prefix X - t, read and filled here.
     A state's den is the product of the reduced unit denominators along
-    its path, each at most q * X for alpha = p/q.
+    its path, each at most q * X.
 
     Returns the last layer, suffix sum t -> (cost num, cost den, full-set
     bitmask with player 0 the most significant bit); per state, cost ties
@@ -199,7 +200,7 @@ def suffix_dp(amounts, cost, rate, players, units):
             # partial: pays a * un / ud, t moves up by a
             unit = units.get(t)
             if unit is None:
-                unit = units[t] = _unit_price(total - t, cost, rate)
+                unit = units[t] = _unit_price(total - t, cost, pq)
             un, ud = unit
             cur, price, pden = nxt.get(t + a), num * ud + a * un * den, den * ud
             if cur is None or (lhs := price * cur[1]) < (rhs := cur[0] * pden) or (
@@ -227,9 +228,9 @@ def cheapest(layer):
     return best
 
 
-def price_star(amounts, cost, rate):
-    """A checked star's optimum on integers of one scale (`rate` is the
-    Fraction alpha): `suffix_dp` over all the players, then the tie step.
+def price_star(amounts, cost, pq):
+    """A checked star's optimum on integers of one scale (alpha = p/q for
+    `pq` = (p, q)): `suffix_dp` over all the players, then the tie step.
     Returns (collaterals, total, order, full set) on that scale.
 
     Ties go to the lexicographically smallest full-set tuple.  Per state the
@@ -254,7 +255,7 @@ def price_star(amounts, cost, rate):
     d = len(amounts)
     order = sigma(amounts)
     units = {}  # t -> unit price at the prefix X - t
-    layer = suffix_dp(amounts, cost, rate, order, units)
+    layer = suffix_dp(amounts, cost, pq, order, units)
     best_num, best_den, best_mask = cheapest(layer)
     total = sum(amounts)
     full_set = [i for i in range(d) if best_mask & 1 << (d - 1 - i)]
@@ -292,25 +293,25 @@ def star_solution(net, k):
     edges = net.out_edges[k]
     try:
         c, (num, den), order, full_set = price_star(
-            [net.scaled_amounts[e] for e in edges], net.scaled_costs[k], net.rate[k])
+            [net.scaled_amounts[e] for e in edges], net.scaled_costs[k], net.rate_pq[k])
     except TooLargeError as exc:
         raise TooLargeError("enterprise %s: %s" % (net.ids[k], exc)) from None
     collaterals = tuple(need_value(net, e, pair) for e, pair in zip(edges, c))
     return StarSolution(collaterals, Fraction(num, den * net.scale), order, full_set)
 
 
-def close_star(amounts, cost, rate, collaterals, scale, raised=0, start=0, failed=None):
+def close_star(amounts, cost, pq, collaterals, raised=0, start=0, failed=None):
     """The closure of a star's players `start`, `start` + 1, ... from the
-    capital `raised`, on a row of the scaled table (`amounts`, `cost`;
-    `collaterals` unscaled): sweep them in that order, repeated until none
-    joins.  A player joins once its need, `least_collateral_pair` at the
-    sum with it divided by `scale`, is at most its collateral, and adds its
-    amount (a monotone closure).  Compared on integers.  `failed`, if given,
-    holds per player the most capital it has been seen not to join at (-1
-    if none), read and kept up to date: the need is antitone in the
-    capital, so the player does not join at that much or less.  Returns
-    (the players that joined, in the order they joined, the capital
-    raised)."""
+    capital `raised`, on a row of the scaled table (`amounts`, `cost`,
+    `pq`, and `collaterals` as pairs (cs, cd) on the scale): sweep them in
+    that order, repeated until none joins.  A player joins once its need
+    (num, den), `least_collateral_pair` at the sum with it, is at most its
+    collateral, num * cd <= cs * den, and adds its amount (a monotone
+    closure).  `failed`, if given, holds per player the most capital it has
+    been seen not to join at (-1 if none), read and kept up to date: the
+    need is antitone in the capital, so the player does not join at that
+    much or less.  Returns (the players that joined, in the order they
+    joined, the capital raised)."""
     joined, rest = [], range(start, len(amounts))
     while rest:
         left = []
@@ -318,9 +319,9 @@ def close_star(amounts, cost, rate, collaterals, scale, raised=0, start=0, faile
             if failed is not None and raised <= failed[f]:
                 left.append(f)
                 continue
-            a, cf = amounts[f], collaterals[f]
-            num, den = least_collateral_pair(a, raised + a, cost, rate)
-            if num * cf.denominator <= cf.numerator * den * scale:
+            a, (cs, cd) = amounts[f], collaterals[f]
+            num, den = least_collateral_pair(a, raised + a, cost, pq)
+            if num * cd <= cs * den:
                 raised += a
                 joined.append(f)
             else:
@@ -333,10 +334,10 @@ def close_star(amounts, cost, rate, collaterals, scale, raised=0, start=0, faile
     return joined, raised
 
 
-def minimal_in_order(amounts, cost, rate, collaterals, scale):
+def minimal_in_order(amounts, cost, pq, collaterals):
     """True iff no positive collateral of a star can be lowered: `amounts`
     are the scaled amounts of the players that resolve, in the order they
-    resolve, and `collaterals` their (unscaled) collaterals.
+    resolve, and `collaterals` their collaterals, as `close_star` takes.
 
     Player j at 0 starts with the players before it raised and closes over
     the later ones (`close_star`).  j's collateral is minimal iff its need
@@ -348,12 +349,12 @@ def minimal_in_order(amounts, cost, rate, collaterals, scale):
     prefixes = list(itertools.accumulate(amounts, initial=0))
     failed = [-1] * len(amounts)
     for j in reversed(range(len(amounts))):
-        c = collaterals[j]
-        if c:
+        cs, cd = collaterals[j]
+        if cs:
             a = amounts[j]
-            _, raised = close_star(amounts, cost, rate, collaterals, scale, prefixes[j], j + 1, failed)
-            num, den = least_collateral_pair(a, raised + a, cost, rate)
-            if num * c.denominator != c.numerator * den * scale:
+            _, raised = close_star(amounts, cost, pq, collaterals, prefixes[j], j + 1, failed)
+            num, den = least_collateral_pair(a, raised + a, cost, pq)
+            if num * cd != cs * den:
                 return False
     return True
 

@@ -10,7 +10,8 @@ positive collateral (`reference_is_minimal`), without the prefix seeding
 of `is_minimal`; star optima come from pricing every one of the 2^d full
 sets with `optimal_partial_for_set` (the Fraction reference formula),
 which `solve_star` does not call: it prices with
-`model.least_collateral_pair` on scaled integers.  `fraction_suffix_dp` is the star DP with every cost a
+`model.least_collateral_pair` on scaled integers (`least_collateral` is
+its value, for a Fraction rate).  `fraction_suffix_dp` is the star DP with every cost a
 Fraction, the reference each state of `star.suffix_dp`'s integer-pair
 costs is checked against.  `spiked_22` is a shared network: the smallest
 cyclic component beyond the subset DP's guard.
@@ -28,7 +29,7 @@ from collat import (
     optimal_partial_for_set,
     sigma_for_set,
 )
-from collat.model import TooLargeError, eliminate, least_collateral, need_value
+from collat.model import TooLargeError, eliminate, least_collateral_pair, need_value
 from collat.star import STATE_GUARD
 
 ENUMERATE_GUARD = 25
@@ -97,15 +98,16 @@ def reference_iesds(net, c):
     """IESDS as one elimination run from the empty set, with no
     decomposition: the stuck edges, each mapped to its need at the final
     set (None if its investor defaults)."""
-    return eliminate(net, c)[3]
+    return eliminate(net, c.on_scale(net.scale))[3]
 
 
 def reference_is_minimal(net, c):
     """Minimality of a viable matrix with one whole elimination run from the
     empty set per positive collateral, that collateral at 0: `c` is minimal
     iff each such run leaves the edge exactly that collateral short."""
+    pairs = c.on_scale(net.scale)
     return all(
-        need_value(net, e, eliminate(net, c.amounts[:e] + (0,) + c.amounts[e + 1:])[3].get(
+        need_value(net, e, eliminate(net, pairs[:e] + ((0, 1),) + pairs[e + 1:])[3].get(
             e, (0, 1))) == amount
         for e, amount in enumerate(c.amounts) if amount
     )
@@ -138,6 +140,14 @@ def enumerate_star(star):
         order=sigma_for_set(star, full_set),
         full_set=frozenset(full_set),
     )
+
+
+def least_collateral(a, raised, cost, rate):
+    """`model.least_collateral_pair` as a number for the Fraction `rate`,
+    the view tests check pairs against: 0 or a as an int, a partial
+    collateral as a Fraction."""
+    num, den = least_collateral_pair(a, raised, cost, rate.as_integer_ratio())
+    return num if den == 1 else Fraction(num, den)
 
 
 def fraction_suffix_dp(amounts, cost, rate, players):

@@ -344,7 +344,7 @@ class TestMinimality:
                 yield c.replace(e, (c[e] + net.edges[e].amount) / 2)
         # zero collaterals but one stuck edge's, which stays short of its need:
         # every resolved edge is at 0, so only that edge's verdict counts
-        needs = eliminate(net, CollateralMatrix.zeros(net))[3]
+        needs = eliminate(net, [(0, 1)] * m)[3]
         if needs:
             e = rng.choice(sorted(needs))
             yield CollateralMatrix.zeros(net).replace(
@@ -421,8 +421,9 @@ class TestMinimality:
             order = iterated_elimination(net, c)[0]
             runs.clear()
             assert is_minimal(net, c)
+            pairs = c.on_scale(net.scale)
             for lowered, (start,) in runs[1:]:
-                (e,) = [f for f in range(len(net.edges)) if lowered[f] != c[f]]
+                (e,) = [f for f in range(len(net.edges)) if lowered[f] != pairs[f]]
                 relevant = component_edges(net, e)
                 prefix = set(order[:order.index(e)])
                 starts = {f for f in range(len(net.edges)) if start >> f & 1}
@@ -490,10 +491,10 @@ class TestMinimality:
                     matrices.append(c.replace(e, c[e] / 2))
             for c in matrices:
                 zeroed = c
-                for e in eliminate(net, c)[3]:
+                for e in eliminate(net, c.on_scale(net.scale))[3]:
                     zeroed = zeroed.replace(e, 0)
                 for m in (c, zeroed) if zeroed != c else (c,):
-                    order, _, _, stuck = eliminate(net, m)
+                    order, _, _, stuck = eliminate(net, m.on_scale(net.scale))
                     if any(m[e] for e in stuck):
                         continue
                     expected = reference_is_minimal(net, m)
@@ -640,3 +641,12 @@ class TestLargeAlpha:
     def test_fractional_amounts_are_not(self):
         net = star_net([Fraction(3, 2), 3], 2, 5)
         assert not is_large_alpha(net)
+
+    @pytest.mark.parametrize("rate, large", [
+        (Fraction(5, 2), True), (Fraction(3, 2), False), (Fraction(4, 2), False),
+        (Fraction(201, 100), True),
+    ])
+    def test_a_rational_rate_on_an_integer_net(self, rate, large):
+        # alpha = p/q > Z iff p > Z q, on the table's pair; 4/2 is Z itself
+        net = star_net([3, 3], 2, rate)
+        assert net.scale == 1 and is_large_alpha(net) is large

@@ -1,9 +1,10 @@
 """The kernel and the star DP stay on integers: the functions below work
-on integer pairs of the scaled table, and a value leaves it as a Fraction
-only through `model.need_value`, the documented exit (or a caller such as
+on integer pairs of the scaled table (a rate as `rate_pq`, a collateral
+as `CollateralMatrix.on_scale`), and a value leaves it as a Fraction only
+through `model.need_value`, the documented exit (or a caller such as
 `star.star_solution` or `network._search`'s results).  So none of them
-names `Fraction`, the Fraction view `least_collateral` or the Fraction
-need `edge_need`."""
+names `Fraction`, the Fraction view `least_collateral`, the Fraction need
+`edge_need`, a Fraction's `numerator` or `denominator`, or a `rate`."""
 import ast
 from pathlib import Path
 
@@ -14,12 +15,14 @@ import collat
 PACKAGE = Path(collat.__file__).resolve().parent
 
 ON_INTEGERS = {
-    "model": ("cascade", "need_pair", "eliminate"),
+    "model": ("cascade", "need_pair", "eliminate", "least_collateral_pair", "is_profitable"),
     "star": ("_unit_price", "suffix_dp", "cheapest", "price_star", "close_star",
              "minimal_in_order"),
     "network": ("_subset_dp",),
+    "analysis": ("iterated_elimination", "_minimal_along", "is_large_alpha"),
 }
-FRACTION_NAMES = frozenset({"Fraction", "least_collateral", "edge_need"})
+FRACTION_NAMES = frozenset({"Fraction", "least_collateral", "edge_need", "numerator",
+                            "denominator", "rate"})
 
 
 def fraction_names(source, functions):
@@ -40,6 +43,11 @@ def fraction_names(source, functions):
     ("def f(a):\n    return Fraction(a, 2)", [("f", 2, "Fraction")]),
     ("def f(a):\n    return fractions.Fraction(a)", [("f", 2, "Fraction")]),
     ("def f(a):\n    return model.least_collateral(a, 1, 1, 1)", [("f", 2, "least_collateral")]),
+    ("def f(c):\n    return c.numerator * c.denominator", [("f", 2, "numerator"),
+                                                          ("f", 2, "denominator")]),
+    ("def f(net, k):\n    return net.rate[k] > 1", [("f", 2, "rate")]),
+    ("def f(a, rate):\n    return a * rate", [("f", 2, "rate")]),
+    ("def f(net, k):\n    p, q = net.rate_pq[k]\n    return p > q", []),
     ("def f(net):\n    x = edge_need\n    return need_value(net, 0, (0, 1))", [("f", 2, "edge_need")]),
     ('def f(a):\n    """A Fraction in words."""\n    return need_value(a)', []),
     ("def g(a):\n    return Fraction(a)", []),

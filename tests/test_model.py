@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from collat import (
     Action,
     CollateralMatrix,
     DocumentError,
+    Edge,
     InvestmentNetwork,
     best_response,
     default_determination,
@@ -20,8 +22,9 @@ from collat import (
     validate_network,
 )
 from collat import model
-from collat.model import cascade, eliminate, least_collateral, least_collateral_pair, need_pair
+from collat.model import cascade, eliminate, least_collateral_pair, need_pair
 from collat.star import StarInstance, _minimal_amount
+from helpers import least_collateral
 
 
 def star_net(amounts, z, alpha):
@@ -68,6 +71,31 @@ class TestValidation:
         # and 7 on 3 vertices would count as secured
         with pytest.raises(ValueError, match=r"^edge %d: endpoint out of range$" % bad):
             InvestmentNetwork(3, edges, cost={0: 1}, rate={0: 2})
+
+    @pytest.mark.parametrize("n, edges", [
+        (2.9, [(0, 1, 3)]), (True, [(0, 0, 3)]), ("2", [(0, 1, 3)]),
+    ], ids=["float-n", "bool-n", "str-n"])
+    def test_a_vertex_count_that_is_no_int_is_a_type_error(self, n, edges):
+        # `int(2.9)` read as 2: the net built and solved
+        with pytest.raises(TypeError, match="^n must be an int"):
+            InvestmentNetwork(n, edges, cost={0: 1}, rate={0: 1})
+
+    @pytest.mark.parametrize("edges, bad", [
+        ([(0.2, 1.7, 3)], 0), ([(False, True, 3)], 0), ([(0, 1, 3), (0, 1.0, 3)], 1),
+        ([Edge(0.0, 1, Fraction(3))], 0), ([("0", 1, 3)], 0),
+    ], ids=["floats", "bools", "second-float", "edge-object", "str"])
+    def test_an_endpoint_that_is_no_int_is_a_type_error(self, edges, bad):
+        # `int()` read (0.2, 1.7) and (False, True) as the edge 0 -> 1
+        with pytest.raises(TypeError, match=r"^edge %d: endpoints must be ints$" % bad):
+            InvestmentNetwork(2, edges, cost={0: 1}, rate={0: 1})
+
+    @pytest.mark.parametrize("key", [5, 2, -1, True, 0.0, "0"])
+    @pytest.mark.parametrize("field", ["cost", "rate"])
+    def test_a_per_vertex_key_that_is_no_vertex_is_a_value_error(self, field, key):
+        # the key was dropped: `cost={5: 1, 0: 1}` priced vertex 0 alone
+        with pytest.raises(ValueError, match="^per-vertex parameter: key %s is not an index below 2$"
+                           % re.escape(repr(key))):
+            InvestmentNetwork(2, [(0, 1, 3)], **{field: {key: 1}})
 
     @pytest.mark.parametrize("ids", [["E"], ["E", "a", "b", "c"]], ids=["short", "long"])
     def test_ids_of_another_length_are_rejected(self, ids):
@@ -380,7 +408,7 @@ class TestEliminate:
         shrunk = 0  # runs whose defaulted mask shrank, by cascade reruns
         for net in self._nets(rng, denominators, 60):
             c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
-            result = eliminate(net, c)
+            result = eliminate(net, c.on_scale(net.scale))
             self._check(net, c, 0, result)
             shrunk += result[2] != cascade(net, 0)
         assert shrunk > 20
@@ -393,7 +421,7 @@ class TestEliminate:
             m = len(net.edges)
             c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
             start = sum(1 << e for e in range(m) if rng.random() < 0.4)
-            self._check(net, c, start, eliminate(net, c, start))
+            self._check(net, c, start, eliminate(net, c.on_scale(net.scale), start))
 
     def test_rescue_test_skips_cascade_reruns(self, monkeypatch):
         # enterprise 0 needs 2, and its edge from leaf 2 brings only 1: that
@@ -421,7 +449,7 @@ class TestEliminate:
         for mask in range(1 << len(net.edges)):
             c = CollateralMatrix(net, [e.amount if mask >> i & 1 else 0
                                        for i, e in enumerate(net.edges)])
-            runs.append((c, eliminate(net, c)))
+            runs.append((c, eliminate(net, c.on_scale(net.scale))))
         monkeypatch.undo()
         assert 0 < counts["reruns"] < counts["checks"]
         for c, result in runs:
@@ -440,7 +468,7 @@ class TestEliminate:
         monkeypatch.setattr(model, "cascade", lambda net, cmask, within=None: tested.append(
             within) or plain_cascade(net, cmask, within))
         c = CollateralMatrix.full(net)
-        result = eliminate(net, c, 0b1100)
+        result = eliminate(net, c.on_scale(net.scale), 0b1100)
         monkeypatch.undo()
         assert plain_cascade(net, 0b1100) == 0b111
         assert tested == [None, 0b111, 0b010]
@@ -477,7 +505,7 @@ class TestLeastCollateral:
             rate = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             cost = rng.randint(0, 40)
             got = least_collateral(a, raised, cost, rate)
-            num, den = least_collateral_pair(a, raised, cost, rate)
+            num, den = least_collateral_pair(a, raised, cost, rate.as_integer_ratio())
             assert got == Fraction(num, den) == self._reference(a, raised, cost, rate)
             assert 0 <= got <= a and den > 0
 
@@ -517,6 +545,23 @@ class TestCollateralMatrix:
         net = star_net([2, 1], 1, 1)
         with pytest.raises(TypeError):
             CollateralMatrix(net, [0.5, 0])
+
+    @pytest.mark.parametrize("key", [3, 1, -1, True, "0"])
+    def test_a_key_that_is_no_edge_index_is_a_value_error(self, key):
+        # the key was dropped: every collateral read as 0
+        net = star_net([2], 1, 1)
+        with pytest.raises(ValueError, match="^collateral vector: key %s is not an index below 1$"
+                           % re.escape(repr(key))):
+            CollateralMatrix(net, {key: 1})
+        assert CollateralMatrix(net, {0: 1}).amounts == (1,)
+
+    def test_on_scale_is_each_collateral_times_the_scale_built_once(self):
+        net = star_net([Fraction(3, 2), 1], Fraction(1, 3), 1)
+        c = CollateralMatrix(net, [Fraction(1, 4), 0])
+        assert net.scale == 6
+        pairs = c.on_scale(net.scale)
+        assert pairs == ((6, 4), (0, 1)) and c.on_scale(net.scale) is pairs
+        assert c.on_scale(1) == ((1, 4), (0, 1))
 
 
 class TestExactSum:

@@ -16,13 +16,14 @@ from collat import (
     solve_star,
 )
 from collat import star as star_module
-from collat.model import least_collateral, scaled
+from collat.model import scaled
 from collat.star import STATE_GUARD, cheapest, sigma, suffix_dp
 from helpers import (
     assert_minimal,
     assert_valid_elimination_order,
     enumerate_star,
     fraction_suffix_dp,
+    least_collateral,
 )
 
 
@@ -304,7 +305,7 @@ class TestIntegerPairDP:
             # all of sigma (`price_star`), then sub-sequences (the search's
             # completions), on the star's one table of unit prices
             for players in [order] + [[i for i in order if rng.random() < 0.6] for _ in range(3)]:
-                got = suffix_dp(amounts, cost, star.rate, players, units)
+                got = suffix_dp(amounts, cost, star.rate.as_integer_ratio(), players, units)
                 want = fraction_suffix_dp(amounts, cost, star.rate, players)
                 assert [(t, Fraction(num, den), mask) for t, (num, den, mask) in got.items()] == [
                     (t, price, mask) for t, (price, mask) in want.items()], star
@@ -316,15 +317,15 @@ class TestIntegerPairDP:
     def test_one_unit_price_per_suffix_sum_and_no_fraction_in_a_state(self, monkeypatch):
         calls, least_collateral_pair = [], star_module.least_collateral_pair
 
-        def counted(a, raised, cost, rate):
+        def counted(a, raised, cost, pq):
             calls.append((a, raised))
-            return least_collateral_pair(a, raised, cost, rate)
+            return least_collateral_pair(a, raised, cost, pq)
 
         monkeypatch.setattr(star_module, "least_collateral_pair", counted)
         star = family_star(random.Random(7), "rational", 10)
         amounts, cost = scaled_star(star)
-        order, units = sigma(amounts), {}
-        layer = suffix_dp(amounts, cost, star.rate, order, units)
+        order, units, pq = sigma(amounts), {}, star.rate.as_integer_ratio()
+        layer = suffix_dp(amounts, cost, pq, order, units)
         assert calls and all(a == 1 for a, _ in calls)
         assert len(set(calls)) == len(calls) == len(units)
         assert all(type(v) is int for entry in layer.values() for v in entry)
@@ -334,8 +335,8 @@ class TestIntegerPairDP:
         for t, unit in units.items():
             price = Fraction(least_collateral(1, total - t, cost, star.rate))
             assert unit == (price.numerator, price.denominator)
-        suffix_dp(amounts, cost, star.rate, order[1::2], units)
-        suffix_dp(amounts, cost, star.rate, order, units)
+        suffix_dp(amounts, cost, pq, order[1::2], units)
+        suffix_dp(amounts, cost, pq, order, units)
         assert len(set(calls)) == len(calls) == len(units)
 
     def test_widest_denominators(self):
@@ -396,8 +397,9 @@ class TestMinimalInOrder:
                                                  Fraction(0)))[1]])
             scale, ints = scaled((*star.amounts, star.cost))
             assert star_module.minimal_in_order(
-                [ints[j] for j in row], ints[-1], star.rate, [collaterals[j] for j in row],
-                scale) == expected, (star, collaterals)
+                [ints[j] for j in row], ints[-1], star.rate.as_integer_ratio(),
+                [(collaterals[j].numerator * scale, collaterals[j].denominator) for j in row]
+            ) == expected, (star, collaterals)
             verdicts.append(expected)
         assert verdicts.count(True) > 500 and verdicts.count(False) > 500
 
