@@ -57,7 +57,7 @@ def iterated_elimination(net, c):
     on the scan order (monotone closure): a network with its edge list
     permuted leaves the same edges stuck.
     """
-    pairs, scaled_amounts, costs = c.on_scale(net.scale), net.scaled_amounts, net.scaled_costs
+    pairs, scaled_amounts, costs = c.on_scale, net.scaled_amounts, net.scaled_costs
     order, resolved, defaulted, tangled = [], 0, 0, 0
     for comp, cyclic in _enterprise_components(net):
         k = comp[0]
@@ -158,7 +158,7 @@ def _minimal_along(net, c, order):
     reaches the same needs[e] without checking the edges it starts
     resolved (a pair on the scale, compared with c_e on integers).
     """
-    pairs = c.on_scale(net.scale)
+    pairs = c.on_scale
     rows = {}  # acyclic enterprise -> its edges in `order`
     relevant = {}  # enterprise of a cyclic component -> the edges into the component
     for comp, cyclic in _enterprise_components(net):
@@ -345,9 +345,12 @@ def _star_sums(net, k, investor_set, i):
     edge = net.edge_index.get((k, i))
     if edge is None:
         raise ValueError("player %s has no opportunity in enterprise %s" % (i, k))
-    others = sum((net.edges[e].amount for e in net.out_edges[k]
-                  if net.edges[e].investor in investor_set), Fraction(0))
-    return net.edges[edge].amount, others
+    x_i = net.edges[edge].amount
+    others = Fraction(0)
+    for e in net.out_edges[k]:
+        if net.edges[e].investor in investor_set:
+            others += net.edges[e].amount
+    return x_i, others
 
 
 def zero_collateral_condition(net, k, investor_set, i):
@@ -365,9 +368,8 @@ def full_collateral_condition(net, k, investor_set, i):
 
 
 def is_large_alpha(net):
-    """Integer-input regime with alpha_k > Z_k for every enterprise, where
-    every positive collateral of an optimal solution is a full collateral
-    (the table's scale is 1 exactly when every amount and cost is an int),
-    on the table: alpha_k = p/q > Z_k iff p > Z_k q."""
+    """Integer-input regime with alpha_k = p/q > Z_k (p > Z_k q) for every
+    enterprise, where every positive collateral of an optimal solution is a
+    full collateral (the table's scale is 1 iff every amount and cost is an int)."""
     pq = net.rate_pq
     return net.scale == 1 and all(pq[k][0] > z * pq[k][1] for k, z in net.scaled_costs.items())

@@ -10,7 +10,8 @@ own investments, which can cascade.
 reads: it keeps Fractions it is given as they are, scales the amounts
 and enterprise costs once, with integer arithmetic (`scaled`), over a
 common denominator (`scaled_amounts`, `scaled_costs`, per enterprise the
-`funding` rows), and keeps each rate as its pair (p, q) (`rate_pq`).
+`funding` rows), and keeps each rate as its pair (p, q) (`rate_pq`); a
+component's sub-network goes through the same constructor.
 `validate_network` checks profitability on those integers
 (`is_profitable`, also `solve_star`'s), and `exact_sum` adds Fractions
 the same way: the numerators over their least common denominator, one
@@ -28,10 +29,10 @@ matrix: `CollateralMatrix.on_scale`), and holds the tie rule (resolve
 iff solvent and c_e >= need): IESDS on cyclic components and what is
 upstream of them (a star that reaches none closes on its own row,
 `star.close_star`), `collat verify`'s minimality test on cyclic
-components and the search's free closure run it.  `best_response` (on a
-full cascade), `default_determination`, `enterprise_return`,
-`edge_utility` and `is_nash_equilibrium` stay as the definitional
-reference.
+components and the search's free closure run it.
+`best_response` (on a full cascade), `default_determination`,
+`enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
+definitional reference.
 
 All monetary quantities are `fractions.Fraction`.  Comparisons are exact and
 ties are load-bearing (capital exactly covering the cost counts as solvent;
@@ -44,6 +45,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Money = Fraction
 # one shared zero, never rebuilt: `edge_need`'s "nothing", a star's zero collateral
@@ -90,12 +92,10 @@ class InvestmentNetwork:
     """An investment network: vertices, weighted opportunity edges, and
     per-enterprise cost / interest-rate parameters.
 
-    Vertices are the ints 0..n-1; `ids` optionally carries external names
-    for reporting.  `cost[k]` and `rate[k]` are only meaningful for
-    enterprise vertices (non-zero out-degree); they default to 0 elsewhere.
-    `n` and the endpoints are ints (TypeError otherwise, as for a bool), and
-    the endpoints and the keys of a dict `cost` or `rate` are vertices
-    (ValueError otherwise).
+    Vertices are the ints 0..n-1 (`n` and endpoints: TypeError otherwise, also
+    for a bool); `ids` optionally carries external names.  `cost[k]` and
+    `rate[k]` mean something only for enterprises (non-zero out-degree), 0
+    elsewhere.  Endpoints and dict keys are vertices (ValueError otherwise).
     """
 
     def __init__(self, n, edges, cost=None, rate=None, ids=None):
@@ -142,7 +142,8 @@ class InvestmentNetwork:
 
     def _per_vertex(self, values):
         """One Fraction per vertex, 0 if `values` is None; Fractions are kept."""
-        out = tuple(_by_index({} if values is None else values, self.n, "per-vertex parameter"))
+        out = tuple(_by_index({} if values is None else values, self.n, "per-vertex parameter",
+                              "per-vertex parameter length must equal n"))
         return out if all(type(v) is Fraction for v in out) else tuple(map(as_money, out))
 
     def all_edges(self):
@@ -152,13 +153,14 @@ class InvestmentNetwork:
         return "InvestmentNetwork(n=%d, edges=%d)" % (self.n, len(self.edges))
 
 
-def _by_index(values, size, what):
+def _by_index(values, size, what, wrong_length):
     """`values`, a sequence of `size` or a dict by index (0 where a key is
-    missing), as a list; another length or key is a ValueError."""
+    missing), as a list; another length (`wrong_length`) or key is a
+    ValueError."""
     if not isinstance(values, dict):
         values = list(values)
         if len(values) != size:
-            raise ValueError("%s: length must be %d" % (what, size))
+            raise ValueError(wrong_length)
         return values
     for key in values:
         if type(key) is not int or not 0 <= key < size:
@@ -184,14 +186,16 @@ class CollateralMatrix:
 
     def __init__(self, net, amounts):
         self.net = net
+        values = _by_index(amounts, len(net.edges), "collateral vector",
+                           "collateral vector length must match edge count")
         out = []
-        for v, edge in zip(_by_index(amounts, len(net.edges), "collateral vector"), net.edges):
+        for v, edge in zip(values, net.edges):
             c, x = as_money(v), edge.amount
             if c.numerator < 0:
                 raise ValueError("collateral amounts must be nonnegative")
             # min(c, x), exact on numerators and denominators
             out.append(x if c.numerator * x.denominator > x.numerator * c.denominator else c)
-        self.amounts, self._scaled = tuple(out), (None, ())
+        self.amounts = tuple(out)
 
     @classmethod
     def from_checked(cls, net, amounts):
@@ -199,16 +203,16 @@ class CollateralMatrix:
         no larger than the edge's amount, kept as they are: the solvers'
         results and a parsed collateral document are already checked."""
         c = cls.__new__(cls)
-        c.net, c.amounts, c._scaled = net, tuple(amounts), (None, ())
+        c.net, c.amounts = net, tuple(amounts)
         return c
 
-    def on_scale(self, scale):
-        """Each collateral c as (cs, cd) = (c.numerator * scale, c.denominator):
-        a need (num, den) on a table of `scale` is at most c iff num * cd <=
-        cs * den.  Built once per matrix and scale."""
-        if self._scaled[0] != scale:
-            self._scaled = scale, tuple((c.numerator * scale, c.denominator) for c in self.amounts)
-        return self._scaled[1]
+    @cached_property
+    def on_scale(self):
+        """Each collateral c as (cs, cd) = (c.numerator * scale, c.denominator)
+        on the network's scale: a need (num, den) on its table is at most c
+        iff num * cd <= cs * den.  Built once per matrix."""
+        scale = self.net.scale
+        return tuple((c.numerator * scale, c.denominator) for c in self.amounts)
 
     @classmethod
     def zeros(cls, net):
@@ -360,7 +364,10 @@ def default_determination(net, cooperate):
     defaulted vertices plus the cooperate edges whose investor and
     enterprise both survive."""
     cooperate = frozenset(cooperate)
-    defaulted = cascade(net, sum(1 << e for e in cooperate))
+    mask = 0
+    for e in cooperate:
+        mask |= 1 << e
+    defaulted = cascade(net, mask)
     return InvestState(
         frozenset(k for k in net.funding if defaulted >> k & 1),
         frozenset(
@@ -375,8 +382,7 @@ def least_collateral_pair(a, raised, cost, pq):
     """The solver's one least-collateral formula: a's worst-case shortfall
     a * clamp(1 - (1+alpha)(1 - Z/P), 0, 1), with P = `raised`, Z = `cost`
     and alpha = p/q for `pq` = (p, q), on integers of one scale, as an
-    unreduced integer pair (num, den), den > 0.  den is 1 iff the value is
-    0 or a."""
+    unreduced integer pair (num, den), den > 0; den is 1 iff it is 0 or a."""
     if raised <= cost:
         return a, 1
     # 1 - (1+p/q)(1 - Z/P) = (q P - (p+q)(P - Z)) / (q P)
@@ -424,9 +430,8 @@ def edge_need(net, cooperate_mask, defaulted_mask, edge):
 
 
 def eliminate(net, c, resolved=0):
-    """Iterated elimination under the collaterals `c`, one integer pair
-    per edge on the network's scale (`CollateralMatrix.on_scale`), from the
-    bitmask `resolved`.
+    """Iterated elimination under the collaterals `c` (integer pairs,
+    `CollateralMatrix.on_scale`), from the bitmask `resolved`.
 
     Sweeps the unresolved edges in index order and resolves each edge e
     whose `need_pair` with `resolved | e` cooperating is not None and <=
@@ -498,7 +503,10 @@ def enterprise_return(net, invest, edge):
         raise ValueError("return is undefined for a non-invest edge")
     e = net.edges[edge]
     k = e.enterprise
-    raised = sum((net.edges[o].amount for o in net.out_edges[k] if o in invest), Fraction(0))
+    raised = Fraction(0)
+    for other in net.out_edges[k]:
+        if other in invest:
+            raised += net.edges[other].amount
     total_net = (1 + net.rate[k]) * (raised - net.cost[k])
     if total_net <= 0:
         return Fraction(0)

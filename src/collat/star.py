@@ -35,12 +35,10 @@ the independent oracle.
 
 `close_star` is the elimination closure of a star whose investors are
 settled, on a row of the scaled table: a player joins once its need
-(`model.least_collateral_pair`) is at most its collateral, a pair on the
-scale (`CollateralMatrix.on_scale`).  IESDS closes each star that reaches
-no cyclic component with it, and `minimal_in_order`, which tests a star's
-collaterals for minimality, closes over the later players with each one
-at 0; `collat verify` checks each single-enterprise acyclic component
-with it.
+(`model.least_collateral_pair`) is at most its collateral (an integer pair,
+`CollateralMatrix.on_scale`).  IESDS closes each star that reaches no cyclic
+component with it; `minimal_in_order`, `collat verify`'s minimality test of
+a single-enterprise acyclic component, closes over later players each at 0.
 """
 from __future__ import annotations
 

@@ -98,14 +98,14 @@ def reference_iesds(net, c):
     """IESDS as one elimination run from the empty set, with no
     decomposition: the stuck edges, each mapped to its need at the final
     set (None if its investor defaults)."""
-    return eliminate(net, c.on_scale(net.scale))[3]
+    return eliminate(net, c.on_scale)[3]
 
 
 def reference_is_minimal(net, c):
     """Minimality of a viable matrix with one whole elimination run from the
     empty set per positive collateral, that collateral at 0: `c` is minimal
     iff each such run leaves the edge exactly that collateral short."""
-    pairs = c.on_scale(net.scale)
+    pairs = c.on_scale
     return all(
         need_value(net, e, eliminate(net, pairs[:e] + ((0, 1),) + pairs[e + 1:])[3].get(
             e, (0, 1))) == amount

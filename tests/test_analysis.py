@@ -421,7 +421,7 @@ class TestMinimality:
             order = iterated_elimination(net, c)[0]
             runs.clear()
             assert is_minimal(net, c)
-            pairs = c.on_scale(net.scale)
+            pairs = c.on_scale
             for lowered, (start,) in runs[1:]:
                 (e,) = [f for f in range(len(net.edges)) if lowered[f] != pairs[f]]
                 relevant = component_edges(net, e)
@@ -491,10 +491,10 @@ class TestMinimality:
                     matrices.append(c.replace(e, c[e] / 2))
             for c in matrices:
                 zeroed = c
-                for e in eliminate(net, c.on_scale(net.scale))[3]:
+                for e in eliminate(net, c.on_scale)[3]:
                     zeroed = zeroed.replace(e, 0)
                 for m in (c, zeroed) if zeroed != c else (c,):
-                    order, _, _, stuck = eliminate(net, m.on_scale(net.scale))
+                    order, _, _, stuck = eliminate(net, m.on_scale)
                     if any(m[e] for e in stuck):
                         continue
                     expected = reference_is_minimal(net, m)

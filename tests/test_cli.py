@@ -910,7 +910,7 @@ def _tie_digests(tmp_path):
         assert verdict["status"] == "not-viable"
         c = loads_collaterals(net, Path(edited).read_bytes())
         refs = edge_refs(net)
-        needs = collat.model.eliminate(net, c.on_scale(net.scale))[3]
+        needs = collat.model.eliminate(net, c.on_scale)[3]
         stuck[name] = [refs[e] for e in sorted(needs)]
         assert verdict["stuck_edges"] == stuck[name]
         digests[name].append(_report_digest(verdict))

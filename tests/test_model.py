@@ -103,6 +103,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="^ids length must equal n$"):
             InvestmentNetwork(3, [(0, 1, 2), (0, 2, 2)], cost={0: 1}, rate={0: 2}, ids=ids)
 
+    def test_a_sequence_of_another_length_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^per-vertex parameter length must equal n$"):
+            InvestmentNetwork(2, [(0, 1, 3)], cost=[1, 0, 0], rate={0: 2})
+        with pytest.raises(ValueError, match="^collateral vector length must match edge count$"):
+            CollateralMatrix(InvestmentNetwork(2, [(0, 1, 3)], cost={0: 1}, rate={0: 2}), [0, 0])
+
     def test_profitability_on_the_scaled_integers_matches_fractions(self):
         # random rational stars, some on the exact boundary (1+a)(X-Z) = X
         # and some with rates <= 0: the same stars are flagged, with the
@@ -408,7 +414,7 @@ class TestEliminate:
         shrunk = 0  # runs whose defaulted mask shrank, by cascade reruns
         for net in self._nets(rng, denominators, 60):
             c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
-            result = eliminate(net, c.on_scale(net.scale))
+            result = eliminate(net, c.on_scale)
             self._check(net, c, 0, result)
             shrunk += result[2] != cascade(net, 0)
         assert shrunk > 20
@@ -421,7 +427,7 @@ class TestEliminate:
             m = len(net.edges)
             c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
             start = sum(1 << e for e in range(m) if rng.random() < 0.4)
-            self._check(net, c, start, eliminate(net, c.on_scale(net.scale), start))
+            self._check(net, c, start, eliminate(net, c.on_scale, start))
 
     def test_rescue_test_skips_cascade_reruns(self, monkeypatch):
         # enterprise 0 needs 2, and its edge from leaf 2 brings only 1: that
@@ -449,7 +455,7 @@ class TestEliminate:
         for mask in range(1 << len(net.edges)):
             c = CollateralMatrix(net, [e.amount if mask >> i & 1 else 0
                                        for i, e in enumerate(net.edges)])
-            runs.append((c, eliminate(net, c.on_scale(net.scale))))
+            runs.append((c, eliminate(net, c.on_scale)))
         monkeypatch.undo()
         assert 0 < counts["reruns"] < counts["checks"]
         for c, result in runs:
@@ -468,7 +474,7 @@ class TestEliminate:
         monkeypatch.setattr(model, "cascade", lambda net, cmask, within=None: tested.append(
             within) or plain_cascade(net, cmask, within))
         c = CollateralMatrix.full(net)
-        result = eliminate(net, c.on_scale(net.scale), 0b1100)
+        result = eliminate(net, c.on_scale, 0b1100)
         monkeypatch.undo()
         assert plain_cascade(net, 0b1100) == 0b111
         assert tested == [None, 0b111, 0b010]
@@ -557,11 +563,11 @@ class TestCollateralMatrix:
 
     def test_on_scale_is_each_collateral_times_the_scale_built_once(self):
         net = star_net([Fraction(3, 2), 1], Fraction(1, 3), 1)
-        c = CollateralMatrix(net, [Fraction(1, 4), 0])
         assert net.scale == 6
-        pairs = c.on_scale(net.scale)
-        assert pairs == ((6, 4), (0, 1)) and c.on_scale(net.scale) is pairs
-        assert c.on_scale(1) == ((1, 4), (0, 1))
+        for c in (CollateralMatrix(net, [Fraction(1, 4), 0]),
+                  CollateralMatrix.from_checked(net, [Fraction(1, 4), Fraction(0)])):
+            pairs = c.on_scale
+            assert pairs == ((6, 4), (0, 1)) and c.on_scale is pairs
 
 
 class TestExactSum:

@@ -772,7 +772,7 @@ class TestExactTypes:
                 assert need is None or type(need) is Fraction, need
             c = CollateralMatrix(net, [e.amount * Fraction(rng.randint(0, 4), 4) for e in net.edges])
             # the kernel's needs are integer pairs on the scale: edge_need times it
-            _, resolved, _, needs = eliminate(net, c.on_scale(net.scale))
+            _, resolved, _, needs = eliminate(net, c.on_scale)
             for e, pair in needs.items():
                 cmask = resolved | 1 << e
                 need = edge_need(net, cmask, cascade(net, cmask), e)
