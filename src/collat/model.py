@@ -6,33 +6,31 @@ edge whether to invest ("cooperate") or decline ("defect").  An enterprise
 that fails to raise its operational cost defaults and withdraws all of its
 own investments, which can cascade.
 
-`InvestmentNetwork` builds the one table every layer after the parser
-reads: it keeps Fractions it is given as they are, scales the amounts
-and enterprise costs once, with integer arithmetic (`scaled`), over a
-common denominator (`scaled_amounts`, `scaled_costs`, per enterprise the
-`funding` rows), and keeps each rate as its pair (p, q) (`rate_pq`); a
-component's sub-network goes through the same constructor.
-`validate_network` checks profitability on those integers
-(`is_profitable`, also `solve_star`'s), and `exact_sum` adds Fractions
-the same way: the numerators over their least common denominator, one
-Fraction per sum (the solvers' star totals, total and NEC denominator,
-and `CollateralMatrix.total`).  `cascade` is the one cascade loop:
-bitmasks over edges and vertices, on the scaled integers.  On them
-`least_collateral_pair` is the solver's one least-collateral formula, as
-an integer pair (`star._minimal_amount` is the Fraction reference), and
-`need_pair`, on top of the cascade, that pair for the least collateral
-that makes an edge invest; `need_value` turns a pair into its Fraction
-for the kernel (`edge_need`), the search, the subset DP and a priced
-star (`star.star_solution`).  `eliminate` is the one elimination loop on
-top of both, on pairs (a collateral too, put on the scale once per
-matrix: `CollateralMatrix.on_scale`), and holds the tie rule (resolve
-iff solvent and c_e >= need): IESDS on cyclic components and what is
-upstream of them (a star that reaches none closes on its own row,
-`star.close_star`), `collat verify`'s minimality test on cyclic
-components and the search's free closure run it.
-`best_response` (on a full cascade), `default_determination`,
-`enterprise_return`, `edge_utility` and `is_nash_equilibrium` stay as the
-definitional reference.
+`InvestmentNetwork` builds the one table every layer after the parser reads:
+it keeps Fractions it is given as they are, scales the amounts and
+enterprise costs once, with integer arithmetic (`scaled`), over a common
+denominator (`scaled_amounts`, `scaled_costs`, per enterprise the `funding`
+rows), and keeps each rate as its pair (p, q) (`rate_pq`); a component's
+sub-network goes through the same constructor.  `validate_network` checks
+profitability on those integers (`is_profitable`, also `solve_star`'s), and
+`exact_sum` adds Fractions the same way: the numerators over their least
+common denominator, one Fraction per sum (the solvers' star totals, total
+and NEC denominator, and `CollateralMatrix.total`).  `cascade` is the one
+cascade loop: bitmasks over edges and vertices, on the scaled integers.  On
+them `least_collateral_pair` is the solver's one least-collateral formula,
+as an integer pair (`star._minimal_amount` is the Fraction reference), and
+`need_pair`, on top of the cascade, that pair for the least collateral that
+makes an edge invest; `need_value` turns a pair into its Fraction for the
+kernel (`edge_need`), the search, the subset DP and a priced star
+(`star.star_solution`).  `eliminate` is the one elimination loop on top of
+both, on pairs (a collateral's is built once per matrix:
+`CollateralMatrix.on_scale`), and holds the tie rule (resolve iff solvent
+and c_e >= need): IESDS on cyclic components and what is upstream of them
+(a star that reaches none closes on its own row, `star.close_star`),
+`collat verify`'s minimality test on cyclic components and the search's
+free closure run it.  `best_response` (on a full cascade),
+`default_determination`, `enterprise_return`, `edge_utility` and
+`is_nash_equilibrium` stay as the definitional reference.
 
 All monetary quantities are `fractions.Fraction`.  Comparisons are exact and
 ties are load-bearing (capital exactly covering the cost counts as solvent;
