@@ -33,14 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import eliminate
+from .model import eliminate, least_collateral_pair
 from .star import close_star, minimal_in_order
 
 
 def iterated_elimination(net, c):
     """Greedy IESDS over edges, by enterprise component, downstream first
     (`_enterprise_components`): the closure of `model.eliminate` from the
-    empty set.
+    empty set.  `c` must be built on `net` itself (else ValueError).
 
     An edge resolves once its player -- with the resolved edges
     cooperating, everything else defecting, and the default cascade
@@ -57,6 +57,8 @@ def iterated_elimination(net, c):
     on the scan order (monotone closure): a network with its edge list
     permuted leaves the same edges stuck.
     """
+    if c.net is not net:
+        raise ValueError("the collateral matrix must be built on the network it is checked on")
     pairs, scaled_amounts, costs = c.on_scale, net.scaled_amounts, net.scaled_costs
     order, resolved, defaulted, tangled = [], 0, 0, 0
     for comp, cyclic in _enterprise_components(net):
@@ -341,30 +343,26 @@ def _strongly_connected_components(adjacency):
     return components
 
 
-def _star_sums(net, k, investor_set, i):
+def _star_need(net, k, investor_set, i):
     edge = net.edge_index.get((k, i))
     if edge is None:
         raise ValueError("player %s has no opportunity in enterprise %s" % (i, k))
-    x_i = net.edges[edge].amount
-    others = Fraction(0)
-    for e in net.out_edges[k]:
-        if net.edges[e].investor in investor_set:
-            others += net.edges[e].amount
-    return x_i, others
+    x_i = net.scaled_amounts[edge]
+    raised = x_i + sum(a for _, j, a in net.funding[k] if j in investor_set)
+    return least_collateral_pair(x_i, raised, net.scaled_costs[k], net.rate_pq[k])
 
 
 def zero_collateral_condition(net, k, investor_set, i):
     """True iff, with the investors in `investor_set` already investing in k,
     player i invests for free: x_ki + sum(A) >= Z_k (1 + 1/alpha_k)."""
-    x_i, others = _star_sums(net, k, investor_set, i)
-    return x_i + others >= net.cost[k] * (1 + Fraction(1, 1) / net.rate[k])
+    return _star_need(net, k, investor_set, i)[0] == 0
 
 
 def full_collateral_condition(net, k, investor_set, i):
     """True iff player i's worst-case return is zero, so only a full
     collateral persuades her: x_ki + sum(A) <= Z_k."""
-    x_i, others = _star_sums(net, k, investor_set, i)
-    return x_i + others <= net.cost[k]
+    num, den = _star_need(net, k, investor_set, i)
+    return den == 1 and num != 0
 
 
 def is_large_alpha(net):

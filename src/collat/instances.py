@@ -37,7 +37,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 
-from .model import ZERO, CollateralMatrix, InvestmentNetwork
+from .model import CollateralMatrix, InvestmentNetwork
 from .star import StarInstance
 
 SCHEMA_VERSION = 1
@@ -260,8 +260,8 @@ def parse_document(doc):
 
 
 def loads_collaterals(net, data):
-    """The `CollateralMatrix` on `net` of a collateral document's bytes.  Floats
-    are rejected per value: the document may hold others (a solve report's timing)."""
+    """The `CollateralMatrix` on `net` of a collateral document's bytes (0 on an
+    edge it omits).  A float is refused per value: a solve report's timing is one."""
     doc = loads_json(data)
     rows = doc.get("collaterals") if isinstance(doc, dict) else None
     if rows is None:
@@ -282,14 +282,10 @@ def loads_collaterals(net, data):
             raise DocumentError("collateral on a non-edge", path % pos)
         if edge in amounts:
             raise DocumentError("second collateral for the same edge", path % pos)
-        amount = rational(rec["collateral"], path, pos, "collateral")
-        if amount.numerator < 0:
+        amounts[edge] = rational(rec["collateral"], path, pos, "collateral")
+        if amounts[edge].numerator < 0:
             raise DocumentError("collateral must be nonnegative", path % pos + ".collateral")
-        x = net.edges[edge].amount  # min(amount, x), exact, as `CollateralMatrix` clamps
-        if amount.numerator * x.denominator > x.numerator * amount.denominator:
-            amount = x
-        amounts[edge] = amount
-    return CollateralMatrix.from_checked(net, [amounts.get(e, ZERO) for e in range(len(net.edges))])
+    return CollateralMatrix(net, amounts)
 
 
 def collateral_rows(net, refs, collaterals):
@@ -350,18 +346,22 @@ def dumps_document(doc):
 
 def _write(value, indent, out):
     """Write `value` as `json.dumps(indent=2, sort_keys=True)` does, at the
-    nesting whose line break and indentation is `indent`.  A str or int
-    member of a list or dict goes out in one call with its separator and
-    key; any other member recurses."""
+    nesting whose line break and indentation is `indent`.  A list's or a
+    dict's members share one loop: a str or int goes out in one call with
+    its separator and key, any other member recurses."""
     if isinstance(value, str):
         out(_encode_string(value))
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, dict)):
+        keyed = isinstance(value, dict)
+        brackets = "{}" if keyed else "[]"
         if not value:
-            out("[]")
+            out(brackets)
             return
         inner = indent + "  "
-        head = "[" + inner
-        for item in value:
+        sep, comma = brackets[0] + inner, "," + inner
+        for key, item in sorted(value.items()) if keyed else enumerate(value):
+            head = (sep + _encode_string(key if isinstance(key, str) else _key(key)) + ": "
+                    if keyed else sep)
             if type(item) is str:
                 out(head + _encode_string(item))
             elif type(item) is int:
@@ -369,25 +369,8 @@ def _write(value, indent, out):
             else:
                 out(head)
                 _write(item, inner, out)
-            head = "," + inner
-        out(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            head = sep + _encode_string(key if isinstance(key, str) else _key(key)) + ": "
-            if type(item) is str:
-                out(head + _encode_string(item))
-            elif type(item) is int:
-                out(head + int.__repr__(item))
-            else:
-                out(head)
-                _write(item, inner, out)
-            sep = "," + inner
-        out(indent + "}")
+            sep = comma
+        out(indent + brackets[1])
     else:
         text = _scalar(value)
         if text is None:

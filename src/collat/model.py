@@ -177,32 +177,24 @@ class InvestState:
 
 
 class CollateralMatrix:
-    """Per-edge nonnegative collateral amounts, aligned with a network's
-    edge list.  Amounts above the investment are normalized down to it:
-    they are payoff-equivalent and normalization keeps minimality tests
-    well-defined."""
+    """Per-edge nonnegative collateral amounts on `net`'s edge list, checked
+    and normalized here only: an amount above its investment is cut to it
+    (payoff-equivalent; it keeps minimality tests well-defined).  IESDS
+    reads a matrix only with the network it was built on."""
 
     def __init__(self, net, amounts):
         self.net = net
         values = _by_index(amounts, len(net.edges), "collateral vector",
                            "collateral vector length must match edge count")
-        out = []
-        for v, edge in zip(values, net.edges):
-            c, x = as_money(v), edge.amount
-            if c.numerator < 0:
+        out, scale = [], net.scale
+        for v, edge, xs in zip(values, net.edges, net.scaled_amounts):
+            c = as_money(v)
+            num, den = c.as_integer_ratio()
+            if num < 0:
                 raise ValueError("collateral amounts must be nonnegative")
-            # min(c, x), exact on numerators and denominators
-            out.append(x if c.numerator * x.denominator > x.numerator * c.denominator else c)
+            # min(c, x), exact, on the table's scale: x = xs / scale
+            out.append(edge.amount if num * scale > xs * den else c)
         self.amounts = tuple(out)
-
-    @classmethod
-    def from_checked(cls, net, amounts):
-        """The matrix of `amounts`, one exact, nonnegative Fraction per edge
-        no larger than the edge's amount, kept as they are: the solvers'
-        results and a parsed collateral document are already checked."""
-        c = cls.__new__(cls)
-        c.net, c.amounts = net, tuple(amounts)
-        return c
 
     @cached_property
     def on_scale(self):

@@ -40,8 +40,8 @@ O(2^|E| |E|), `EXACT_GUARD` on |E|) instead, with star optima from
 `star_solution`: the oracles, so they check the root bound too.  The DP
 starts each set's cascade from its first parent's, prices each step with
 `model.need_pair`, as the search does, and keeps costs as integer pairs
-on the scaled table.  A result's `CollateralMatrix` is built once, from
-the solver's checked values (`from_checked`).
+on the scaled table.  A result's `CollateralMatrix` is built by its one
+constructor, from the dict of the solver's values by edge.
 For integer inputs with alpha_k > Z_k every positive collateral of an
 optimal solution is full; both reach that optimum as they do any other,
 so no separate search runs.  `Solution.method` names the whole-network
@@ -159,7 +159,7 @@ def _solve_components(net, components, method, cyclic_solver):
         for pos in local_order:
             amounts[edge_ids[pos]] = local[pos]
             order.append(edge_ids[pos])
-    c = CollateralMatrix.from_checked(net, [amounts[e] for e in range(len(net.edges))])
+    c = CollateralMatrix(net, amounts)
     # a cyclic component's enterprises sum their edges of c; every edge lies
     # in one enterprise's out_edges, so the star totals sum to c's
     star_totals = {k: star_totals[k] if k in star_totals

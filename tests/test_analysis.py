@@ -305,6 +305,16 @@ class TestViability:
         net = star_net([1, 1], 1, 1)
         assert not is_viable(net, CollateralMatrix.zeros(net))
 
+    @pytest.mark.parametrize("check", [iterated_elimination, is_viable, is_minimal])
+    def test_a_matrix_built_on_another_network_is_refused(self, check):
+        # equal collaterals, but on X's scale: Y's verdict would silently change
+        y = InvestmentNetwork(2, [(0, 1, Fraction(1, 3))], cost={0: Fraction(1, 3)}, rate={0: 1})
+        x = InvestmentNetwork(2, [(0, 1, 1)], cost={0: 1}, rate={0: 1})
+        assert is_viable(y, CollateralMatrix(y, [Fraction(1, 3)]))
+        with pytest.raises(ValueError, match="^the collateral matrix must be built on the "
+                                             "network it is checked on$"):
+            check(y, CollateralMatrix(x, [Fraction(1, 3)]))
+
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(31)
         done = 0
@@ -628,6 +638,27 @@ class TestThresholdConditions:
     def test_partial_enough_above_cost(self):
         net = star_net([2, 2], 3, 1)
         assert not full_collateral_condition(net, 0, {2}, 1)
+
+    def test_rate_zero_frees_no_player(self):
+        # Z (1 + 1/alpha) is unbounded at alpha = 0: no capital frees i
+        above, covered = star_net([1, 3], 2, 0), star_net([1, 1], 2, 0)
+        assert not zero_collateral_condition(above, 0, {2}, 1)
+        assert not full_collateral_condition(above, 0, {2}, 1)
+        assert not zero_collateral_condition(covered, 0, {2}, 1)
+        assert full_collateral_condition(covered, 0, {2}, 1)
+
+    def test_match_the_closed_forms_in_fractions(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            amounts = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(4)]
+            z = Fraction(rng.randint(0, 20), rng.randint(1, 4))
+            alpha = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+            net, i = star_net(amounts, z, alpha), rng.randint(1, 4)
+            investors = {v for v in range(1, 5) if rng.random() < 0.5}  # may hold i
+            raised = amounts[i - 1] + sum(amounts[v - 1] for v in investors)
+            assert zero_collateral_condition(net, 0, investors, i) == (
+                raised >= z * (1 + 1 / alpha))
+            assert full_collateral_condition(net, 0, investors, i) == (raised <= z)
 
 
 class TestLargeAlpha:

@@ -19,7 +19,8 @@ ON_INTEGERS = {
     "star": ("_unit_price", "suffix_dp", "cheapest", "price_star", "close_star",
              "minimal_in_order"),
     "network": ("_subset_dp",),
-    "analysis": ("iterated_elimination", "_minimal_along", "is_large_alpha"),
+    "analysis": ("iterated_elimination", "_minimal_along", "is_large_alpha",
+                 "zero_collateral_condition", "full_collateral_condition"),
 }
 FRACTION_NAMES = frozenset({"Fraction", "least_collateral", "edge_need", "numerator",
                             "denominator", "rate"})

@@ -2,8 +2,11 @@
 leading "_" in the standard library may differ or vanish between the
 Python versions CI runs (3.10-3.13).  And no module but `__init__` (whose
 imports are the package's re-exports) imports a name it never uses: a
-deletion leaves no name behind that only a test still patches."""
+deletion leaves no name behind that only a test still patches.  Nor
+does a consolidation leave a private function, class or method that
+nothing in the package reads."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,50 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in modules
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def unread_private_definitions(sources):
+    """(module, line, name) of each private module-level function or class,
+    and each private method, in `sources` (module -> source) that no
+    `ast.Name` or `ast.Attribute` of any of them reads outside its own
+    definition: a consolidation leaves no orphan helper behind."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def reads(tree):
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute))
+                       and isinstance(node.ctx, ast.Load))
+
+    everywhere = sum(map(reads, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + methods:
+                if (isinstance(d, kinds) and _private(d.name)
+                        and everywhere[d.name] == reads(d)[d.name]):
+                    found.append((module, d.lineno, d.name))
+    return found
+
+
+@pytest.mark.parametrize("sources, expected", [
+    ({"a": "def _f():\n    pass\ndef g():\n    return _f()"}, []),
+    ({"a": "def _f():\n    pass", "b": "from .a import _f\n_f()"}, []),
+    ({"a": "def _f(n):\n    return _f(n - 1)"}, [("a", 1, "_f")]),
+    ({"a": "class _C:\n    pass\nclass D:\n    def _m(self):\n        pass"},
+     [("a", 1, "_C"), ("a", 4, "_m")]),
+    ({"a": "class D:\n    def _m(self):\n        pass\n    def f(self):\n        self._m()"}, []),
+    ({"a": "def _f():\n    pass\nx._f = 1"}, [("a", 1, "_f")]),
+    ({"a": "def __init__():\n    pass\ndef f():\n    def _inner():\n        pass"}, []),
+])
+def test_the_check_finds_unread_private_definitions(sources, expected):
+    assert unread_private_definitions(sources) == expected
+
+
+def test_every_private_definition_is_read_elsewhere_in_the_package():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert sources
+    assert unread_private_definitions(sources) == []

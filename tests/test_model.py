@@ -541,6 +541,11 @@ class TestCollateralMatrix:
         net = star_net([2, 1], 1, 1)
         c = CollateralMatrix(net, [5, 1])
         assert c.amounts == (Fraction(2), Fraction(1))
+        # on a scale of 6: cut to the edge's own amount, kept at or below it
+        net = star_net([Fraction(3, 2), 1], Fraction(1, 3), 1)
+        c = CollateralMatrix(net, [Fraction(8, 5), Fraction(1)])
+        assert c.amounts == (Fraction(3, 2), 1) and c.amounts[0] is net.edges[0].amount
+        assert CollateralMatrix(net, [Fraction(7, 5), 0]).amounts == (Fraction(7, 5), 0)
 
     def test_negative_rejected(self):
         net = star_net([2, 1], 1, 1)
@@ -564,10 +569,9 @@ class TestCollateralMatrix:
     def test_on_scale_is_each_collateral_times_the_scale_built_once(self):
         net = star_net([Fraction(3, 2), 1], Fraction(1, 3), 1)
         assert net.scale == 6
-        for c in (CollateralMatrix(net, [Fraction(1, 4), 0]),
-                  CollateralMatrix.from_checked(net, [Fraction(1, 4), Fraction(0)])):
-            pairs = c.on_scale
-            assert pairs == ((6, 4), (0, 1)) and c.on_scale is pairs
+        c = CollateralMatrix(net, [Fraction(1, 4), 0])
+        pairs = c.on_scale
+        assert pairs == ((6, 4), (0, 1)) and c.on_scale is pairs
 
 
 class TestExactSum:
