@@ -299,35 +299,25 @@ def _strongly_connected_components(adjacency):
     on_stack = set()
     stack = []
     components = []
-    counter = [0]
-
-    def visit(root):
-        work = [(root, iter(adjacency.get(root, ())))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index:
-                    index[u] = lowlink[u] = counter[0]
-                    counter[0] += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(adjacency.get(u, ()))))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
+    # the bottom frame is no vertex: its successors are the roots, in order
+    work = [(None, iter(adjacency))]
+    while work:
+        v, it = work[-1]
+        for u in it:
+            if u not in index:
+                index[u] = lowlink[u] = len(index)
+                stack.append(u)
+                on_stack.add(u)
+                work.append((u, iter(adjacency.get(u, ()))))
+                break
+            if u in on_stack:
+                lowlink[v] = min(lowlink[v], index[u])
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
+            parent = work[-1][0] if work else None
+            if parent is not None:
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
+            if v is not None and lowlink[v] == index[v]:
                 comp = set()
                 while True:
                     u = stack.pop()
@@ -336,10 +326,6 @@ def _strongly_connected_components(adjacency):
                     if u == v:
                         break
                 components.append(comp)
-
-    for v in adjacency:
-        if v not in index:
-            visit(v)
     return components
 
 

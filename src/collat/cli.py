@@ -186,15 +186,17 @@ def cmd_gen(args):
             net = instances.gen_cycle_family(args.k)
             meta["k"] = args.k
         elif args.family == "random":
+            weights = _integers("--weights", args.weights, 2)
             net = instances.random_network(
                 args.n,
                 args.d,
                 acyclic=args.acyclic,
-                weight_range=tuple(_integers("--weights", args.weights, 2)),
+                weight_range=tuple(weights),
                 seed=args.seed,
                 large_alpha=args.large_alpha,
             )
-            meta.update(n=args.n, d=args.d, acyclic=args.acyclic)
+            meta.update(n=args.n, d=args.d, acyclic=args.acyclic, large_alpha=args.large_alpha,
+                        weights=weights)
         elif args.family == "knapsack":
             xs = _integers("--xs", args.xs)
             star = instances.gen_knapsack_star(xs, args.t)

@@ -15,9 +15,9 @@ UTF-16/32 detection, a UTF-8 BOM accepted) and turns undecodable or
 too-deeply nested input into a `DocumentError`.  `parse_document` parses
 each distinct rational string once per document, and so does
 `loads_collaterals`, the parser of `collat verify`'s collateral document.
-`dumps_document` writes a document directly, with the bytes of
-`json.dumps(doc, indent=2, sort_keys=True)` and a final newline; a str or
-int member goes out with its key or separator, with no call of its own.
+`dumps_document` writes the bytes of `json.dumps(doc, indent=2,
+sort_keys=True)` and a final newline: it walks the containers and writes an
+exact str or int member by hand, and `json.dumps` writes any other leaf.
 
 This module builds the records its parsers read back: `edge_refs` is the
 one spelling of an edge reference (network documents and reports) and
@@ -30,7 +30,6 @@ int_max_str_digits setting forbids is an error naming the setting.
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 import sys
@@ -346,12 +345,10 @@ def dumps_document(doc):
 
 def _write(value, indent, out):
     """Write `value` as `json.dumps(indent=2, sort_keys=True)` does, at the
-    nesting whose line break and indentation is `indent`.  A list's or a
-    dict's members share one loop: a str or int goes out in one call with
-    its separator and key, any other member recurses."""
-    if isinstance(value, str):
-        out(_encode_string(value))
-    elif isinstance(value, (list, tuple, dict)):
+    nesting whose line break and indentation is `indent`.  It walks the
+    containers, an exact str or int member goes out in one call with its
+    key or separator, and `json.dumps` writes any other leaf or non-str key."""
+    if isinstance(value, (list, tuple, dict)):
         keyed = isinstance(value, dict)
         brackets = "{}" if keyed else "[]"
         if not value:
@@ -372,37 +369,14 @@ def _write(value, indent, out):
             sep = comma
         out(indent + brackets[1])
     else:
-        text = _scalar(value)
-        if text is None:
-            raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
-        out(text)
-
-
-def _scalar(value):
-    """json's text for null, a boolean or a number; None for anything else."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    return None
+        out(json.dumps(value))
 
 
 def _key(key):
     """json's text for a dict key that is not a string."""
-    text = _scalar(key)
-    if text is None:
+    if key is not None and not isinstance(key, (int, float)):
         raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
-    return text
+    return json.dumps(key)
 
 
 def loads_json(data, parse_float=None):

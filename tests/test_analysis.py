@@ -639,6 +639,12 @@ class TestThresholdConditions:
         net = star_net([2, 2], 3, 1)
         assert not full_collateral_condition(net, 0, {2}, 1)
 
+    def test_a_player_with_no_edge_into_k_is_refused(self):
+        net = star_net([1, 3], 2, 1)
+        for condition in (zero_collateral_condition, full_collateral_condition):
+            with pytest.raises(ValueError, match="^player 2 has no opportunity in enterprise 1$"):
+                condition(net, 1, set(), 2)
+
     def test_rate_zero_frees_no_player(self):
         # Z (1 + 1/alpha) is unbounded at alpha = 0: no capital frees i
         above, covered = star_net([1, 3], 2, 0), star_net([1, 1], 2, 0)

@@ -26,6 +26,7 @@ from collat import (
     parse_document,
     random_network,
     save_network,
+    serialize_network,
     solve,
 )
 from collat.cli import main
@@ -423,6 +424,19 @@ class TestGen:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["vertices"]) == 9
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4", "--d", "2", "--seed", "3", "--large-alpha", "--weights", "2,5"],
+        ["--n", "7", "--d", "3", "--acyclic", "--seed", "8"],
+    ], ids=["large-alpha-weights", "acyclic-defaults"])
+    def test_random_meta_regenerates_the_document(self, capsys, argv):
+        _, out, _ = run(capsys, "gen", "random", *argv)
+        doc = json.loads(out)
+        meta = doc["meta"]
+        net = random_network(meta["n"], meta["d"], acyclic=meta["acyclic"],
+                             weight_range=tuple(meta["weights"]), seed=meta["seed"],
+                             large_alpha=meta["large_alpha"])
+        assert doc == serialize_network(net, meta)
 
     def test_gen_determinism(self, capsys):
         _, first, _ = run(capsys, "gen", "random", "--n", "8", "--d", "3", "--seed", "5")

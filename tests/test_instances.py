@@ -1,3 +1,4 @@
+import enum
 import json
 import os
 import random
@@ -387,6 +388,8 @@ class TestKnapsack:
     def test_precondition(self):
         with pytest.raises(ValueError):
             gen_knapsack_star([3, 2], 3)
+        with pytest.raises(ValueError, match="^need at least one item$"):
+            gen_knapsack_star([], 0)
 
     def test_brute_force_examples(self):
         assert inverse_knapsack_brute([3, 2, 2], 4) in ({0, 1}, {0, 2})
@@ -396,6 +399,10 @@ class TestKnapsack:
     def test_brute_force_no_solution(self):
         with pytest.raises(NoSolutionError):
             inverse_knapsack_brute([1, 1], 2)
+
+    def test_brute_force_guard(self):
+        with pytest.raises(ValueError, match="^brute-force guard is 20 items$"):
+            inverse_knapsack_brute([1] * 21, 0)
 
     def test_star_optimum_matches_knapsack(self):
         xs, t = [3, 2, 2], 4
@@ -470,6 +477,14 @@ def _stdlib(value):
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _Text(str):
+    pass
+
+
 class TestWriter:
     """`dumps_document` writes the bytes of `json.dumps(indent=2,
     sort_keys=True)` and a newline, errors included."""
@@ -483,6 +498,9 @@ class TestWriter:
     @pytest.mark.parametrize("value", [
         {}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [[[]]], "", "\x00\x1f\x7f é 😀 \ud800",
         -10**30, float("nan"), float("-inf"), {1: "x", 2.5: "y"}, {None: 0}, {True: 1},
+        # leaves and keys that are no exact str or int
+        [_Level.HIGH], {_Level.HIGH: "x"}, [_Text("a\u00e9")], {"a": True, "b": None},
+        {float("nan"): 1}, {float("inf"): 1, float("-inf"): 2}, 2.5, None,
     ], ids=repr)
     def test_edge_values(self, value):
         assert dumps_document(value) == _stdlib(value)

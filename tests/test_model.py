@@ -598,6 +598,13 @@ class TestAsMoney:
         with pytest.raises(TypeError):
             model.as_money(0.5)
 
+    @pytest.mark.parametrize("amount, value", [(3, Fraction(3)), ("3/7", Fraction(3, 7))])
+    def test_a_ready_edge_gets_its_amount_as_a_fraction(self, amount, value):
+        edge = InvestmentNetwork(2, [Edge(0, 1, amount)]).edges[0]
+        assert edge == Edge(0, 1, value) and type(edge.amount) is Fraction
+        with pytest.raises(TypeError):
+            InvestmentNetwork(2, [Edge(0, 1, 0.5)])
+
     def test_other_exact_values_convert(self):
         class Sub(Fraction):
             pass
